@@ -441,6 +441,7 @@ impl Core {
 
     /// Execution statistics (dcache/icache stats are folded in by
     /// [`Core::finalize_stats`]).
+    #[inline]
     pub fn stats(&self) -> &CoreStats {
         &self.stats
     }
@@ -452,6 +453,7 @@ impl Core {
 
     /// Whether every launched thread has halted (threads that were never
     /// activated do not keep the core alive).
+    #[inline]
     pub fn done(&self) -> bool {
         self.threads
             .iter()
@@ -503,6 +505,7 @@ impl Core {
     /// First structural hazard observed by the pipeline (a failed MSHR
     /// retire from a corrupted id), or `None` for a healthy machine. The
     /// runner polls this every cycle and aborts the run with a typed error.
+    #[inline]
     pub fn structural_fault(&self) -> Option<&str> {
         self.structural_fault.as_deref()
     }
@@ -625,29 +628,8 @@ impl Core {
         self.poll_orphans(now);
 
         // Stall accounting (one category per cycle, most severe first).
-        if self.running.is_none() {
-            self.stats.stall_idle += 1;
-        } else if matches!(
-            self.mem_slot,
-            Some(MemSlot {
-                phase: MemPhase::WaitMshr { .. },
-                ..
-            })
-        ) {
-            self.stats.stall_mem += 1;
-        } else if matches!(
-            self.decode,
-            Some(DecodeSlot {
-                started: true,
-                ready: false,
-                ..
-            })
-        ) {
-            self.stats.stall_reg_fill += 1;
-        } else if self.fetched.is_none()
-            && (self.fetch_wait_mshr.is_some() || self.sys_demand_outstanding)
-        {
-            self.stats.stall_fetch += 1;
+        if let Some(stalls) = self.stall_class() {
+            *stalls += 1;
         }
 
         // Backend first so younger stages see freed slots this cycle.
@@ -673,17 +655,19 @@ impl Core {
     /// reproduces. Call after `tick(now)`. `None` means the core is fully
     /// quiescent until new work arrives (e.g. a thread is activated).
     ///
-    /// The contract mirrors the tick body stage by stage: every state that
-    /// retries something each cycle answers `now + 1`; every timer-driven
-    /// state answers its recorded cycle; MSHR waits answer nothing because
-    /// the caches' own next events cover fill completion (a filled MSHR
-    /// keeps reporting `now + 1` until its waiter retires it).
+    /// The contract mirrors the tick body: every state that retries
+    /// something each cycle answers `now + 1`; every timer-driven state
+    /// answers its recorded cycle; MSHR waits answer nothing because the
+    /// caches' own next events cover fill completion (a filled MSHR keeps
+    /// reporting `now + 1` until its waiter retires it).
     pub fn next_event(&self, now: u64, fabric: &Fabric) -> Option<u64> {
-        // Fast path: every source below clamps to `now + 1`, so the moment
-        // any retry-every-cycle state is live the answer is exactly
-        // `now + 1` and the queue/MSHR scans can be bypassed. These are the
-        // cheap O(1) tests; on productive cycles one of them almost always
-        // fires, keeping the event query off the simulation's hot path.
+        // Every state that retries something each cycle answers `now + 1`,
+        // and no answer can be earlier, so these cheap O(1) tests settle
+        // the query on productive cycles without the scans below: a memory
+        // op retrying issue until a port/MSHR frees up, a decode acquire
+        // not yet Ready, a queued sysop, a store-queue head issuing, active
+        // fetch (an icache access every cycle), scheduling while a
+        // switch-in is wanted or possible, and a fetched op due for decode.
         if matches!(
             self.mem_slot,
             Some(MemSlot {
@@ -727,21 +711,23 @@ impl Core {
             push(t);
         }
 
-        if let Some(slot) = &self.mem_slot {
-            match slot.phase {
-                // Issue retries every cycle until a port/MSHR frees up.
-                MemPhase::Start => push(now + 1),
-                MemPhase::Wait { at } | MemPhase::Done { at } => push(at),
-                // The dcache's next event covers the fill.
-                MemPhase::WaitMshr { .. } => {}
-            }
+        // The timers. MSHR waits (a memory op or store-queue head in
+        // `WaitMshr`) answer nothing: the dcache's next event covers the
+        // fill. When every thread is blocked, the scheduler's wakeups come
+        // from those cache events too.
+        if let Some(MemSlot {
+            phase: MemPhase::Wait { at } | MemPhase::Done { at },
+            ..
+        }) = &self.mem_slot
+        {
+            push(*at);
         }
-        if let Some(head) = self.sq.front() {
-            match head.state {
-                SqState::Issue => push(now + 1),
-                SqState::Wait { at } => push(at),
-                SqState::WaitMshr { .. } => {}
-            }
+        if let Some(SqEntry {
+            state: SqState::Wait { at },
+            ..
+        }) = self.sq.front()
+        {
+            push(*at);
         }
         if let Some(e) = &self.exec {
             // A finished execute slot (done_at <= now) is blocked on the mem
@@ -751,39 +737,15 @@ impl Core {
                 push(e.done_at);
             }
         }
-        if let Some(d) = &self.decode {
-            // Acquire is retried every cycle until Ready; a Ready slot is
-            // blocked on execute/mem, whose events cover the unblock.
-            if !d.ready {
-                push(now + 1);
-            }
-        } else if let Some(f) = &self.fetched {
+        // A Ready decode slot is blocked on execute/mem, whose events cover
+        // the unblock; without one, a fetched op decodes once available.
+        if let (None, Some(f)) = (&self.decode, &self.fetched) {
             push(f.avail_at);
-        }
-        if !self.sys_queue.is_empty() {
-            push(now + 1);
         }
         for (w, _) in &self.sys_wait {
             if let SysWait::At(t) = w {
                 push(*t);
             }
-        }
-        // Active fetch issues an icache access every cycle.
-        if self.running.is_some()
-            && self.fetched.is_none()
-            && !self.fetch_stopped
-            && !self.sys_demand_outstanding
-            && self.fetch_wait_mshr.is_none()
-        {
-            push(now + 1);
-        }
-        // Scheduling polls `thread_ready` every cycle while a switch-in is
-        // wanted or possible; when every thread is blocked, the wakeups come
-        // from the dcache events above.
-        if self.running.is_none()
-            && (self.pending_in.is_some() || self.threads.iter().any(|t| t.runnable()))
-        {
-            push(now + 1);
         }
         min
     }
@@ -791,12 +753,22 @@ impl Core {
     /// Credits a span of skipped (provably no-op) cycles to the statistics
     /// exactly as the dense loop would have: the cycle counter advances and
     /// the per-cycle stall classification — evaluated on the frozen state,
-    /// mirroring the if-chain at the top of [`Core::tick`] — accrues the
-    /// whole span. Digests and stats stay byte-identical either way.
+    /// as [`Core::tick`] evaluates it — accrues the whole span. Digests and
+    /// stats stay byte-identical either way.
     pub fn credit_skipped(&mut self, span: u64) {
         self.stats.cycles += span;
+        if let Some(stalls) = self.stall_class() {
+            *stalls += span;
+        }
+    }
+
+    /// The stall counter the current state charges a cycle to, most severe
+    /// first (idle, memory, register fill, fetch), or `None` for a cycle
+    /// that is not stalled.
+    fn stall_class(&mut self) -> Option<&mut u64> {
+        let stats = &mut self.stats;
         if self.running.is_none() {
-            self.stats.stall_idle += span;
+            Some(&mut stats.stall_idle)
         } else if matches!(
             self.mem_slot,
             Some(MemSlot {
@@ -804,7 +776,7 @@ impl Core {
                 ..
             })
         ) {
-            self.stats.stall_mem += span;
+            Some(&mut stats.stall_mem)
         } else if matches!(
             self.decode,
             Some(DecodeSlot {
@@ -813,11 +785,13 @@ impl Core {
                 ..
             })
         ) {
-            self.stats.stall_reg_fill += span;
+            Some(&mut stats.stall_reg_fill)
         } else if self.fetched.is_none()
             && (self.fetch_wait_mshr.is_some() || self.sys_demand_outstanding)
         {
-            self.stats.stall_fetch += span;
+            Some(&mut stats.stall_fetch)
+        } else {
+            None
         }
     }
 

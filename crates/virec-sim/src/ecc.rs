@@ -124,6 +124,41 @@ pub fn parity_bit(data: u64) -> u8 {
     (data.count_ones() & 1) as u8
 }
 
+/// What the modeled check bits make of a flip pattern on one stored word.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WordVerdict {
+    /// The word reads back intact: SEC-DED repaired the flip.
+    Corrected,
+    /// Detected but not repairable: an odd-weight flip under parity, a
+    /// double-bit flip under SEC-DED.
+    Detected,
+    /// The flips reach the consumer: unprotected storage, an even-weight
+    /// flip parity is blind to, or more than two flips — beyond the SEC-DED
+    /// guarantee, modeled as raw pass-through.
+    Landed,
+}
+
+/// Runs the protection at `level` over `mask` flipped in the stored `word`.
+/// Under SEC-DED the real (72,64) codec decides, so the model is grounded
+/// in the code rather than in a flip count.
+pub(crate) fn protect_word(level: ProtectionLevel, word: u64, mask: u64) -> WordVerdict {
+    let flips = mask.count_ones();
+    match level {
+        ProtectionLevel::Parity if flips % 2 == 1 => WordVerdict::Detected,
+        ProtectionLevel::SecDed if flips <= 2 => {
+            match secded_decode(word ^ mask, secded_encode(word)) {
+                SecDedOutcome::DoubleError => WordVerdict::Detected,
+                SecDedOutcome::CorrectedData(orig) => {
+                    debug_assert_eq!(orig, word, "SEC-DED must restore the stored word");
+                    WordVerdict::Corrected
+                }
+                SecDedOutcome::Clean | SecDedOutcome::CorrectedCheck => WordVerdict::Corrected,
+            }
+        }
+        _ => WordVerdict::Landed,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Coverage map
 // ---------------------------------------------------------------------------
@@ -368,6 +403,18 @@ mod tests {
         assert_ne!(parity_bit(w ^ 1), p, "single flip detected");
         assert_eq!(parity_bit(w ^ 3), p, "double flip escapes");
         assert_ne!(parity_bit(w ^ 7), p, "triple flip detected");
+    }
+
+    #[test]
+    fn word_verdicts_follow_the_level() {
+        use ProtectionLevel::*;
+        let w = 0x0123_4567_89ab_cdefu64;
+        assert_eq!(protect_word(None, w, 1), WordVerdict::Landed);
+        assert_eq!(protect_word(Parity, w, 0b100), WordVerdict::Detected);
+        assert_eq!(protect_word(Parity, w, 0b101), WordVerdict::Landed);
+        assert_eq!(protect_word(SecDed, w, 1 << 40), WordVerdict::Corrected);
+        assert_eq!(protect_word(SecDed, w, 0b11), WordVerdict::Detected);
+        assert_eq!(protect_word(SecDed, w, 0b111), WordVerdict::Landed);
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod error;
 pub mod experiment;
 pub mod fault;
 pub mod journal;
+mod machine;
 pub mod offload;
 pub mod ras;
 pub mod report;

@@ -124,8 +124,32 @@ pub enum RetiredRegion {
     },
 }
 
+/// A physical region the [`CeTracker`] keeps a bucket for. The variants
+/// share one key space without colliding: packed DRAM row ids sit far below
+/// bit 62, and links and word-less fault sites carry a tag bit of their own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum CeRegion {
+    /// A DRAM row, by its packed key ([`virec_mem::Fabric::row_key`]).
+    Row(u64),
+    /// A mesh NoC link, by its id in the directed-link population.
+    Link(usize),
+    /// A fault-site index with no addressable word behind it (a CAM way,
+    /// control state).
+    Site(u64),
+}
+
+impl CeRegion {
+    fn key(self) -> u64 {
+        match self {
+            CeRegion::Row(key) => key,
+            CeRegion::Link(link) => (1 << 62) | link as u64,
+            CeRegion::Site(index) => (1 << 63) | index,
+        }
+    }
+}
+
 /// Leaky-bucket correctable-error counters, one bucket per physical
-/// region key (a packed DRAM row id or a CAM way id).
+/// region key (a packed DRAM row id, a link id or a fault-site index).
 ///
 /// The bucket fills by one per observation and leaks one unit per
 /// `leak_interval` cycles; [`CeTracker::observe`] reports `true` exactly
@@ -171,6 +195,18 @@ impl CeTracker {
         }
         b.level += 1;
         b.level >= self.threshold
+    }
+
+    /// Charges one corrected error to `region` at `now`. Returns `true` —
+    /// and drops the region's bucket — once the region has crossed the
+    /// threshold and must be retired.
+    pub(crate) fn charge(&mut self, region: CeRegion, now: u64) -> bool {
+        let key = region.key();
+        let retire = self.observe(key, now);
+        if retire {
+            self.clear(key);
+        }
+        retire
     }
 
     /// Drops the bucket for a retired region.

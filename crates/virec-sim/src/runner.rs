@@ -1,19 +1,20 @@
 //! Single-core experiment runner.
 //!
-//! [`try_run_single`] is the fallible core: it drives the cycle loop with a
-//! forward-progress watchdog, applies any scheduled [`FaultPlan`], and
-//! verifies the final architectural state against the golden interpreter,
-//! returning a typed [`SimError`] instead of panicking. [`run_single`] is
-//! the thin panicking wrapper the examples and figure binaries use.
+//! [`try_run_single`] is the fallible core: it steps a one-core machine
+//! through the shared step loop with a forward-progress watchdog, hooks in
+//! the checkpoint ring, the patrol scrubber and any scheduled [`FaultPlan`],
+//! and verifies the final architectural state against the golden
+//! interpreter, returning a typed [`SimError`] instead of panicking.
+//! [`run_single`] is the thin panicking wrapper the examples and figure
+//! binaries use.
 
-use crate::cancel::{GateTrip, RunGate};
-use crate::ecc::{
-    secded_decode, secded_encode, EccStats, ProtectionConfig, ProtectionLevel, SecDedOutcome,
-};
+use crate::cancel::RunGate;
+use crate::ecc::{protect_word, EccStats, ProtectionConfig, ProtectionLevel, WordVerdict};
 use crate::error::{DivergenceSite, RunDiagnostics, SimError};
 use crate::fault::{engine_fault_of, FaultEvent, FaultPlan, FaultSite};
+use crate::machine::{self, Driver, Machine, Step};
 use crate::offload::offload;
-use crate::ras::{CeTracker, RasConfig, RasStats, RetiredRegion, Scrubber};
+use crate::ras::{CeRegion, CeTracker, RasConfig, RasStats, RetiredRegion, Scrubber};
 use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
 use std::collections::{HashMap, VecDeque};
 use virec_core::engines::ROLLBACK_DEPTH;
@@ -95,21 +96,6 @@ impl Default for RunOptions {
     }
 }
 
-/// True when event-driven cycle skipping is disabled, either per-run
-/// ([`RunOptions::dense_loop`]) or process-wide (`VIREC_NO_SKIP=1`).
-pub(crate) fn dense_requested(opt_dense: bool) -> bool {
-    opt_dense || std::env::var_os("VIREC_NO_SKIP").is_some_and(|v| v == "1")
-}
-
-/// Builds the typed error for a tripped gate from a live core snapshot.
-pub(crate) fn deadline_error(trip: GateTrip, workload: &str, core: &Core, cycles: u64) -> SimError {
-    SimError::Deadline {
-        elapsed_ms: trip.elapsed_ms,
-        limit_ms: trip.limit_ms,
-        diag: RunDiagnostics::capture(workload, core, cycles),
-    }
-}
-
 /// Outcome of a run.
 #[derive(Clone, Debug)]
 pub struct RunResult {
@@ -179,7 +165,7 @@ pub fn try_run_single_traced(
 }
 
 fn try_run_single_impl(
-    cfg: CoreConfig,
+    mut cfg: CoreConfig,
     workload: &Workload,
     opts: &RunOptions,
     want_trace: bool,
@@ -187,7 +173,6 @@ fn try_run_single_impl(
     // The RAS layer provisions its spare CAM ways at core construction:
     // they are physically present (priced by virec-area) but masked until
     // a retirement activates one.
-    let mut cfg = cfg;
     if let Some(rc) = &opts.ras {
         if cfg.engine == EngineKind::ViReC {
             cfg.spare_ways = rc.spare_ways as usize;
@@ -215,556 +200,77 @@ fn try_run_single_impl(
     }
 
     let mut fabric = Fabric::new(opts.fabric);
-    let mut watchdog = Watchdog::new(opts.livelock_cycles);
-    let mut pending: Vec<FaultEvent> = opts.faults.events.clone();
-    let mut faults_applied: Vec<String> = Vec::new();
-    let mut ecc = EccStats::default();
-    let mut checkpoints: VecDeque<Checkpoint> = VecDeque::new();
-    let ckpt_interval = opts.checkpoint_interval;
-    let ckpt_depth = opts.checkpoint_depth.max(1);
-
-    // RAS state lives *outside* the checkpoint ring: a physical repair
-    // (a masked way, a remapped row) survives an architectural rollback.
-    // Restores clone the machine from the ring, so the retirement log is
-    // replayed onto every restored clone.
-    let mut ras = RasStats::default();
-    let mut tracker = CeTracker::new(
-        opts.ras.map_or(1, |rc| rc.ce_threshold),
-        opts.ras.map_or(0, |rc| rc.ce_leak_interval),
-    );
-    let mut scrubber = opts.ras.and_then(|rc| {
-        (rc.scrub_interval > 0).then(|| {
-            Scrubber::new(vec![
-                (region.base, region.size()),
-                (workload.layout.data_base, workload.layout.data_size),
-            ])
-        })
-    });
-    let mut retired_log: Vec<RetiredRegion> = Vec::new();
-    let mut retired_families: Vec<(FaultSite, u64)> = Vec::new();
-    let mut due_restores: HashMap<(FaultSite, u64), u32> = HashMap::new();
     if let Some(rc) = &opts.ras {
         fabric.provision_spare_rows(rc.spare_rows);
     }
-    let wrap = |e: SimError, applied: &[String]| -> SimError {
-        if applied.is_empty() {
+    let mut run = Single {
+        m: Machine::new(
+            vec![core],
+            fabric,
+            mem,
+            opts.livelock_cycles,
+            cfg.max_cycles,
+        ),
+        opts,
+        workload,
+        pending: opts.faults.events.clone(),
+        faults_applied: Vec::new(),
+        ecc: EccStats::default(),
+        checkpoints: VecDeque::new(),
+        checkpoint_clone_ns: 0,
+        ras: RasStats::default(),
+        tracker: CeTracker::new(
+            opts.ras.map_or(1, |rc| rc.ce_threshold),
+            opts.ras.map_or(0, |rc| rc.ce_leak_interval),
+        ),
+        scrubber: opts.ras.and_then(|rc| {
+            (rc.scrub_interval > 0).then(|| {
+                Scrubber::new(vec![
+                    (region.base, region.size()),
+                    (workload.layout.data_base, workload.layout.data_size),
+                ])
+            })
+        }),
+        retired_log: Vec::new(),
+        retired_families: Vec::new(),
+        due_restores: HashMap::new(),
+    };
+    let outcome = machine::run(&mut run, &opts.gate, opts.dense_loop).and_then(|()| {
+        let m = &mut run.m;
+        let core = &mut m.slots[0];
+        core.finalize_stats();
+        core.drain(&mut m.mem);
+        if opts.verify {
+            try_verify_against_golden(workload, cfg.nthreads, core, &m.mem, m.now)?;
+        }
+        Ok(())
+    });
+    if let Err(e) = outcome {
+        // Any failure after a fault landed is attributed to the faults.
+        return Err(if run.faults_applied.is_empty() {
             e
         } else {
-            let diag = Box::new(e.diagnostics().clone());
             SimError::FaultDetected {
-                faults: applied.to_vec(),
+                diag: Box::new(e.diagnostics().clone()),
+                faults: run.faults_applied,
                 cause: Box::new(e),
-                diag,
             }
-        }
-    };
-
-    // Check the gate once up front so a pre-cancelled run (e.g. a SIGINT
-    // abort that lands between cells) trips deterministically even when
-    // the workload would finish in under one poll interval.
-    if let Some(trip) = opts.gate.trip() {
-        return Err(wrap(
-            deadline_error(trip, workload.name, &core, 0),
-            &faults_applied,
-        ));
+        });
     }
-
-    let dense = dense_requested(opts.dense_loop);
-    let mut next_poll = 0u64;
-    let mut checkpoint_clone_ns = 0u64;
-
-    let mut now = 0u64;
-    while !core.done() {
-        if let Some(trip) = opts.gate.poll_due(now, &mut next_poll) {
-            return Err(wrap(
-                deadline_error(trip, workload.name, &core, now),
-                &faults_applied,
-            ));
-        }
-        if ckpt_interval > 0 && now.is_multiple_of(ckpt_interval) {
-            let snap_start = std::time::Instant::now();
-            if checkpoints.len() == ckpt_depth {
-                // Swap-and-overwrite: recycle the evicted ring slot's heap
-                // buffers (memory image, cache arrays, queues) instead of
-                // reallocating a full deep copy for every snapshot. Only
-                // the boxed engine is necessarily a fresh allocation.
-                let mut slot = checkpoints.pop_front().expect("ring is non-empty at depth");
-                slot.cycle = now;
-                slot.core.clone_from(&core);
-                slot.fabric.clone_from(&fabric);
-                slot.mem.clone_from(&mem);
-                slot.pending.clone_from(&pending);
-                slot.faults_applied.clone_from(&faults_applied);
-                slot.ecc = ecc;
-                checkpoints.push_back(slot);
-            } else {
-                checkpoints.push_back(Checkpoint {
-                    cycle: now,
-                    core: core.clone(),
-                    fabric: fabric.clone(),
-                    mem: mem.clone(),
-                    pending: pending.clone(),
-                    faults_applied: faults_applied.clone(),
-                    ecc,
-                });
-            }
-            checkpoint_clone_ns += snap_start.elapsed().as_nanos() as u64;
-            ecc.checkpoints_taken += 1;
-        }
-        if let (Some(rc), Some(sc)) = (&opts.ras, scrubber.as_mut()) {
-            if now.is_multiple_of(rc.scrub_interval) {
-                if let Some(addr) = sc.next_line() {
-                    // Patrol read: a real fabric request that occupies the
-                    // target bank like demand traffic — scrubbing is not
-                    // free bandwidth.
-                    fabric.submit_scrub(now, addr);
-                    ras.scrub_reads += 1;
-                    // Patrol detection: a persistent defect whose cells
-                    // sit in the line just scrubbed registers a
-                    // correctable error with the CE tracker before demand
-                    // traffic trips over it.
-                    let line = addr & !(virec_mem::LINE_BYTES - 1);
-                    let mut hits: Vec<(FaultEvent, u64)> = Vec::new();
-                    for ev in &pending {
-                        if ev.class.is_persistent()
-                            && matches!(ev.site, FaultSite::BackingReg | FaultSite::DramLine)
-                        {
-                            if let Some((waddr, _)) =
-                                word_target(ev, &core, &fabric, &mem, workload)
-                            {
-                                if waddr & !(virec_mem::LINE_BYTES - 1) == line {
-                                    hits.push((*ev, waddr));
-                                }
-                            }
-                        }
-                    }
-                    let mut seen: Vec<(FaultSite, u64)> = Vec::new();
-                    for (ev, waddr) in hits {
-                        let fam = ev.family();
-                        if seen.contains(&fam) || retired_families.contains(&fam) {
-                            continue;
-                        }
-                        seen.push(fam);
-                        ras.ce_observations += 1;
-                        let key = fabric.row_key(waddr);
-                        if tracker.observe(key, now) {
-                            tracker.clear(key);
-                            ras.predictive_retirements += 1;
-                            ras_retire_family(
-                                &ev,
-                                Some(waddr),
-                                &mut core,
-                                &mut fabric,
-                                &mut mem,
-                                now,
-                                &mut ras,
-                                &mut retired_log,
-                                &mut faults_applied,
-                            );
-                            retired_families.push(fam);
-                            pending.retain(|e| e.family() != fam);
-                        }
-                    }
-                }
-            }
-        }
-        fabric.tick(now);
-        core.tick(now, &mut fabric, &mut mem);
-
-        if let Some(detail) = core.structural_fault() {
-            let e = SimError::StructuralHazard {
-                detail: detail.to_string(),
-                diag: RunDiagnostics::capture(workload.name, &core, now),
-            };
-            return Err(wrap(e, &faults_applied));
-        }
-        // NoC watchdog: a flit past its age cap or out of retransmission
-        // budget means the interconnect can no longer guarantee delivery —
-        // a structural hazard, not a hang.
-        if let Some(detail) = fabric.noc_fault().map(str::to_string) {
-            let e = SimError::StructuralHazard {
-                detail,
-                diag: RunDiagnostics::capture(workload.name, &core, now),
-            };
-            return Err(wrap(e, &faults_applied));
-        }
-
-        if !pending.is_empty() {
-            // Collect every event due this cycle, then group the ones that
-            // hit the same word of the same site — that is a multi-bit
-            // upset, and the protection model must see it whole (a
-            // double-bit flip is one DUE, not two correctable singles).
-            let mut due: Vec<FaultEvent> = Vec::new();
-            let mut i = 0;
-            while i < pending.len() {
-                if pending[i].cycle <= now {
-                    let ev = pending.swap_remove(i);
-                    if retired_families.contains(&ev.family()) {
-                        // The region is out of service — its cells are no
-                        // longer wired to anything. The assertion is
-                        // dropped and the family is not re-armed.
-                        ras.suppressed_assertions += 1;
-                        continue;
-                    }
-                    // Persistent classes re-assert: schedule the next
-                    // firing up front so the skip loop's pending-fault cap
-                    // covers it like any scheduled event.
-                    if let Some((period, next)) = ev.class.rearm() {
-                        pending.push(FaultEvent {
-                            cycle: now + period,
-                            class: next,
-                            ..ev
-                        });
-                    }
-                    due.push(ev);
-                } else {
-                    i += 1;
-                }
-            }
-            let mut groups: Vec<Vec<FaultEvent>> = Vec::new();
-            for ev in due {
-                match groups
-                    .iter_mut()
-                    .find(|g| g[0].site == ev.site && g[0].index == ev.index)
-                {
-                    Some(g) => g.push(ev),
-                    None => groups.push(vec![ev]),
-                }
-            }
-            let mut suppress: Vec<FaultEvent> = Vec::new();
-            let mut detected_desc = String::new();
-            for group in &groups {
-                if group[0].site == FaultSite::NocLink {
-                    // Link upsets never reach the word-protection model:
-                    // the per-hop CRC detects the corrupted flit in transit
-                    // and the nack/retransmit protocol delivers a clean
-                    // copy, so the upset is corrected at the link layer.
-                    // Persistent defects charge the link's CE leaky bucket
-                    // toward predictive retirement (route-around) or, when
-                    // no route would survive, degraded fencing.
-                    for ev in group {
-                        let Some(link) = fabric.inject_link_fault(ev.index) else {
-                            // Crossbar topology, or the link is already out
-                            // of service: nothing left to corrupt.
-                            continue;
-                        };
-                        ecc.corrected += 1;
-                        faults_applied.push(format!(
-                            "cycle {now}: noc link {link} upset (crc caught, retransmitted)"
-                        ));
-                        let fam = ev.family();
-                        if opts.ras.is_some()
-                            && ev.class.is_persistent()
-                            && !retired_families.contains(&fam)
-                        {
-                            ras.ce_observations += 1;
-                            let key = (1u64 << 62) | link as u64;
-                            if tracker.observe(key, now) {
-                                tracker.clear(key);
-                                ras.predictive_retirements += 1;
-                                match fabric
-                                    .retire_link(link)
-                                    .expect("mesh confirmed by inject_link_fault")
-                                {
-                                    LinkRetireOutcome::Rerouted => {
-                                        faults_applied.push(format!(
-                                            "cycle {now}: ras retired noc link {link} \
-                                             (rerouted)"
-                                        ));
-                                    }
-                                    LinkRetireOutcome::Fenced => {
-                                        ras.degraded_regions += 1;
-                                        faults_applied.push(format!(
-                                            "cycle {now}: ras fenced noc link {link} \
-                                             (half bandwidth, no surviving route)"
-                                        ));
-                                    }
-                                }
-                                retired_log.push(RetiredRegion::Link { link });
-                                retired_families.push(fam);
-                                pending.retain(|e| e.family() != fam);
-                            }
-                        }
-                    }
-                    continue;
-                }
-                let corrected_before = ecc.corrected;
-                if let Protected::Uncorrectable(desc) = protect_apply_group(
-                    group,
-                    now,
-                    &opts.protection,
-                    &mut core,
-                    &fabric,
-                    &mut mem,
-                    workload,
-                    &mut ecc,
-                    &mut faults_applied,
-                ) {
-                    suppress.extend_from_slice(group);
-                    detected_desc = desc;
-                }
-                // Predictive sparing: every *corrected* assertion of a
-                // persistent defect charges the region's leaky bucket; at
-                // the threshold the region is retired before a second cell
-                // failure can turn correctable into uncorrectable.
-                if opts.ras.is_some()
-                    && ecc.corrected > corrected_before
-                    && group[0].class.is_persistent()
-                {
-                    let fam = group[0].family();
-                    if !retired_families.contains(&fam) {
-                        ras.ce_observations += 1;
-                        let (key, waddr) = match group[0].site {
-                            FaultSite::BackingReg
-                            | FaultSite::DramLine
-                            | FaultSite::FabricResponse => {
-                                match word_target(&group[0], &core, &fabric, &mem, workload) {
-                                    Some((a, _)) => (fabric.row_key(a), Some(a)),
-                                    None => ((1 << 63) | group[0].index, None),
-                                }
-                            }
-                            _ => ((1 << 63) | group[0].index, None),
-                        };
-                        if tracker.observe(key, now) {
-                            tracker.clear(key);
-                            ras.predictive_retirements += 1;
-                            ras_retire_family(
-                                &group[0],
-                                waddr,
-                                &mut core,
-                                &mut fabric,
-                                &mut mem,
-                                now,
-                                &mut ras,
-                                &mut retired_log,
-                                &mut faults_applied,
-                            );
-                            retired_families.push(fam);
-                            pending.retain(|e| e.family() != fam);
-                        }
-                    }
-                }
-            }
-            if !suppress.is_empty() {
-                // Persistent faults cannot be outlived by replay alone —
-                // the cells stay broken. Without the RAS layer the runner
-                // bounds the retry loop: a defect family that trips a
-                // second detected-uncorrectable after a restore fails the
-                // run with a typed error instead of replaying forever.
-                if opts.ras.is_none() {
-                    for fam in suppress
-                        .iter()
-                        .filter(|e| e.class.is_persistent())
-                        .map(FaultEvent::family)
-                    {
-                        let c = due_restores.entry(fam).or_insert(0);
-                        *c += 1;
-                        if *c >= 2 {
-                            let e = SimError::Uncorrectable {
-                                site: fam.0.to_string(),
-                                detail: format!(
-                                    "persistent fault at {} index {} re-asserted after a \
-                                     checkpoint replay; no RAS layer to retire the region",
-                                    fam.0, fam.1
-                                ),
-                                diag: RunDiagnostics::capture(workload.name, &core, now),
-                            };
-                            return Err(wrap(e, &faults_applied));
-                        }
-                    }
-                }
-                match checkpoints.back() {
-                    Some(ck) => {
-                        // Mid-run recovery: rewind to the newest checkpoint
-                        // (snapshotted before this cycle's injection) and
-                        // replay with the detected fault suppressed.
-                        let detect_cycle = now;
-                        core = ck.core.clone();
-                        fabric = ck.fabric.clone();
-                        mem = ck.mem.clone();
-                        pending = ck.pending.clone();
-                        faults_applied = ck.faults_applied.clone();
-                        now = ck.cycle;
-                        // Transient members of the detected group are
-                        // suppressed for the replay; persistent members
-                        // stay armed — only a retirement (below) or the
-                        // bounded-restore tripwire above removes them.
-                        pending.retain(|e| !suppress.contains(e) || e.class.is_persistent());
-                        // Physical repairs survive the rollback: replay the
-                        // retirement log onto the restored clone. Stats are
-                        // not recounted, and spare numbering re-applies in
-                        // log order, hence deterministically.
-                        for r in &retired_log {
-                            match *r {
-                                RetiredRegion::Way { idx, spared } => {
-                                    core.remask_way(idx, spared, &mut fabric, &mut mem);
-                                }
-                                RetiredRegion::Row { addr, .. } => {
-                                    fabric.retire_row(addr);
-                                }
-                                RetiredRegion::Link { link } => {
-                                    // Re-decides rerouted-vs-fenced on the
-                                    // restored fabric; log order makes the
-                                    // outcome deterministic.
-                                    let _ = fabric.retire_link(link);
-                                }
-                            }
-                        }
-                        // Demand retirement: with RAS on, a detected
-                        // uncorrectable in a persistent region retires it
-                        // on the restored machine, so the replay cannot
-                        // trip over the same defect again.
-                        if opts.ras.is_some() {
-                            let mut fams: Vec<FaultEvent> = Vec::new();
-                            for ev in suppress.iter().filter(|e| e.class.is_persistent()) {
-                                if !retired_families.contains(&ev.family())
-                                    && !fams.iter().any(|f| f.family() == ev.family())
-                                {
-                                    fams.push(*ev);
-                                }
-                            }
-                            for ev in fams {
-                                let waddr = word_target(&ev, &core, &fabric, &mem, workload)
-                                    .map(|(a, _)| a);
-                                ras.demand_retirements += 1;
-                                ras_retire_family(
-                                    &ev,
-                                    waddr,
-                                    &mut core,
-                                    &mut fabric,
-                                    &mut mem,
-                                    now,
-                                    &mut ras,
-                                    &mut retired_log,
-                                    &mut faults_applied,
-                                );
-                                retired_families.push(ev.family());
-                            }
-                            pending.retain(|e| !retired_families.contains(&e.family()));
-                        }
-                        // Correction/escape counters rewind with the state
-                        // (re-fired events in the replay window re-count);
-                        // the cumulative recovery counters carry forward.
-                        let (taken, restores, replay) =
-                            (ecc.checkpoints_taken, ecc.restores, ecc.replay_cycles);
-                        ecc = ck.ecc;
-                        ecc.checkpoints_taken = taken;
-                        ecc.detected_uncorrectable += 1;
-                        ecc.restores = restores + 1;
-                        ecc.replay_cycles = replay + (detect_cycle - ck.cycle);
-                        faults_applied.push(format!(
-                            "{detected_desc}; restored checkpoint @ cycle {} (replaying {} cycles)",
-                            ck.cycle,
-                            detect_cycle - ck.cycle
-                        ));
-                        watchdog = Watchdog::new(opts.livelock_cycles);
-                        // The poll schedule rewinds with the clock so the
-                        // replay window stays responsive to cancellation.
-                        next_poll = now;
-                        continue;
-                    }
-                    None => {
-                        let e = SimError::Uncorrectable {
-                            site: suppress[0].site.to_string(),
-                            detail: detected_desc,
-                            diag: RunDiagnostics::capture(workload.name, &core, now),
-                        };
-                        return Err(wrap(e, &faults_applied));
-                    }
-                }
-            }
-        }
-
-        now += 1;
-        if let Err(stalled) = watchdog.observe(now, core.stats().instructions) {
-            let e = SimError::Livelock {
-                stalled_cycles: stalled,
-                dump: core.debug_dump(),
-                diag: RunDiagnostics::capture(workload.name, &core, now),
-            };
-            return Err(wrap(e, &faults_applied));
-        }
-        if now >= cfg.max_cycles {
-            let e = SimError::CycleBudgetExceeded {
-                budget: cfg.max_cycles,
-                diag: RunDiagnostics::capture(workload.name, &core, now),
-            };
-            return Err(wrap(e, &faults_applied));
-        }
-
-        // Event-driven fast-forward (tentpole of the wakeup-scheduled core):
-        // the cycle just ticked was `now - 1`; if no component can do
-        // anything before `wake`, every tick in `[now, wake)` is provably a
-        // no-op and the clock jumps there directly, crediting the span to
-        // the same stall counters the dense loop would have bumped. Wakeups
-        // are capped so scheduled faults, checkpoints, the watchdog's firing
-        // observation, and the cycle budget all land on exactly the cycles
-        // the dense loop gives them.
-        if !dense && !core.done() {
-            let ticked = now - 1;
-            // On a productive cycle the core's answer is exactly `now`
-            // (its fast path); bail before paying for the fabric scan and
-            // the cap arithmetic.
-            let core_next = core.next_event(ticked, &fabric);
-            if core_next == Some(now) {
-                continue;
-            }
-            let mut wake = [core_next, fabric.next_event(ticked)]
-                .into_iter()
-                .flatten()
-                .min()
-                .unwrap_or(u64::MAX);
-            if let Some(deadline) = watchdog.deadline() {
-                // Tick deadline-1; the observation at `deadline` then
-                // reports a stall of exactly the threshold, as dense does.
-                wake = wake.min(deadline - 1);
-            }
-            wake = wake.min(cfg.max_cycles - 1);
-            for ev in &pending {
-                wake = wake.min(ev.cycle);
-            }
-            if ckpt_interval > 0 {
-                wake = wake.min(now.next_multiple_of(ckpt_interval));
-            }
-            if let Some(rc) = &opts.ras {
-                // Scrub wakeups are scheduled events like checkpoints:
-                // the clock must land on every patrol cycle.
-                if scrubber.is_some() {
-                    wake = wake.min(now.next_multiple_of(rc.scrub_interval));
-                }
-            }
-            if wake > now {
-                core.credit_skipped(wake - now);
-                now = wake;
-            }
-        }
-    }
-    core.finalize_stats();
-    core.drain(&mut mem);
-
-    let arch_digest = arch_digest(&core, &mem, workload, cfg.nthreads);
-
-    if opts.verify {
-        if let Err(e) = try_verify_against_golden(workload, cfg.nthreads, &core, &mem, now) {
-            return Err(wrap(e, &faults_applied));
-        }
-    }
-
-    let oracle = core.take_oracle();
-    let trace = core.take_quantum_trace();
+    let core = &mut run.m.slots[0];
     Ok((
         RunResult {
-            cycles: now,
+            cycles: run.m.now,
             stats: *core.stats(),
-            oracle,
-            faults_applied,
-            arch_digest,
-            ecc,
-            checkpoint_clone_ns,
-            ras,
-            fabric: *fabric.stats(),
+            arch_digest: arch_digest(core, &run.m.mem, workload, cfg.nthreads),
+            oracle: core.take_oracle(),
+            faults_applied: run.faults_applied,
+            ecc: run.ecc,
+            checkpoint_clone_ns: run.checkpoint_clone_ns,
+            ras: run.ras,
+            fabric: *run.m.fabric.stats(),
         },
-        trace,
+        core.take_quantum_trace(),
     ))
 }
 
@@ -781,252 +287,703 @@ struct Checkpoint {
     ecc: EccStats,
 }
 
-/// What the protection model decided about one fault group.
-enum Protected {
-    /// Absorbed (corrected / not applicable) or applied (pass-through,
-    /// parity escape); the run continues.
-    Continue,
-    /// Detected but uncorrectable: the machine was *not* corrupted (the
-    /// detection is precise), and the runner must either restore a
-    /// checkpoint or fail with [`SimError::Uncorrectable`].
-    Uncorrectable(String),
+/// The single-core runner as a [`Driver`] of the shared step loop: the
+/// checkpoint ring, the patrol scrubber and fault/ECC/RAS routing hook in
+/// around the ticks, and their schedules join the skip step's wakeups.
+struct Single<'a> {
+    m: Machine<Core>,
+    opts: &'a RunOptions,
+    workload: &'a Workload,
+    pending: Vec<FaultEvent>,
+    faults_applied: Vec<String>,
+    ecc: EccStats,
+    checkpoints: VecDeque<Checkpoint>,
+    checkpoint_clone_ns: u64,
+    // RAS state lives *outside* the checkpoint ring: a physical repair
+    // (a masked way, a remapped row) survives an architectural rollback.
+    // Restores clone the machine from the ring, so the retirement log is
+    // replayed onto every restored clone.
+    ras: RasStats,
+    tracker: CeTracker,
+    scrubber: Option<Scrubber>,
+    retired_log: Vec<RetiredRegion>,
+    retired_families: Vec<(FaultSite, u64)>,
+    due_restores: HashMap<(FaultSite, u64), u32>,
 }
 
-/// Takes the physical region behind one persistent fault family out of
-/// service: masks a VRMU way (activating a spare when provisioned) or
-/// retires a DRAM row through the remap table (consuming a spare row or
-/// fencing onto the shared remnant row). Regions without retirable cells —
-/// control state, transport, a banked engine's register cells — are fenced
-/// logically: the family is dropped and the loss is accounted as degraded
-/// capacity. Migration of a retired row's data is modeled as real
-/// scrub-read traffic through the fabric.
-#[allow(clippy::too_many_arguments)]
-fn ras_retire_family(
-    ev: &FaultEvent,
-    word_addr: Option<u64>,
-    core: &mut Core,
-    fabric: &mut Fabric,
-    mem: &mut FlatMem,
-    now: u64,
-    ras: &mut RasStats,
-    retired_log: &mut Vec<RetiredRegion>,
-    applied: &mut Vec<String>,
-) {
-    match ev.site {
-        FaultSite::TagValue => match core.retire_value_way(ev.index, true, fabric, mem) {
-            Some(w) => {
-                if !w.spared {
-                    ras.degraded_regions += 1;
-                }
-                applied.push(format!("cycle {now}: ras {}", w.desc));
-                retired_log.push(RetiredRegion::Way {
-                    idx: w.idx,
-                    spared: w.spared,
-                });
+impl Driver for Single<'_> {
+    type Slot = Core;
+
+    fn machine(&mut self) -> &mut Machine<Core> {
+        &mut self.m
+    }
+
+    fn running(&self) -> bool {
+        !self.m.slots[0].done()
+    }
+
+    fn diag(&self) -> Box<RunDiagnostics> {
+        RunDiagnostics::capture(self.workload.name, &self.m.slots[0], self.m.now)
+    }
+
+    fn dump(&self) -> String {
+        self.m.slots[0].debug_dump()
+    }
+
+    fn begin(&mut self) -> Result<Step, SimError> {
+        let now = self.m.now;
+        let interval = self.opts.checkpoint_interval;
+        if interval > 0 && now.is_multiple_of(interval) {
+            self.checkpoint();
+        }
+        if let (Some(rc), Some(_)) = (&self.opts.ras, &self.scrubber) {
+            if now.is_multiple_of(rc.scrub_interval) {
+                self.scrub();
             }
-            None => {
-                // No maskable way (banked engine) or the store is at its
-                // in-flight floor: fence the family logically and run on
-                // with the capacity loss.
-                ras.degraded_regions += 1;
-                applied.push(format!(
-                    "cycle {now}: ras fenced unmaskable way family index {}",
-                    ev.index
+        }
+        Ok(Step::Tick)
+    }
+
+    fn end_tick(&mut self) -> Result<bool, SimError> {
+        if self.pending.is_empty() {
+            return Ok(false);
+        }
+        self.inject()
+    }
+
+    /// Pending faults, the checkpoint grid and the scrub grid: the clock
+    /// must land on each of them exactly as the dense loop does.
+    fn wakeup(&self) -> u64 {
+        let now = self.m.now;
+        let mut wake = self
+            .pending
+            .iter()
+            .map(|ev| ev.cycle)
+            .min()
+            .unwrap_or(u64::MAX);
+        if self.opts.checkpoint_interval > 0 {
+            wake = wake.min(now.next_multiple_of(self.opts.checkpoint_interval));
+        }
+        if let (Some(rc), Some(_)) = (&self.opts.ras, &self.scrubber) {
+            wake = wake.min(now.next_multiple_of(rc.scrub_interval));
+        }
+        wake
+    }
+}
+
+impl Single<'_> {
+    /// Snapshots the machine into the checkpoint ring. Cold, like
+    /// [`Single::scrub`], so the per-step hook that calls it stays small.
+    #[cold]
+    fn checkpoint(&mut self) {
+        let snap_start = std::time::Instant::now();
+        let (now, core) = (self.m.now, &self.m.slots[0]);
+        if self.checkpoints.len() == self.opts.checkpoint_depth.max(1) {
+            // Swap-and-overwrite: recycle the evicted ring slot's heap
+            // buffers (memory image, cache arrays, queues) instead of
+            // reallocating a full deep copy for every snapshot. Only
+            // the boxed engine is necessarily a fresh allocation.
+            let mut slot = self
+                .checkpoints
+                .pop_front()
+                .expect("ring is non-empty at depth");
+            slot.cycle = now;
+            slot.core.clone_from(core);
+            slot.fabric.clone_from(&self.m.fabric);
+            slot.mem.clone_from(&self.m.mem);
+            slot.pending.clone_from(&self.pending);
+            slot.faults_applied.clone_from(&self.faults_applied);
+            slot.ecc = self.ecc;
+            self.checkpoints.push_back(slot);
+        } else {
+            self.checkpoints.push_back(Checkpoint {
+                cycle: now,
+                core: core.clone(),
+                fabric: self.m.fabric.clone(),
+                mem: self.m.mem.clone(),
+                pending: self.pending.clone(),
+                faults_applied: self.faults_applied.clone(),
+                ecc: self.ecc,
+            });
+        }
+        self.checkpoint_clone_ns += snap_start.elapsed().as_nanos() as u64;
+        self.ecc.checkpoints_taken += 1;
+    }
+
+    /// Patrol read: a real fabric request that occupies the target bank
+    /// like demand traffic — scrubbing is not free bandwidth. A persistent
+    /// defect whose cells sit in the line just scrubbed registers a
+    /// correctable error with the CE tracker before demand traffic trips
+    /// over it.
+    #[cold]
+    fn scrub(&mut self) {
+        let Some(addr) = self.scrubber.as_mut().and_then(Scrubber::next_line) else {
+            return;
+        };
+        self.m.fabric.submit_scrub(self.m.now, addr);
+        self.ras.scrub_reads += 1;
+        let line = addr & !(virec_mem::LINE_BYTES - 1);
+        let mut hits: Vec<(FaultEvent, u64)> = Vec::new();
+        for ev in &self.pending {
+            if ev.class.is_persistent()
+                && matches!(ev.site, FaultSite::BackingReg | FaultSite::DramLine)
+            {
+                if let Some((waddr, _)) = self.word_target(ev) {
+                    if waddr & !(virec_mem::LINE_BYTES - 1) == line {
+                        hits.push((*ev, waddr));
+                    }
+                }
+            }
+        }
+        let mut seen: Vec<(FaultSite, u64)> = Vec::new();
+        for (ev, waddr) in hits {
+            let fam = ev.family();
+            if seen.contains(&fam) || self.retired_families.contains(&fam) {
+                continue;
+            }
+            seen.push(fam);
+            if self.charge(CeRegion::Row(self.m.fabric.row_key(waddr))) {
+                self.retire_family(&ev, Some(waddr));
+                self.pending.retain(|e| e.family() != fam);
+            }
+        }
+    }
+
+    /// Feeds one correctable error to the CE tracker; `true` when the
+    /// region crossed the threshold and is retired predictively.
+    fn charge(&mut self, region: CeRegion) -> bool {
+        self.ras.ce_observations += 1;
+        let retire = self.tracker.charge(region, self.m.now);
+        if retire {
+            self.ras.predictive_retirements += 1;
+        }
+        retire
+    }
+
+    /// Applies the fault events due this cycle; `Ok(true)` when a
+    /// detected-uncorrectable group rewound the machine to a checkpoint.
+    fn inject(&mut self) -> Result<bool, SimError> {
+        let now = self.m.now;
+        // Collect every event due this cycle, then group the ones that
+        // hit the same word of the same site — that is a multi-bit
+        // upset, and the protection model must see it whole (a
+        // double-bit flip is one DUE, not two correctable singles).
+        let mut due: Vec<FaultEvent> = Vec::new();
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].cycle <= now {
+                let ev = self.pending.swap_remove(i);
+                if self.retired_families.contains(&ev.family()) {
+                    // The region is out of service — its cells are no
+                    // longer wired to anything. The assertion is
+                    // dropped and the family is not re-armed.
+                    self.ras.suppressed_assertions += 1;
+                    continue;
+                }
+                // Persistent classes re-assert: schedule the next
+                // firing up front so the skip step's wakeups cover it
+                // like any scheduled event.
+                if let Some((period, next)) = ev.class.rearm() {
+                    self.pending.push(FaultEvent {
+                        cycle: now + period,
+                        class: next,
+                        ..ev
+                    });
+                }
+                due.push(ev);
+            } else {
+                i += 1;
+            }
+        }
+        let mut groups: Vec<Vec<FaultEvent>> = Vec::new();
+        for ev in due {
+            match groups
+                .iter_mut()
+                .find(|g| g[0].site == ev.site && g[0].index == ev.index)
+            {
+                Some(g) => g.push(ev),
+                None => groups.push(vec![ev]),
+            }
+        }
+        let mut suppress: Vec<FaultEvent> = Vec::new();
+        let mut detected_desc = String::new();
+        for group in &groups {
+            if group[0].site == FaultSite::NocLink {
+                for ev in group {
+                    self.link_upset(ev);
+                }
+                continue;
+            }
+            let corrected_before = self.ecc.corrected;
+            if let Some(desc) = self.protect(group) {
+                suppress.extend_from_slice(group);
+                detected_desc = desc;
+            }
+            // Predictive sparing: every *corrected* assertion of a
+            // persistent defect charges the region's leaky bucket; at
+            // the threshold the region is retired before a second cell
+            // failure can turn correctable into uncorrectable.
+            let ev = group[0];
+            let fam = ev.family();
+            if self.opts.ras.is_some()
+                && self.ecc.corrected > corrected_before
+                && ev.class.is_persistent()
+                && !self.retired_families.contains(&fam)
+            {
+                let waddr = self.word_target(&ev).map(|(a, _)| a);
+                let region = match waddr {
+                    Some(a) => CeRegion::Row(self.m.fabric.row_key(a)),
+                    None => CeRegion::Site(ev.index),
+                };
+                if self.charge(region) {
+                    self.retire_family(&ev, waddr);
+                    self.pending.retain(|e| e.family() != fam);
+                }
+            }
+        }
+        if suppress.is_empty() {
+            return Ok(false);
+        }
+        self.recover(&suppress, detected_desc)?;
+        Ok(true)
+    }
+
+    /// Link upsets never reach the word-protection model: the per-hop CRC
+    /// detects the corrupted flit in transit and the nack/retransmit
+    /// protocol delivers a clean copy, so the upset is corrected at the
+    /// link layer. Persistent defects charge the link's CE leaky bucket
+    /// toward predictive retirement (route-around) or, when no route would
+    /// survive, degraded fencing.
+    fn link_upset(&mut self, ev: &FaultEvent) {
+        let now = self.m.now;
+        let Some(link) = self.m.fabric.inject_link_fault(ev.index) else {
+            // Crossbar topology, or the link is already out of service:
+            // nothing left to corrupt.
+            return;
+        };
+        self.ecc.corrected += 1;
+        self.faults_applied.push(format!(
+            "cycle {now}: noc link {link} upset (crc caught, retransmitted)"
+        ));
+        let fam = ev.family();
+        if self.opts.ras.is_none()
+            || !ev.class.is_persistent()
+            || self.retired_families.contains(&fam)
+            || !self.charge(CeRegion::Link(link))
+        {
+            return;
+        }
+        match self
+            .m
+            .fabric
+            .retire_link(link)
+            .expect("mesh confirmed by inject_link_fault")
+        {
+            LinkRetireOutcome::Rerouted => {
+                self.faults_applied.push(format!(
+                    "cycle {now}: ras retired noc link {link} (rerouted)"
                 ));
             }
-        },
-        FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse
-            if word_addr.is_some() =>
-        {
-            let addr = word_addr.expect("guarded by match arm");
-            let outcome = fabric.retire_row(addr);
-            let spared = matches!(outcome, RetireOutcome::Spared { .. });
-            if !spared {
-                ras.degraded_regions += 1;
+            LinkRetireOutcome::Fenced => {
+                self.ras.degraded_regions += 1;
+                self.faults_applied.push(format!(
+                    "cycle {now}: ras fenced noc link {link} \
+                     (half bandwidth, no surviving route)"
+                ));
             }
-            // Data migration: the row's live lines are copied to the
-            // replacement row through the fabric — repair bandwidth is
-            // real bandwidth, so it contends with demand traffic.
-            let lines = fabric.config().dram.lines_per_row.min(32);
-            let base = addr & !(virec_mem::LINE_BYTES - 1);
-            for i in 0..lines {
-                fabric.submit_scrub(now, base + i * virec_mem::LINE_BYTES);
-            }
-            ras.migrated_lines += lines;
-            applied.push(format!(
-                "cycle {now}: ras retired row behind {addr:#x} ({})",
-                if spared { "spared" } else { "fenced" }
-            ));
-            retired_log.push(RetiredRegion::Row { addr, spared });
         }
-        _ => {
-            ras.degraded_regions += 1;
-            applied.push(format!(
-                "cycle {now}: ras fenced non-retirable site {} index {}",
-                ev.site, ev.index
-            ));
-        }
+        self.retired_log.push(RetiredRegion::Link { link });
+        self.retired_families.push(fam);
+        self.pending.retain(|e| e.family() != fam);
     }
-}
 
-/// Routes one fault group (same cycle, same site, same word) through the
-/// coverage map and applies whatever the modeled hardware lets through.
-#[allow(clippy::too_many_arguments)]
-fn protect_apply_group(
-    group: &[FaultEvent],
-    now: u64,
-    protection: &ProtectionConfig,
-    core: &mut Core,
-    fabric: &Fabric,
-    mem: &mut FlatMem,
-    workload: &Workload,
-    ecc: &mut EccStats,
-    applied: &mut Vec<String>,
-) -> Protected {
-    let site = group[0].site;
-    let level = protection.level(site);
-    if level == ProtectionLevel::None {
-        for ev in group {
-            if let Some(desc) = apply_fault(ev, core, fabric, mem, workload) {
-                if !protection.is_none() {
-                    ecc.unprotected += 1;
-                }
-                applied.push(format!("cycle {now}: {desc}"));
-            }
-        }
-        return Protected::Continue;
-    }
-    match site {
-        FaultSite::TagValue | FaultSite::RollbackSlot => {
-            // Probe applicability on a deep copy so detected or corrected
-            // flips never touch the real machine — the check bits caught
-            // them before any consumer read the entry.
-            let mut probe = core.clone();
-            let landed: Vec<String> = group
+    /// Recovery from a detected-uncorrectable group: rewinds to the newest
+    /// checkpoint (snapshotted before this cycle's injection) and replays
+    /// with the detected fault suppressed, or fails typed.
+    fn recover(&mut self, suppress: &[FaultEvent], detected_desc: String) -> Result<(), SimError> {
+        let detect_cycle = self.m.now;
+        // Persistent faults cannot be outlived by replay alone — the cells
+        // stay broken. Without the RAS layer the runner bounds the retry
+        // loop: a defect family that trips a second detected-uncorrectable
+        // after a restore fails the run with a typed error instead of
+        // replaying forever.
+        if self.opts.ras.is_none() {
+            for fam in suppress
                 .iter()
-                .filter_map(engine_fault_of)
-                .filter_map(|f| probe.inject_fault(f))
-                .collect();
-            let n = landed.len();
-            if n == 0 {
-                return Protected::Continue; // structure empty: nothing to protect
-            }
-            match level {
-                ProtectionLevel::Parity if n % 2 == 1 => {
-                    ecc.detected_uncorrectable += 1;
-                    let desc = format!(
-                        "cycle {now}: parity detected {} ({})",
-                        site,
-                        landed.join("; ")
-                    );
-                    applied.push(desc.clone());
-                    Protected::Uncorrectable(desc)
-                }
-                ProtectionLevel::Parity => {
-                    // Even-weight flip: the parity bit is blind to it. The
-                    // corruption goes through for real and the differential
-                    // checker is the only remaining net.
-                    for f in group.iter().filter_map(engine_fault_of) {
-                        core.inject_fault(f);
-                    }
-                    ecc.parity_escapes += 1;
-                    applied.push(format!(
-                        "cycle {now}: parity escape {} ({})",
-                        site,
-                        landed.join("; ")
-                    ));
-                    Protected::Continue
-                }
-                ProtectionLevel::SecDed if n == 1 => {
-                    ecc.corrected += 1;
-                    applied.push(format!(
-                        "cycle {now}: secded corrected {} ({})",
-                        site, landed[0]
-                    ));
-                    Protected::Continue
-                }
-                ProtectionLevel::SecDed if n == 2 => {
-                    ecc.detected_uncorrectable += 1;
-                    let desc = format!(
-                        "cycle {now}: secded detected double-bit {} ({})",
-                        site,
-                        landed.join("; ")
-                    );
-                    applied.push(desc.clone());
-                    Protected::Uncorrectable(desc)
-                }
-                _ => {
-                    // ≥ 3 simultaneous flips: beyond the SEC-DED guarantee;
-                    // modeled as raw pass-through.
-                    for f in group.iter().filter_map(engine_fault_of) {
-                        core.inject_fault(f);
-                    }
-                    ecc.unprotected += n as u64;
-                    applied.push(format!("cycle {now}: {} flips passed {}", n, site));
-                    Protected::Continue
+                .filter(|e| e.class.is_persistent())
+                .map(FaultEvent::family)
+            {
+                let c = self.due_restores.entry(fam).or_insert(0);
+                *c += 1;
+                if *c >= 2 {
+                    return Err(SimError::Uncorrectable {
+                        site: fam.0.to_string(),
+                        detail: format!(
+                            "persistent fault at {} index {} re-asserted after a \
+                             checkpoint replay; no RAS layer to retire the region",
+                            fam.0, fam.1
+                        ),
+                        diag: self.diag(),
+                    });
                 }
             }
         }
-        FaultSite::StuckFill => unreachable!("stuck-fill is never protected"),
-        FaultSite::NocLink => unreachable!("link upsets are handled at the link layer"),
-        FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
-            let Some((addr, base)) = word_target(&group[0], core, fabric, mem, workload) else {
-                return Protected::Continue; // target out of range / no in-flight request
-            };
-            let mask: u64 = group.iter().fold(0, |m, ev| m ^ (1u64 << (ev.bit % 64)));
-            if mask == 0 {
-                return Protected::Continue; // flips cancelled each other
+        let Some(ck) = self.checkpoints.back() else {
+            return Err(SimError::Uncorrectable {
+                site: suppress[0].site.to_string(),
+                detail: detected_desc,
+                diag: self.diag(),
+            });
+        };
+        let (ck_cycle, ck_ecc) = (ck.cycle, ck.ecc);
+        self.m.slots[0] = ck.core.clone();
+        self.m.fabric = ck.fabric.clone();
+        self.m.mem = ck.mem.clone();
+        self.pending = ck.pending.clone();
+        self.faults_applied = ck.faults_applied.clone();
+        self.m.now = ck_cycle;
+        // Transient members of the detected group are suppressed for the
+        // replay; persistent members stay armed — only a retirement (below)
+        // or the bounded-restore tripwire above removes them.
+        self.pending
+            .retain(|e| !suppress.contains(e) || e.class.is_persistent());
+        // Physical repairs survive the rollback: replay the retirement log
+        // onto the restored clone. Stats are not recounted, and spare
+        // numbering re-applies in log order, hence deterministically.
+        let Machine {
+            slots, fabric, mem, ..
+        } = &mut self.m;
+        for r in &self.retired_log {
+            match *r {
+                RetiredRegion::Way { idx, spared } => {
+                    slots[0].remask_way(idx, spared, fabric, mem);
+                }
+                RetiredRegion::Row { addr, .. } => {
+                    fabric.retire_row(addr);
+                }
+                RetiredRegion::Link { link } => {
+                    // Re-decides rerouted-vs-fenced on the restored fabric;
+                    // log order makes the outcome deterministic.
+                    let _ = fabric.retire_link(link);
+                }
             }
-            let word = mem.read_u64(addr);
-            match level {
-                ProtectionLevel::Parity if mask.count_ones() % 2 == 1 => {
-                    ecc.detected_uncorrectable += 1;
-                    let desc = format!("cycle {now}: parity detected {base} mask {mask:#x}");
-                    applied.push(desc.clone());
-                    Protected::Uncorrectable(desc)
+        }
+        // Demand retirement: with RAS on, a detected uncorrectable in a
+        // persistent region retires it on the restored machine, so the
+        // replay cannot trip over the same defect again.
+        if self.opts.ras.is_some() {
+            let mut fams: Vec<FaultEvent> = Vec::new();
+            for ev in suppress.iter().filter(|e| e.class.is_persistent()) {
+                if !self.retired_families.contains(&ev.family())
+                    && !fams.iter().any(|f| f.family() == ev.family())
+                {
+                    fams.push(*ev);
                 }
-                ProtectionLevel::Parity => {
-                    mem.write_u64(addr, word ^ mask);
-                    ecc.parity_escapes += 1;
-                    applied.push(format!("cycle {now}: parity escape {base} mask {mask:#x}"));
-                    Protected::Continue
-                }
-                ProtectionLevel::SecDed if mask.count_ones() > 2 => {
-                    mem.write_u64(addr, word ^ mask);
-                    ecc.unprotected += group.len() as u64;
-                    applied.push(format!(
-                        "cycle {now}: {} flips passed {base} mask {mask:#x}",
-                        mask.count_ones()
-                    ));
-                    Protected::Continue
-                }
-                ProtectionLevel::SecDed => {
-                    // Run the real codec against the real word so the model
-                    // is grounded in the (72,64) code, not a flip count.
-                    let check = secded_encode(word);
-                    match secded_decode(word ^ mask, check) {
-                        SecDedOutcome::CorrectedData(orig) => {
-                            debug_assert_eq!(orig, word, "SEC-DED must restore the stored word");
-                            ecc.corrected += 1;
-                            applied.push(format!(
-                                "cycle {now}: secded corrected {base} bit {}",
-                                mask.trailing_zeros()
-                            ));
-                            Protected::Continue
+            }
+            for ev in fams {
+                let waddr = self.word_target(&ev).map(|(a, _)| a);
+                self.ras.demand_retirements += 1;
+                self.retire_family(&ev, waddr);
+            }
+            let retired = &self.retired_families;
+            self.pending.retain(|e| !retired.contains(&e.family()));
+        }
+        // Correction/escape counters rewind with the state (re-fired
+        // events in the replay window re-count); the cumulative recovery
+        // counters carry forward.
+        let ecc = &mut self.ecc;
+        let (taken, restores, replay) = (ecc.checkpoints_taken, ecc.restores, ecc.replay_cycles);
+        *ecc = ck_ecc;
+        ecc.checkpoints_taken = taken;
+        ecc.detected_uncorrectable += 1;
+        ecc.restores = restores + 1;
+        ecc.replay_cycles = replay + (detect_cycle - ck_cycle);
+        self.faults_applied.push(format!(
+            "{detected_desc}; restored checkpoint @ cycle {ck_cycle} (replaying {} cycles)",
+            detect_cycle - ck_cycle
+        ));
+        // The watchdog restarts, and the poll schedule rewinds with the
+        // clock so the replay window stays responsive to cancellation.
+        self.m.watchdog = Watchdog::new(self.opts.livelock_cycles);
+        self.m.next_poll = ck_cycle;
+        Ok(())
+    }
+
+    /// Takes the physical region behind one persistent fault family out of
+    /// service: masks a VRMU way (activating a spare when provisioned) or
+    /// retires a DRAM row through the remap table (consuming a spare row or
+    /// fencing onto the shared remnant row). Regions without retirable
+    /// cells — control state, transport, a banked engine's register cells —
+    /// are fenced logically: the family is dropped and the loss is
+    /// accounted as degraded capacity. Migration of a retired row's data is
+    /// modeled as real scrub-read traffic through the fabric.
+    fn retire_family(&mut self, ev: &FaultEvent, word_addr: Option<u64>) {
+        let now = self.m.now;
+        let Machine {
+            slots, fabric, mem, ..
+        } = &mut self.m;
+        let (ras, applied) = (&mut self.ras, &mut self.faults_applied);
+        match (ev.site, word_addr) {
+            (FaultSite::TagValue, _) => {
+                match slots[0].retire_value_way(ev.index, true, fabric, mem) {
+                    Some(w) => {
+                        if !w.spared {
+                            ras.degraded_regions += 1;
                         }
-                        SecDedOutcome::DoubleError => {
-                            ecc.detected_uncorrectable += 1;
-                            let desc = format!(
-                                "cycle {now}: secded detected double-bit {base} mask {mask:#x}"
-                            );
-                            applied.push(desc.clone());
-                            Protected::Uncorrectable(desc)
-                        }
-                        SecDedOutcome::Clean | SecDedOutcome::CorrectedCheck => Protected::Continue,
+                        applied.push(format!("cycle {now}: ras {}", w.desc));
+                        self.retired_log.push(RetiredRegion::Way {
+                            idx: w.idx,
+                            spared: w.spared,
+                        });
+                    }
+                    None => {
+                        // No maskable way (banked engine) or the store is at
+                        // its in-flight floor: fence the family logically and
+                        // run on with the capacity loss.
+                        ras.degraded_regions += 1;
+                        applied.push(format!(
+                            "cycle {now}: ras fenced unmaskable way family index {}",
+                            ev.index
+                        ));
                     }
                 }
-                ProtectionLevel::None => unreachable!("handled above"),
             }
+            (
+                FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse,
+                Some(addr),
+            ) => {
+                let outcome = fabric.retire_row(addr);
+                let spared = matches!(outcome, RetireOutcome::Spared { .. });
+                if !spared {
+                    ras.degraded_regions += 1;
+                }
+                // Data migration: the row's live lines are copied to the
+                // replacement row through the fabric — repair bandwidth is
+                // real bandwidth, so it contends with demand traffic.
+                let lines = fabric.config().dram.lines_per_row.min(32);
+                let base = addr & !(virec_mem::LINE_BYTES - 1);
+                for i in 0..lines {
+                    fabric.submit_scrub(now, base + i * virec_mem::LINE_BYTES);
+                }
+                ras.migrated_lines += lines;
+                applied.push(format!(
+                    "cycle {now}: ras retired row behind {addr:#x} ({})",
+                    if spared { "spared" } else { "fenced" }
+                ));
+                self.retired_log.push(RetiredRegion::Row { addr, spared });
+            }
+            _ => {
+                ras.degraded_regions += 1;
+                applied.push(format!(
+                    "cycle {now}: ras fenced non-retirable site {} index {}",
+                    ev.site, ev.index
+                ));
+            }
+        }
+        self.retired_families.push(ev.family());
+    }
+
+    /// Routes one fault group (same cycle, same site, same word) through the
+    /// coverage map and applies whatever the modeled hardware lets through.
+    /// Returns the description of a detected-uncorrectable group: the
+    /// machine was *not* corrupted (the detection is precise), and the
+    /// runner must either restore a checkpoint or fail with
+    /// [`SimError::Uncorrectable`]. `None` when the group was absorbed
+    /// (corrected, not applicable) or applied (pass-through, parity escape).
+    fn protect(&mut self, group: &[FaultEvent]) -> Option<String> {
+        let now = self.m.now;
+        let protection = &self.opts.protection;
+        let site = group[0].site;
+        let level = protection.level(site);
+        if level == ProtectionLevel::None {
+            for ev in group {
+                if let Some(desc) = self.apply_fault(ev) {
+                    if !protection.is_none() {
+                        self.ecc.unprotected += 1;
+                    }
+                    self.faults_applied.push(format!("cycle {now}: {desc}"));
+                }
+            }
+            return None;
+        }
+        let (ecc, applied) = (&mut self.ecc, &mut self.faults_applied);
+        let core = &mut self.m.slots[0];
+        match site {
+            FaultSite::TagValue | FaultSite::RollbackSlot => {
+                // Probe applicability on a deep copy so detected or corrected
+                // flips never touch the real machine — the check bits caught
+                // them before any consumer read the entry.
+                let mut probe = core.clone();
+                let landed: Vec<String> = group
+                    .iter()
+                    .filter_map(engine_fault_of)
+                    .filter_map(|f| probe.inject_fault(f))
+                    .collect();
+                let n = landed.len();
+                if n == 0 {
+                    return None; // structure empty: nothing to protect
+                }
+                match level {
+                    ProtectionLevel::Parity if n % 2 == 1 => {
+                        ecc.detected_uncorrectable += 1;
+                        let desc = format!(
+                            "cycle {now}: parity detected {} ({})",
+                            site,
+                            landed.join("; ")
+                        );
+                        applied.push(desc.clone());
+                        Some(desc)
+                    }
+                    ProtectionLevel::Parity => {
+                        // Even-weight flip: the parity bit is blind to it. The
+                        // corruption goes through for real and the differential
+                        // checker is the only remaining net.
+                        for f in group.iter().filter_map(engine_fault_of) {
+                            core.inject_fault(f);
+                        }
+                        ecc.parity_escapes += 1;
+                        applied.push(format!(
+                            "cycle {now}: parity escape {} ({})",
+                            site,
+                            landed.join("; ")
+                        ));
+                        None
+                    }
+                    ProtectionLevel::SecDed if n == 1 => {
+                        ecc.corrected += 1;
+                        applied.push(format!(
+                            "cycle {now}: secded corrected {} ({})",
+                            site, landed[0]
+                        ));
+                        None
+                    }
+                    ProtectionLevel::SecDed if n == 2 => {
+                        ecc.detected_uncorrectable += 1;
+                        let desc = format!(
+                            "cycle {now}: secded detected double-bit {} ({})",
+                            site,
+                            landed.join("; ")
+                        );
+                        applied.push(desc.clone());
+                        Some(desc)
+                    }
+                    _ => {
+                        // ≥ 3 simultaneous flips: beyond the SEC-DED guarantee;
+                        // modeled as raw pass-through.
+                        for f in group.iter().filter_map(engine_fault_of) {
+                            core.inject_fault(f);
+                        }
+                        ecc.unprotected += n as u64;
+                        applied.push(format!("cycle {now}: {} flips passed {}", n, site));
+                        None
+                    }
+                }
+            }
+            FaultSite::StuckFill => unreachable!("stuck-fill is never protected"),
+            FaultSite::NocLink => unreachable!("link upsets are handled at the link layer"),
+            FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
+                // `None`: target out of range / no in-flight request.
+                let (addr, base) = self.word_target(&group[0])?;
+                let mask: u64 = group.iter().fold(0, |m, ev| m ^ (1u64 << (ev.bit % 64)));
+                if mask == 0 {
+                    return None; // flips cancelled each other
+                }
+                let word = self.m.mem.read_u64(addr);
+                let verdict = protect_word(level, word, mask);
+                if verdict == WordVerdict::Landed {
+                    self.m.mem.write_u64(addr, word ^ mask);
+                }
+                let (ecc, applied) = (&mut self.ecc, &mut self.faults_applied);
+                let parity = level == ProtectionLevel::Parity;
+                match verdict {
+                    WordVerdict::Corrected => {
+                        ecc.corrected += 1;
+                        applied.push(format!(
+                            "cycle {now}: secded corrected {base} bit {}",
+                            mask.trailing_zeros()
+                        ));
+                        None
+                    }
+                    WordVerdict::Detected => {
+                        ecc.detected_uncorrectable += 1;
+                        let double = if parity { "" } else { "double-bit " };
+                        let desc =
+                            format!("cycle {now}: {level} detected {double}{base} mask {mask:#x}");
+                        applied.push(desc.clone());
+                        Some(desc)
+                    }
+                    WordVerdict::Landed if parity => {
+                        ecc.parity_escapes += 1;
+                        applied.push(format!("cycle {now}: parity escape {base} mask {mask:#x}"));
+                        None
+                    }
+                    WordVerdict::Landed => {
+                        ecc.unprotected += group.len() as u64;
+                        applied.push(format!(
+                            "cycle {now}: {} flips passed {base} mask {mask:#x}",
+                            mask.count_ones()
+                        ));
+                        None
+                    }
+                }
+            }
+        }
+    }
+
+    /// Resolves a word-site fault event to the memory word it targets.
+    /// Returns `(address, description)` or `None` when the target is out of
+    /// range (or, for `FabricResponse`, when no request is in flight).
+    fn word_target(&self, event: &FaultEvent) -> Option<(u64, String)> {
+        let mem_end = self.m.mem.size() as u64;
+        let layout = &self.workload.layout;
+        match event.site {
+            FaultSite::BackingReg => {
+                let core = &self.m.slots[0];
+                let nthreads = core.config().nthreads as u64;
+                let t = (event.index % nthreads) as usize;
+                let r = Reg::new(((event.index / nthreads) % 31) as u8);
+                let addr = core.region().reg_addr(t, r);
+                (addr + 8 <= mem_end).then(|| (addr, format!("backing-store t{t} {r}")))
+            }
+            FaultSite::DramLine => {
+                let words = (layout.data_size / 8).max(1);
+                let addr = layout.data_base + (event.index % words) * 8;
+                (addr + 8 <= mem_end).then(|| (addr, format!("dram word {addr:#x}")))
+            }
+            FaultSite::FabricResponse => {
+                let addr = self.m.fabric.inflight_addr(event.index as usize)?;
+                let line = addr & !63;
+                let word = line + (event.bit as u64 % 8) * 8;
+                (word + 8 <= mem_end).then(|| {
+                    (
+                        word,
+                        format!("fabric response line {line:#x} word {}", event.bit % 8),
+                    )
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// Applies one fault event to the live machine with no protection in
+    /// the way. Returns a description when the fault landed, `None` when
+    /// the targeted structure had nothing to corrupt (e.g. a VRMU site on a
+    /// banked engine, or no in-flight request).
+    fn apply_fault(&mut self, event: &FaultEvent) -> Option<String> {
+        match event.site {
+            FaultSite::TagValue | FaultSite::RollbackSlot | FaultSite::StuckFill => {
+                self.m.slots[0].inject_fault(engine_fault_of(event)?)
+            }
+            FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
+                let (addr, base) = self.word_target(event)?;
+                let v = self.m.mem.read_u64(addr);
+                self.m.mem.write_u64(addr, v ^ (1u64 << (event.bit % 64)));
+                Some(format!("{base} bit {}", event.bit % 64))
+            }
+            // Link upsets are consumed by the CRC/retransmission path in
+            // the run loop, never applied raw (the flit payload is
+            // timing-only).
+            FaultSite::NocLink => None,
         }
     }
 }
@@ -1050,72 +1007,6 @@ fn protect_apply_group(
 /// interpreter. Use [`try_run_single`] to handle failures structurally.
 pub fn run_single(cfg: CoreConfig, workload: &Workload, opts: &RunOptions) -> RunResult {
     try_run_single(cfg, workload, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Resolves a word-site fault event to the memory word it targets. Returns
-/// `(address, description)` or `None` when the target is out of range (or,
-/// for `FabricResponse`, when no request is in flight).
-fn word_target(
-    event: &FaultEvent,
-    core: &Core,
-    fabric: &Fabric,
-    mem: &FlatMem,
-    workload: &Workload,
-) -> Option<(u64, String)> {
-    let mem_end = mem.size() as u64;
-    match event.site {
-        FaultSite::BackingReg => {
-            let nthreads = core.config().nthreads as u64;
-            let t = (event.index % nthreads) as usize;
-            let r = Reg::new(((event.index / nthreads) % 31) as u8);
-            let addr = core.region().reg_addr(t, r);
-            (addr + 8 <= mem_end).then(|| (addr, format!("backing-store t{t} {r}")))
-        }
-        FaultSite::DramLine => {
-            let words = (workload.layout.data_size / 8).max(1);
-            let addr = workload.layout.data_base + (event.index % words) * 8;
-            (addr + 8 <= mem_end).then(|| (addr, format!("dram word {addr:#x}")))
-        }
-        FaultSite::FabricResponse => {
-            let addr = fabric.inflight_addr(event.index as usize)?;
-            let line = addr & !63;
-            let word = line + (event.bit as u64 % 8) * 8;
-            (word + 8 <= mem_end).then(|| {
-                (
-                    word,
-                    format!("fabric response line {line:#x} word {}", event.bit % 8),
-                )
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Applies one fault event to the live machine with no protection in the
-/// way. Returns a description when the fault landed, `None` when the
-/// targeted structure had nothing to corrupt (e.g. a VRMU site on a banked
-/// engine, or no in-flight request).
-fn apply_fault(
-    event: &FaultEvent,
-    core: &mut Core,
-    fabric: &Fabric,
-    mem: &mut FlatMem,
-    workload: &Workload,
-) -> Option<String> {
-    match event.site {
-        FaultSite::TagValue | FaultSite::RollbackSlot | FaultSite::StuckFill => {
-            core.inject_fault(engine_fault_of(event)?)
-        }
-        FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
-            let (addr, base) = word_target(event, core, fabric, mem, workload)?;
-            let v = mem.read_u64(addr);
-            mem.write_u64(addr, v ^ (1u64 << (event.bit % 64)));
-            Some(format!("{base} bit {}", event.bit % 64))
-        }
-        // Link upsets are consumed by the CRC/retransmission path in the
-        // run loop, never applied raw (the flit payload is timing-only).
-        FaultSite::NocLink => None,
-    }
 }
 
 /// Incremental FNV-1a over the architectural-state byte stream: thread
@@ -1210,7 +1101,7 @@ pub fn golden_arch_digest(
 /// hard-coded constant — a workload that legitimately needs more steps
 /// cannot be misreported, and a wedged golden run is detected at a cap
 /// proportional to the work actually done.
-fn golden_step_cap(committed_instructions: u64) -> u64 {
+pub(crate) fn golden_step_cap(committed_instructions: u64) -> u64 {
     committed_instructions
         .saturating_mul(4)
         .saturating_add(100_000)

@@ -45,13 +45,16 @@
 //! traffic.
 
 use crate::cancel::{CancelToken, RunGate};
-use crate::ecc::{secded_decode, secded_encode, ProtectionConfig, ProtectionLevel, SecDedOutcome};
+use crate::ecc::{protect_word, ProtectionConfig, ProtectionLevel, WordVerdict};
 use crate::error::{RunDiagnostics, SimError};
 use crate::experiment::{CellData, RetryPolicy};
 use crate::fault::FaultSite;
+use crate::machine::{self, CoreSlot, Driver, Machine, Step};
 use crate::offload::offload;
-use crate::ras::{CeTracker, RasConfig};
-use crate::runner::{arch_digest, engine_label, golden_arch_digest, try_verify_against_golden};
+use crate::ras::{CeRegion, CeTracker, RasConfig};
+use crate::runner::{
+    arch_digest, engine_label, golden_arch_digest, golden_step_cap, try_verify_against_golden,
+};
 use crate::system::SystemConfigError;
 use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -147,9 +150,8 @@ impl ServeFaultPlan {
         ServeFaultPlan {
             transient,
             sticky_cores,
-            stuck_cores: 0,
             sticky_after: 4,
-            link_faults: 0,
+            ..ServeFaultPlan::none()
         }
     }
 
@@ -157,11 +159,9 @@ impl ServeFaultPlan {
     /// defects after a short warmup (the RAS repair/fence path's stimulus).
     pub fn stuck(stuck_cores: usize) -> ServeFaultPlan {
         ServeFaultPlan {
-            transient: 0,
-            sticky_cores: 0,
             stuck_cores,
             sticky_after: 4,
-            link_faults: 0,
+            ..ServeFaultPlan::none()
         }
     }
 
@@ -169,11 +169,9 @@ impl ServeFaultPlan {
     /// links, exercising CRC/retransmission and predictive link retirement.
     pub fn links(link_faults: usize) -> ServeFaultPlan {
         ServeFaultPlan {
-            transient: 0,
-            sticky_cores: 0,
-            stuck_cores: 0,
             sticky_after: 4,
             link_faults,
+            ..ServeFaultPlan::none()
         }
     }
 }
@@ -577,7 +575,7 @@ struct AttemptFault {
     mask: u64,
 }
 
-struct InFlight {
+pub(crate) struct InFlight {
     task: Task,
     core: Core,
     watchdog: Watchdog,
@@ -589,9 +587,12 @@ struct InFlight {
     /// instead of a cycle mask).
     next_poll: u64,
     fault: Option<AttemptFault>,
+    /// Set when the attempt ended before (or, for a structural hazard,
+    /// during) this cycle's tick; the machine no longer ticks it.
+    end: Option<AttemptEnd>,
 }
 
-enum Slot {
+pub(crate) enum Slot {
     Idle,
     Busy(Box<InFlight>),
     Quarantined,
@@ -600,6 +601,15 @@ enum Slot {
     Repairing {
         until: u64,
     },
+}
+
+impl CoreSlot for Slot {
+    fn core(&mut self) -> Option<&mut Core> {
+        match self {
+            Slot::Busy(inf) if inf.end.is_none() => Some(&mut inf.core),
+            _ => None,
+        }
+    }
 }
 
 enum AttemptEnd {
@@ -611,9 +621,15 @@ enum AttemptEnd {
 /// through [`offload`], retry/quarantine/failover, and SLO accounting.
 pub struct TaskService {
     cfg: ServeConfig,
-    mem: FlatMem,
-    fabric: Fabric,
-    slots: Vec<Slot>,
+    /// The service's cores, shared fabric and memory; the machine's own
+    /// watchdog and budget are off, as every attempt carries its own.
+    m: Machine<Slot>,
+    /// The bounded admission queue.
+    queue: VecDeque<Task>,
+    /// Index of the next arrival still to be admitted.
+    next_arrival: usize,
+    /// Cycle of the next epoch snapshot.
+    next_epoch: u64,
     consec: Vec<u32>,
     workloads: Vec<Vec<Workload>>,
     golden: HashMap<(usize, usize), u64>,
@@ -625,8 +641,7 @@ pub struct TaskService {
     fenced: Vec<bool>,
     /// Spare regions left in the service-wide RAS pool.
     spares_left: u32,
-    /// Leaky-bucket CE counters over mesh NoC links (keys `(1<<62)|link`,
-    /// mirroring the runner's keying).
+    /// Leaky-bucket CE counters over mesh NoC links.
     link_tracker: CeTracker,
     /// Remaining link upsets the campaign may inject.
     link_faults_left: usize,
@@ -707,9 +722,16 @@ impl TaskService {
             ..ServeReport::default()
         };
         Ok(TaskService {
-            mem: FlatMem::new(0, layout::mem_size(cfg.ncores)),
-            fabric: Fabric::new(cfg.fabric),
-            slots: (0..cfg.ncores).map(|_| Slot::Idle).collect(),
+            m: Machine::new(
+                (0..cfg.ncores).map(|_| Slot::Idle).collect(),
+                Fabric::new(cfg.fabric),
+                FlatMem::new(0, layout::mem_size(cfg.ncores)),
+                0,
+                u64::MAX,
+            ),
+            queue: VecDeque::new(),
+            next_arrival: 0,
+            next_epoch: cfg.epoch_cycles,
             consec: vec![0; cfg.ncores],
             workloads,
             golden: HashMap::new(),
@@ -746,179 +768,15 @@ impl TaskService {
     /// cancellation stops the service and all in-flight attempts.
     pub fn run_gated(&mut self, gate: &RunGate) -> Result<ServeReport, SimError> {
         self.token = gate.token().clone();
-        let dense = crate::runner::dense_requested(self.cfg.dense_loop);
-        let mut queue: VecDeque<Task> = VecDeque::new();
-        let mut next_arrival = 0usize;
-        let mut next_poll = 0u64;
-        let mut now = 0u64;
-        let mut next_epoch = self.cfg.epoch_cycles;
-
-        while self.accounted < self.cfg.tasks {
-            if let Some(trip) = gate.poll_due(now, &mut next_poll) {
-                return Err(SimError::Deadline {
-                    elapsed_ms: trip.elapsed_ms,
-                    limit_ms: trip.limit_ms,
-                    diag: RunDiagnostics::placeholder("serve"),
-                });
-            }
-
-            // Repair completions: a slot whose migration window elapsed
-            // returns to service at full capacity.
-            for slot in &mut self.slots {
-                if matches!(slot, Slot::Repairing { until } if now >= *until) {
-                    *slot = Slot::Idle;
-                }
-            }
-
-            // Admission: arrivals due this cycle either queue or shed.
-            while next_arrival < self.arrivals.len() && self.arrivals[next_arrival].0 <= now {
-                let (arrival, spec) = self.arrivals[next_arrival];
-                let id = next_arrival;
-                next_arrival += 1;
-                let task = Task {
-                    id,
-                    spec,
-                    arrival,
-                    attempts: 0,
-                    retries_left: self.cfg.retry.max_retries,
-                    scale: 1,
-                };
-                if self.healthy() == 0 {
-                    self.finish(id, TaskOutcome::Rejected(RejectReason::QuarantinedCapacity));
-                } else if queue.len() >= self.cfg.queue_depth {
-                    self.finish(id, TaskOutcome::Rejected(RejectReason::QueueFull));
-                } else {
-                    queue.push_back(task);
-                }
-            }
-
-            // SLO shedding: tasks whose deadline passed while still queued.
-            if self.cfg.deadline_cycles > 0 {
-                let expired: Vec<Task> = {
-                    let deadline = self.cfg.deadline_cycles;
-                    let mut kept = VecDeque::with_capacity(queue.len());
-                    let mut out = Vec::new();
-                    for t in queue.drain(..) {
-                        if now.saturating_sub(t.arrival) >= deadline {
-                            out.push(t);
-                        } else {
-                            kept.push_back(t);
-                        }
-                    }
-                    queue = kept;
-                    out
-                };
-                for t in expired {
-                    self.finish(
-                        t.id,
-                        TaskOutcome::Failed {
-                            attempts: t.attempts,
-                            kind: "deadline",
-                        },
-                    );
-                }
-            }
-
-            // Dispatch queued tasks onto idle healthy slots. The scan
-            // starts one past the last dispatched slot, so under light
-            // load work rotates over every healthy core instead of
-            // pinning to slot 0 (which would starve the fault campaign's
-            // sticky cores of dispatches and hide them from quarantine).
-            for off in 0..self.slots.len() {
-                if queue.is_empty() {
-                    break;
-                }
-                let i = (self.next_slot + off) % self.slots.len();
-                if matches!(self.slots[i], Slot::Idle) {
-                    let task = queue.pop_front().expect("queue checked non-empty");
-                    self.dispatch(i, task, now);
-                    self.next_slot = (i + 1) % self.slots.len();
-                }
-            }
-
-            // A fully-quarantined service must drain, not hang.
-            if self.healthy() == 0 {
-                for t in queue.drain(..) {
-                    self.finish(
-                        t.id,
-                        TaskOutcome::Rejected(RejectReason::QuarantinedCapacity),
-                    );
-                }
-            }
-
-            let busy = self.slots.iter().any(|s| matches!(s, Slot::Busy(_)));
-            if busy {
-                self.fabric.tick(now);
-                // NoC watchdog: retry exhaustion or an over-age flit is a
-                // transport failure the service cannot account around.
-                if let Some(detail) = self.fabric.noc_fault().map(str::to_string) {
-                    return Err(SimError::StructuralHazard {
-                        detail,
-                        diag: RunDiagnostics::placeholder("serve"),
-                    });
-                }
-                let events = self.step_slots(now);
-                for (slot, end) in events {
-                    self.settle(slot, end, now, &mut queue);
-                }
-                self.report.capacity_millicore_cycles += self.capacity_millicores();
-                now += 1;
-                // Event-driven fast-forward over spans where every busy
-                // slot is provably stalled and no dispatcher action
-                // (arrival, dispatch, shed, epoch, fault, deadline) is due.
-                if !dense {
-                    if let Some(wake) = self.skip_target(&queue, next_arrival, next_epoch, now) {
-                        let span = wake - now;
-                        for slot in &mut self.slots {
-                            if let Slot::Busy(inf) = slot {
-                                inf.core.credit_skipped(span);
-                            }
-                        }
-                        self.report.capacity_millicore_cycles += self.capacity_millicores() * span;
-                        now = wake;
-                    }
-                }
-            } else if next_arrival < self.arrivals.len() {
-                // Idle: fast-forward to the next arrival — but never past a
-                // repair completion, which changes both the delivered
-                // capacity and the set of dispatchable slots mid-span.
-                let mut target = self.arrivals[next_arrival].0.max(now + 1);
-                if let Some(until) = self.earliest_repair() {
-                    target = target.min(until.max(now + 1));
-                }
-                self.report.capacity_millicore_cycles +=
-                    self.capacity_millicores() * (target - now);
-                now = target;
-            } else if let Some(until) = (!queue.is_empty())
-                .then(|| self.earliest_repair())
-                .flatten()
-            {
-                // Arrivals exhausted and every serving slot offline in
-                // repair while work is still queued: advance to the first
-                // repair completion so the queue drains there.
-                let target = until.max(now + 1);
-                self.report.capacity_millicore_cycles +=
-                    self.capacity_millicores() * (target - now);
-                now = target;
-            } else {
-                // No work in flight, nothing queued (drained above), no
-                // arrivals left: every task is accounted.
-                break;
-            }
-
-            if self.cfg.epoch_cycles > 0 && now >= next_epoch {
-                self.push_epoch(now, queue.len());
-                next_epoch = now + self.cfg.epoch_cycles;
-            }
-        }
-
+        let dense = self.cfg.dense_loop;
+        machine::run(self, gate, dense)?;
         if self.cfg.epoch_cycles > 0 {
-            self.push_epoch(now, queue.len());
+            self.push_epoch();
         }
-        self.report.cycles = now;
+        self.report.cycles = self.m.now;
         self.report.lost = self.outcomes.iter().filter(|o| o.is_none()).count();
         self.report.latencies.sort_unstable();
-        self.report.fabric = *self.fabric.stats();
+        self.report.fabric = *self.m.fabric.stats();
         Ok(self.report.clone())
     }
 
@@ -931,7 +789,8 @@ impl TaskService {
     /// quarantined. A repairing slot counts — it returns to service — so
     /// admission keeps queueing instead of shedding while repairs run.
     fn healthy(&self) -> usize {
-        self.slots
+        self.m
+            .slots
             .iter()
             .filter(|s| !matches!(s, Slot::Quarantined))
             .count()
@@ -941,6 +800,7 @@ impl TaskService {
     /// worth 1000, fenced slots 750, repairing and quarantined slots 0.
     fn capacity_millicores(&self) -> u64 {
         let cap: u64 = self
+            .m
             .slots
             .iter()
             .zip(&self.fenced)
@@ -953,7 +813,7 @@ impl TaskService {
         // Mesh link loss shrinks delivered capacity: a retired link's
         // bandwidth is gone (traffic routes around it), a fenced link
         // keeps half. Defect-free meshes and crossbars scale by 1.
-        match self.fabric.link_health() {
+        match self.m.fabric.link_health() {
             Some(h) if h.total > 0 => {
                 cap * (2 * h.healthy as u64 + h.fenced as u64) / (2 * h.total as u64)
             }
@@ -963,7 +823,8 @@ impl TaskService {
 
     /// The earliest cycle a repairing slot returns to service.
     fn earliest_repair(&self) -> Option<u64> {
-        self.slots
+        self.m
+            .slots
             .iter()
             .filter_map(|s| match s {
                 Slot::Repairing { until } => Some(*until),
@@ -972,91 +833,14 @@ impl TaskService {
             .min()
     }
 
-    /// The next cycle anything in the service can act, or `None` when no
-    /// cycle before it may be skipped. Capped so every dispatcher action
-    /// the dense loop performs lands on exactly the same cycle: the next
-    /// arrival, queued-task SLO expiries, the epoch snapshot, and per-slot
-    /// fault due-times, in-flight SLO deadlines, watchdog firing
-    /// observations, and cycle-budget exhaustion.
-    fn skip_target(
-        &self,
-        queue: &VecDeque<Task>,
-        next_arrival: usize,
-        next_epoch: u64,
-        now: u64,
-    ) -> Option<u64> {
-        // Settlement may have idled every slot this very iteration; the
-        // dense loop then exits or falls into the idle-branch fast-forward,
-        // so a skip from here would overshoot it.
-        if !self.slots.iter().any(|s| matches!(s, Slot::Busy(_))) {
-            return None;
-        }
-        // A queued task with an idle slot dispatches at the very next
-        // iteration; a queued task with zero healthy cores drains there.
-        if !queue.is_empty()
-            && (self.healthy() == 0 || self.slots.iter().any(|s| matches!(s, Slot::Idle)))
-        {
-            return None;
-        }
-        let ticked = now - 1;
-        // Any busy core answering `now` (its productive fast path) pins the
-        // joint wakeup to `now` — bail before the fabric scan and per-slot
-        // cap arithmetic.
-        let mut wake = u64::MAX;
-        for slot in &self.slots {
-            if let Slot::Busy(inf) = slot {
-                if let Some(t) = inf.core.next_event(ticked, &self.fabric) {
-                    if t <= now {
-                        return None;
-                    }
-                    wake = wake.min(t);
-                }
-            }
-        }
-        if let Some(t) = self.fabric.next_event(ticked) {
-            wake = wake.min(t);
-        }
-        for slot in &self.slots {
-            let Slot::Busy(inf) = slot else { continue };
-            if let Some(f) = inf.fault {
-                wake = wake.min(inf.dispatched_at + f.at);
-            }
-            if self.cfg.deadline_cycles > 0 {
-                wake = wake.min(inf.task.arrival + self.cfg.deadline_cycles);
-            }
-            if let Some(deadline) = inf.watchdog.deadline() {
-                // `deadline` is a local observation cycle (observe runs at
-                // local+1), so the tick that fires it is one earlier.
-                wake = wake.min(inf.dispatched_at + deadline - 1);
-            }
-            wake = wake.min((inf.dispatched_at + inf.budget).saturating_sub(1));
-        }
-        // A repair completion changes delivered capacity and frees a slot;
-        // the dense loop observes it on exactly that cycle.
-        if let Some(until) = self.earliest_repair() {
-            wake = wake.min(until);
-        }
-        if next_arrival < self.arrivals.len() {
-            wake = wake.min(self.arrivals[next_arrival].0);
-        }
-        if self.cfg.deadline_cycles > 0 {
-            for t in queue {
-                wake = wake.min(t.arrival + self.cfg.deadline_cycles);
-            }
-        }
-        if self.cfg.epoch_cycles > 0 {
-            wake = wake.min(next_epoch);
-        }
-        (wake > now && wake != u64::MAX).then_some(wake)
-    }
-
-    fn push_epoch(&mut self, now: u64, queue_len: usize) {
-        let fabric = self.fabric.epoch_stats();
+    fn push_epoch(&mut self) {
+        let fabric = self.m.fabric.epoch_stats();
         self.report.epochs.push(EpochStats {
-            cycle: now,
+            cycle: self.m.now,
             fabric,
-            queue_len,
+            queue_len: self.queue.len(),
             busy: self
+                .m
                 .slots
                 .iter()
                 .filter(|s| matches!(s, Slot::Busy(_)))
@@ -1077,19 +861,20 @@ impl TaskService {
         let mut off = 0u64;
         while off < layout::CORE_SPAN {
             let len = CHUNK.min((layout::CORE_SPAN - off) as usize);
-            self.mem.write_bytes(base + off, &ZEROS[..len]);
+            self.m.mem.write_bytes(base + off, &ZEROS[..len]);
             off += len as u64;
         }
     }
 
-    fn dispatch(&mut self, slot: usize, mut task: Task, now: u64) {
+    fn dispatch(&mut self, slot: usize, mut task: Task) {
+        let now = self.m.now;
         task.attempts += 1;
         self.dispatches += 1;
         self.inject_link_upset(now);
         self.scrub(slot);
         let fault = self.plan_attempt_fault(slot, &task);
         let w = &self.workloads[slot][task.spec];
-        let region = offload(&mut self.mem, w, self.cfg.core.nthreads);
+        let region = offload(&mut self.m.mem, w, self.cfg.core.nthreads);
         let core = Core::new(
             self.cfg.core,
             w.program().clone(),
@@ -1098,7 +883,7 @@ impl TaskService {
             (2 * slot, 2 * slot + 1),
         );
         let budget = self.cfg.core.max_cycles.saturating_mul(task.scale);
-        self.slots[slot] = Slot::Busy(Box::new(InFlight {
+        self.m.slots[slot] = Slot::Busy(Box::new(InFlight {
             task,
             core,
             watchdog: Watchdog::new(DEFAULT_LIVELOCK_CYCLES),
@@ -1107,6 +892,7 @@ impl TaskService {
             gate: RunGate::new(self.token.clone(), self.cfg.task_deadline_ms),
             next_poll: 0,
             fault,
+            end: None,
         }));
     }
 
@@ -1120,20 +906,18 @@ impl TaskService {
         if self.link_faults_left == 0 || self.dispatches <= self.cfg.faults.sticky_after {
             return;
         }
-        let Some(link) = self.fabric.inject_link_fault(self.link_target) else {
+        let Some(link) = self.m.fabric.inject_link_fault(self.link_target) else {
             // Crossbar, or the target already out of service: move on (the
             // next dispatch attacks the advanced target).
-            if self.fabric.link_health().is_some() {
+            if self.m.fabric.link_health().is_some() {
                 self.link_target = advance_link_target(self.link_target);
             }
             return;
         };
         self.link_faults_left -= 1;
         self.report.faults_injected += 1;
-        let key = (1u64 << 62) | link as u64;
-        if self.link_tracker.observe(key, now) {
-            self.link_tracker.clear(key);
-            let _ = self.fabric.retire_link(link);
+        if self.link_tracker.charge(CeRegion::Link(link), now) {
+            let _ = self.m.fabric.retire_link(link);
             self.link_target = advance_link_target(self.link_target);
         }
     }
@@ -1173,212 +957,125 @@ impl TaskService {
     fn apply_fault(&mut self, fault: AttemptFault) -> Option<String> {
         self.report.faults_injected += 1;
         let level = self.cfg.protection.level(FaultSite::DramLine);
-        let word = self.mem.read_u64(fault.addr);
-        let mask = fault.mask;
-        match level {
-            ProtectionLevel::None => {
-                self.mem.write_u64(fault.addr, word ^ mask);
+        let (addr, mask) = (fault.addr, fault.mask);
+        let word = self.m.mem.read_u64(addr);
+        match protect_word(level, word, mask) {
+            WordVerdict::Landed => {
+                self.m.mem.write_u64(addr, word ^ mask);
                 None
             }
-            ProtectionLevel::Parity if mask.count_ones() % 2 == 1 => {
+            WordVerdict::Corrected => {
+                self.report.faults_corrected += 1;
+                None
+            }
+            WordVerdict::Detected => {
                 self.report.faults_uncorrectable += 1;
+                let double = if level == ProtectionLevel::Parity {
+                    ""
+                } else {
+                    "double-bit "
+                };
                 Some(format!(
-                    "parity detected upset at {:#x} mask {mask:#x}",
-                    fault.addr
+                    "{level} detected {double}upset at {addr:#x} mask {mask:#x}"
                 ))
-            }
-            ProtectionLevel::Parity => {
-                // Even-weight flip: parity is blind, the corruption lands.
-                self.mem.write_u64(fault.addr, word ^ mask);
-                None
-            }
-            ProtectionLevel::SecDed => {
-                let check = secded_encode(word);
-                match secded_decode(word ^ mask, check) {
-                    SecDedOutcome::CorrectedData(orig) => {
-                        debug_assert_eq!(orig, word);
-                        self.report.faults_corrected += 1;
-                        None
-                    }
-                    SecDedOutcome::DoubleError => {
-                        self.report.faults_uncorrectable += 1;
-                        Some(format!(
-                            "secded detected double-bit upset at {:#x} mask {mask:#x}",
-                            fault.addr
-                        ))
-                    }
-                    SecDedOutcome::Clean | SecDedOutcome::CorrectedCheck => None,
-                }
             }
         }
     }
 
-    /// Advances every busy slot one cycle; returns the attempts that ended
-    /// this cycle (completed or failed) for settlement.
-    fn step_slots(&mut self, now: u64) -> Vec<(usize, AttemptEnd)> {
-        let mut events: Vec<(usize, AttemptEnd)> = Vec::new();
-        // Due faults first (they may abort the attempt before its tick).
-        for i in 0..self.slots.len() {
-            let due = match &mut self.slots[i] {
-                Slot::Busy(inf) => match inf.fault {
-                    Some(f) if now - inf.dispatched_at >= f.at => {
-                        inf.fault = None;
-                        Some(f)
-                    }
-                    _ => None,
-                },
-                _ => None,
+    /// Per-attempt work before the cycle's tick. Due upsets come first: an
+    /// uncorrectable one aborts its attempt, which settles at once. Then
+    /// each attempt's wall-clock gate and SLO deadline may end it before
+    /// its tick; those endings settle with the cycle's other endings.
+    fn pre_tick(&mut self) {
+        let now = self.m.now;
+        for i in 0..self.m.slots.len() {
+            let Slot::Busy(inf) = &mut self.m.slots[i] else {
+                continue;
             };
-            if let Some(f) = due {
-                if let Some(detail) = self.apply_fault(f) {
-                    events.push((
-                        i,
-                        AttemptEnd::Fail {
-                            kind: "uncorrectable",
-                            detail,
-                        },
-                    ));
-                }
+            let Some(f) = inf.fault.filter(|f| now - inf.dispatched_at >= f.at) else {
+                continue;
+            };
+            inf.fault = None;
+            if let Some(detail) = self.apply_fault(f) {
+                let kind = "uncorrectable";
+                self.settle(i, AttemptEnd::Fail { kind, detail });
             }
         }
-        for (i, slot) in self.slots.iter_mut().enumerate() {
+        let deadline = self.cfg.deadline_cycles;
+        for slot in &mut self.m.slots {
             let Slot::Busy(inf) = slot else { continue };
-            if events.iter().any(|(s, _)| *s == i) {
-                continue; // already aborted by an uncorrectable upset
-            }
             let local = now - inf.dispatched_at;
-            if let Some(trip) = inf.gate.poll_due(local, &mut inf.next_poll) {
-                events.push((
-                    i,
-                    AttemptEnd::Fail {
-                        kind: "deadline",
-                        detail: format!(
-                            "wall-clock gate tripped after {} ms (limit {} ms)",
-                            trip.elapsed_ms, trip.limit_ms
-                        ),
-                    },
-                ));
+            let detail = if let Some(trip) = inf.gate.poll_due(local, &mut inf.next_poll) {
+                format!(
+                    "wall-clock gate tripped after {} ms (limit {} ms)",
+                    trip.elapsed_ms, trip.limit_ms
+                )
+            } else if deadline > 0 && now.saturating_sub(inf.task.arrival) >= deadline {
+                format!("task exceeded its {deadline}-cycle SLO deadline")
+            } else {
                 continue;
-            }
-            if self.cfg.deadline_cycles > 0
-                && now.saturating_sub(inf.task.arrival) >= self.cfg.deadline_cycles
-            {
-                events.push((
-                    i,
-                    AttemptEnd::Fail {
-                        kind: "deadline",
-                        detail: format!(
-                            "task exceeded its {}-cycle SLO deadline",
-                            self.cfg.deadline_cycles
-                        ),
-                    },
-                ));
-                continue;
-            }
-            inf.core.tick(now, &mut self.fabric, &mut self.mem);
-            if let Some(detail) = inf.core.structural_fault() {
-                events.push((
-                    i,
-                    AttemptEnd::Fail {
-                        kind: "structural_hazard",
-                        detail: detail.to_string(),
-                    },
-                ));
-                continue;
-            }
-            if inf.core.done() {
-                events.push((i, AttemptEnd::Done));
-                continue;
-            }
-            if let Err(stalled) = inf
-                .watchdog
-                .observe(local + 1, inf.core.stats().instructions)
-            {
-                events.push((
-                    i,
-                    AttemptEnd::Fail {
-                        kind: "livelock",
-                        detail: format!("no commit for {stalled} cycles"),
-                    },
-                ));
-                continue;
-            }
-            if local + 1 >= inf.budget {
-                events.push((
-                    i,
-                    AttemptEnd::Fail {
-                        kind: "cycle_budget",
-                        detail: format!("attempt exceeded {} cycles", inf.budget),
-                    },
-                ));
-            }
+            };
+            inf.end = Some(AttemptEnd::Fail {
+                kind: "deadline",
+                detail,
+            });
         }
-        events
+    }
+
+    /// Resolves a completed attempt: verifies it (when verification is on)
+    /// and records the completion, or returns the verification failure.
+    fn complete(&mut self, slot: usize, task: &Task, mut core: Core) -> Result<(), SimError> {
+        let now = self.m.now;
+        core.finalize_stats();
+        core.drain(&mut self.m.mem);
+        let w = &self.workloads[slot][task.spec];
+        let nthreads = self.cfg.core.nthreads;
+        if self.cfg.verify {
+            try_verify_against_golden(w, nthreads, &core, &self.m.mem, now)?;
+        }
+        // Independent second net: a completed task whose digest disagrees
+        // with the golden reference is a silent corruption (provably
+        // impossible while verification is on).
+        let digest = arch_digest(&core, &self.m.mem, w, nthreads);
+        let key = (slot, task.spec);
+        let golden = match self.golden.get(&key) {
+            Some(&g) => Some(g),
+            None => golden_arch_digest(w, nthreads, golden_step_cap(core.stats().instructions))
+                .ok()
+                .inspect(|&g| {
+                    self.golden.insert(key, g);
+                }),
+        };
+        if golden.is_some_and(|g| g != digest) {
+            self.report.silent_corruptions += 1;
+        }
+        self.consec[slot] = 0;
+        self.finish(
+            task.id,
+            TaskOutcome::Completed {
+                latency: now.saturating_sub(task.arrival) + 1,
+                attempts: task.attempts,
+                core: slot,
+            },
+        );
+        Ok(())
     }
 
     /// Resolves one ended attempt: completion (verify + silent-corruption
     /// cross-check) or failure (retry / quarantine + failover / final).
-    fn settle(&mut self, slot: usize, end: AttemptEnd, now: u64, queue: &mut VecDeque<Task>) {
-        let Slot::Busy(inf) = std::mem::replace(&mut self.slots[slot], Slot::Idle) else {
+    fn settle(&mut self, slot: usize, end: AttemptEnd) {
+        let now = self.m.now;
+        let Slot::Busy(inf) = std::mem::replace(&mut self.m.slots[slot], Slot::Idle) else {
             return;
         };
         let inf = *inf;
         let mut task = inf.task;
-        let end = match end {
-            AttemptEnd::Done => {
-                let mut core = inf.core;
-                core.finalize_stats();
-                core.drain(&mut self.mem);
-                let w = &self.workloads[slot][task.spec];
-                let nthreads = self.cfg.core.nthreads;
-                let verdict = if self.cfg.verify {
-                    try_verify_against_golden(w, nthreads, &core, &self.mem, now).err()
-                } else {
-                    None
-                };
-                match verdict {
-                    Some(e) => AttemptEnd::Fail {
-                        kind: e.kind(),
-                        detail: e.to_string(),
-                    },
-                    None => {
-                        // Independent second net: a completed task whose
-                        // digest disagrees with the golden reference is a
-                        // silent corruption (provably impossible while
-                        // verification is on).
-                        let digest = arch_digest(&core, &self.mem, w, nthreads);
-                        let step_cap = core.stats().instructions.saturating_mul(4) + 100_000;
-                        let key = (slot, task.spec);
-                        let golden = match self.golden.get(&key) {
-                            Some(g) => Some(*g),
-                            None => match golden_arch_digest(w, nthreads, step_cap) {
-                                Ok(g) => {
-                                    self.golden.insert(key, g);
-                                    Some(g)
-                                }
-                                Err(_) => None,
-                            },
-                        };
-                        if golden.is_some_and(|g| g != digest) {
-                            self.report.silent_corruptions += 1;
-                        }
-                        self.consec[slot] = 0;
-                        self.finish(
-                            task.id,
-                            TaskOutcome::Completed {
-                                latency: now.saturating_sub(task.arrival) + 1,
-                                attempts: task.attempts,
-                                core: slot,
-                            },
-                        );
-                        return;
-                    }
-                }
-            }
-            fail => fail,
-        };
-        let AttemptEnd::Fail { kind, detail } = end else {
-            unreachable!("completions returned above")
+        let (kind, detail) = match end {
+            AttemptEnd::Fail { kind, detail } => (kind, detail),
+            AttemptEnd::Done => match self.complete(slot, &task, inf.core) {
+                Ok(()) => return,
+                Err(e) => (e.kind(), e.to_string()),
+            },
         };
         self.report.last_failure = Some(format!(
             "task {} attempt {} on core {slot}: {kind}: {detail}",
@@ -1399,7 +1096,7 @@ impl TaskService {
                     self.spares_left -= 1;
                     self.report.spares_consumed += 1;
                     self.report.repairs += 1;
-                    self.slots[slot] = Slot::Repairing {
+                    self.m.slots[slot] = Slot::Repairing {
                         until: now + rc.repair_cycles.max(1),
                     };
                 } else {
@@ -1407,22 +1104,22 @@ impl TaskService {
                     self.report.fenced_cores += 1;
                 }
                 self.report.failovers += 1;
-                queue.push_front(task);
+                self.queue.push_front(task);
                 return;
             }
         }
         self.consec[slot] += 1;
         let quarantine_now = self.cfg.quarantine_after > 0
             && self.consec[slot] >= self.cfg.quarantine_after
-            && !matches!(self.slots[slot], Slot::Quarantined);
+            && !matches!(self.m.slots[slot], Slot::Quarantined);
         if quarantine_now {
-            self.slots[slot] = Slot::Quarantined;
+            self.m.slots[slot] = Slot::Quarantined;
             self.report.quarantined_cores += 1;
             if self.healthy() > 0 {
                 // Failover: the task that tripped the quarantine gets a
                 // free re-dispatch to a healthy core.
                 self.report.failovers += 1;
-                queue.push_front(task);
+                self.queue.push_front(task);
             } else {
                 self.finish(
                     task.id,
@@ -1439,7 +1136,7 @@ impl TaskService {
                 task.retries_left -= 1;
                 task.scale = next;
                 self.report.retries += 1;
-                queue.push_front(task);
+                self.queue.push_front(task);
             }
             _ => self.finish(
                 task.id,
@@ -1474,6 +1171,237 @@ impl TaskService {
         }
         self.outcomes[id] = Some(outcome);
         self.accounted += 1;
+    }
+}
+
+/// The dispatcher as a [`Driver`] of the shared step loop. Admission,
+/// shedding and dispatch run before each cycle; an idle service
+/// fast-forwards to its next arrival without ticking. Arrivals, SLO
+/// expiries, repair completions, epochs and each attempt's fault,
+/// watchdog and budget cycles are its wakeups, and delivered capacity
+/// accrues over skipped spans through [`Driver::skipped`].
+impl Driver for TaskService {
+    type Slot = Slot;
+
+    fn machine(&mut self) -> &mut Machine<Slot> {
+        &mut self.m
+    }
+
+    fn running(&self) -> bool {
+        self.accounted < self.cfg.tasks
+    }
+
+    fn diag(&self) -> Box<RunDiagnostics> {
+        RunDiagnostics::placeholder("serve")
+    }
+
+    /// Unused: attempts carry their own watchdogs, the machine's is off.
+    fn dump(&self) -> String {
+        String::new()
+    }
+
+    fn begin(&mut self) -> Result<Step, SimError> {
+        let now = self.m.now;
+        // Repair completions: a slot whose migration window elapsed
+        // returns to service at full capacity.
+        for slot in &mut self.m.slots {
+            if matches!(slot, Slot::Repairing { until } if now >= *until) {
+                *slot = Slot::Idle;
+            }
+        }
+
+        // Admission: arrivals due this cycle either queue or shed.
+        while self.next_arrival < self.arrivals.len() && self.arrivals[self.next_arrival].0 <= now {
+            let (arrival, spec) = self.arrivals[self.next_arrival];
+            let id = self.next_arrival;
+            self.next_arrival += 1;
+            let task = Task {
+                id,
+                spec,
+                arrival,
+                attempts: 0,
+                retries_left: self.cfg.retry.max_retries,
+                scale: 1,
+            };
+            if self.healthy() == 0 {
+                self.finish(id, TaskOutcome::Rejected(RejectReason::QuarantinedCapacity));
+            } else if self.queue.len() >= self.cfg.queue_depth {
+                self.finish(id, TaskOutcome::Rejected(RejectReason::QueueFull));
+            } else {
+                self.queue.push_back(task);
+            }
+        }
+
+        // SLO shedding: tasks whose deadline passed while still queued.
+        let deadline = self.cfg.deadline_cycles;
+        if deadline > 0 {
+            let (expired, kept): (VecDeque<Task>, VecDeque<Task>) = std::mem::take(&mut self.queue)
+                .into_iter()
+                .partition(|t| now.saturating_sub(t.arrival) >= deadline);
+            self.queue = kept;
+            for t in expired {
+                self.finish(
+                    t.id,
+                    TaskOutcome::Failed {
+                        attempts: t.attempts,
+                        kind: "deadline",
+                    },
+                );
+            }
+        }
+
+        // Dispatch queued tasks onto idle healthy slots. The scan starts
+        // one past the last dispatched slot, so under light load work
+        // rotates over every healthy core instead of pinning to slot 0
+        // (which would starve the fault campaign's sticky cores of
+        // dispatches and hide them from quarantine).
+        let n = self.m.slots.len();
+        for off in 0..n {
+            let i = (self.next_slot + off) % n;
+            if matches!(self.m.slots[i], Slot::Idle) {
+                let Some(task) = self.queue.pop_front() else {
+                    break;
+                };
+                self.dispatch(i, task);
+                self.next_slot = (i + 1) % n;
+            }
+        }
+
+        // A fully-quarantined service must drain, not hang.
+        if self.healthy() == 0 {
+            for t in std::mem::take(&mut self.queue) {
+                self.finish(
+                    t.id,
+                    TaskOutcome::Rejected(RejectReason::QuarantinedCapacity),
+                );
+            }
+        }
+
+        if self.m.slots.iter().any(|s| matches!(s, Slot::Busy(_))) {
+            self.pre_tick();
+            return Ok(Step::Tick);
+        }
+        let target = if self.next_arrival < self.arrivals.len() {
+            // Idle: fast-forward to the next arrival — but never past a
+            // repair completion, which changes both the delivered capacity
+            // and the set of dispatchable slots mid-span.
+            let next = self.arrivals[self.next_arrival].0;
+            self.earliest_repair().map_or(next, |until| next.min(until))
+        } else if let Some(until) = self.earliest_repair().filter(|_| !self.queue.is_empty()) {
+            // Arrivals exhausted and every serving slot offline in repair
+            // while work is still queued: advance to the first repair
+            // completion so the queue drains there.
+            until
+        } else {
+            // No work in flight, nothing queued (drained above), no
+            // arrivals left: every task is accounted.
+            return Ok(Step::Stop);
+        };
+        let target = target.max(now + 1);
+        self.skipped(target - now);
+        self.m.now = target;
+        Ok(Step::Idle)
+    }
+
+    fn structural(&mut self, slot: usize, detail: String) -> Result<(), SimError> {
+        if let Slot::Busy(inf) = &mut self.m.slots[slot] {
+            inf.end = Some(AttemptEnd::Fail {
+                kind: "structural_hazard",
+                detail,
+            });
+        }
+        Ok(())
+    }
+
+    /// Collects the attempts that ended this cycle, in slot order, and
+    /// settles them; then accrues the cycle's delivered capacity.
+    fn end_tick(&mut self) -> Result<bool, SimError> {
+        let now = self.m.now;
+        let mut ended: Vec<(usize, AttemptEnd)> = Vec::new();
+        for (i, slot) in self.m.slots.iter_mut().enumerate() {
+            let Slot::Busy(inf) = slot else { continue };
+            let local = now - inf.dispatched_at;
+            let end = if let Some(end) = inf.end.take() {
+                end
+            } else if inf.core.done() {
+                AttemptEnd::Done
+            } else if let Err(stalled) = inf
+                .watchdog
+                .observe(local + 1, inf.core.stats().instructions)
+            {
+                AttemptEnd::Fail {
+                    kind: "livelock",
+                    detail: format!("no commit for {stalled} cycles"),
+                }
+            } else if local + 1 >= inf.budget {
+                AttemptEnd::Fail {
+                    kind: "cycle_budget",
+                    detail: format!("attempt exceeded {} cycles", inf.budget),
+                }
+            } else {
+                continue;
+            };
+            ended.push((i, end));
+        }
+        for (slot, end) in ended {
+            self.settle(slot, end);
+        }
+        self.report.capacity_millicore_cycles += self.capacity_millicores();
+        Ok(false)
+    }
+
+    fn wakeup(&self) -> u64 {
+        let now = self.m.now;
+        // A queued task with an idle slot dispatches at the very next
+        // iteration; a queued task with zero healthy cores drains there.
+        if !self.queue.is_empty()
+            && (self.healthy() == 0 || self.m.slots.iter().any(|s| matches!(s, Slot::Idle)))
+        {
+            return now;
+        }
+        let deadline = self.cfg.deadline_cycles;
+        let mut wake = u64::MAX;
+        for slot in &self.m.slots {
+            let Slot::Busy(inf) = slot else { continue };
+            if let Some(f) = inf.fault {
+                wake = wake.min(inf.dispatched_at + f.at);
+            }
+            if deadline > 0 {
+                wake = wake.min(inf.task.arrival + deadline);
+            }
+            if let Some(fire) = inf.watchdog.deadline() {
+                // `fire` is a local observation cycle (observe runs at
+                // local+1), so the tick that fires it is one earlier.
+                wake = wake.min(inf.dispatched_at + fire - 1);
+            }
+            wake = wake.min((inf.dispatched_at + inf.budget).saturating_sub(1));
+        }
+        if let Some(until) = self.earliest_repair() {
+            wake = wake.min(until);
+        }
+        if let Some(&(arrival, _)) = self.arrivals.get(self.next_arrival) {
+            wake = wake.min(arrival);
+        }
+        if deadline > 0 {
+            for t in &self.queue {
+                wake = wake.min(t.arrival + deadline);
+            }
+        }
+        if self.cfg.epoch_cycles > 0 {
+            wake = wake.min(self.next_epoch);
+        }
+        wake
+    }
+
+    fn skipped(&mut self, span: u64) {
+        self.report.capacity_millicore_cycles += self.capacity_millicores() * span;
+    }
+
+    fn end(&mut self) {
+        if self.cfg.epoch_cycles > 0 && self.m.now >= self.next_epoch {
+            self.push_epoch();
+            self.next_epoch = self.m.now + self.cfg.epoch_cycles;
+        }
     }
 }
 

@@ -4,8 +4,10 @@
 
 use crate::cancel::RunGate;
 use crate::error::{RunDiagnostics, SimError};
+use crate::machine::{self, Driver, Machine};
 use crate::offload::offload;
-use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
+use crate::runner::try_verify_against_golden;
+use crate::watchdog::DEFAULT_LIVELOCK_CYCLES;
 use virec_core::{Core, CoreConfig, CoreStats};
 use virec_isa::FlatMem;
 use virec_mem::{Fabric, FabricConfig, FabricStats};
@@ -129,11 +131,11 @@ impl SystemResult {
     }
 }
 
-/// A system of identical near-memory cores sharing one fabric.
+/// A system of near-memory cores sharing one fabric: an N-core machine
+/// stepped by the shared loop, with one watchdog over the summed commits
+/// and [`System::cycle_budget`] as its budget.
 pub struct System {
-    cores: Vec<Core>,
-    fabric: Fabric,
-    mem: FlatMem,
+    m: Machine<Core>,
     workloads: Vec<Workload>,
     cfg: SystemConfig,
     /// Force the dense per-cycle step loop (see
@@ -237,10 +239,15 @@ impl System {
             ));
             workloads.push(w);
         }
+        let budget = core_cfgs.iter().map(|c| c.max_cycles).max().unwrap_or(0);
         Ok(System {
-            cores,
-            fabric: Fabric::new(cfg.fabric),
-            mem,
+            m: Machine::new(
+                cores,
+                Fabric::new(cfg.fabric),
+                mem,
+                DEFAULT_LIVELOCK_CYCLES,
+                budget,
+            ),
             workloads,
             cfg,
             dense_loop: false,
@@ -257,7 +264,7 @@ impl System {
 
     /// Per-core statistics access while the system is alive (post-run).
     pub fn core(&self, i: usize) -> &Core {
-        &self.cores[i]
+        &self.m.slots[i]
     }
 
     /// The configuration the system was built with.
@@ -268,11 +275,7 @@ impl System {
     /// The system cycle budget: the most generous per-core budget, since
     /// the slowest core bounds completion under shared-fabric contention.
     pub fn cycle_budget(&self) -> u64 {
-        self.cores
-            .iter()
-            .map(|c| c.config().max_cycles)
-            .max()
-            .unwrap_or(0)
+        self.m.budget
     }
 
     /// Fallible system run: executes to completion and verifies every core
@@ -286,115 +289,20 @@ impl System {
     /// `gate` and degrades to a typed [`SimError::Deadline`] when the
     /// per-cell wall-clock deadline expires or cancellation is requested.
     pub fn try_run_gated(&mut self, gate: &RunGate) -> Result<SystemResult, SimError> {
-        let budget = self.cycle_budget();
-        let mut watchdog = Watchdog::new(DEFAULT_LIVELOCK_CYCLES);
-        if let Some(trip) = gate.trip() {
-            return Err(SimError::Deadline {
-                elapsed_ms: trip.elapsed_ms,
-                limit_ms: trip.limit_ms,
-                diag: self.capture_diag(0),
-            });
-        }
-        let dense = crate::runner::dense_requested(self.dense_loop);
-        let mut next_poll = 0u64;
-        let mut now = 0u64;
-        while !self.cores.iter().all(|c| c.done()) {
-            if let Some(trip) = gate.poll_due(now, &mut next_poll) {
-                return Err(SimError::Deadline {
-                    elapsed_ms: trip.elapsed_ms,
-                    limit_ms: trip.limit_ms,
-                    diag: self.capture_diag(now),
-                });
-            }
-            self.fabric.tick(now);
-            // The NoC watchdog latches on retry exhaustion or an over-age
-            // flit (routing livelock): surface it as a structural hazard
-            // rather than letting the run starve into a livelock trip.
-            if let Some(detail) = self.fabric.noc_fault().map(str::to_string) {
-                return Err(SimError::StructuralHazard {
-                    detail,
-                    diag: self.capture_diag(now),
-                });
-            }
-            for core in &mut self.cores {
-                if !core.done() {
-                    core.tick(now, &mut self.fabric, &mut self.mem);
-                }
-            }
-            now += 1;
-            let committed: u64 = self.cores.iter().map(|c| c.stats().instructions).sum();
-            if let Err(stalled) = watchdog.observe(now, committed) {
-                return Err(SimError::Livelock {
-                    stalled_cycles: stalled,
-                    dump: self.debug_dump(),
-                    diag: self.capture_diag(now),
-                });
-            }
-            if now >= budget {
-                return Err(SimError::CycleBudgetExceeded {
-                    budget,
-                    diag: self.capture_diag(now),
-                });
-            }
-            // Event-driven fast-forward: when every unfinished core and the
-            // shared fabric agree nothing can happen before `wake`, jump the
-            // whole system there and credit each unfinished core's stall
-            // counters for the span (finished cores stop ticking in the
-            // dense loop too, so they are not credited).
-            if !dense && !self.cores.iter().all(|c| c.done()) {
-                let ticked = now - 1;
-                // Any core answering `now` (its productive fast path) pins
-                // the joint wakeup to `now` — bail before the fabric scan.
-                let mut next: Option<u64> = None;
-                let mut busy_now = false;
-                for core in self.cores.iter().filter(|c| !c.done()) {
-                    if let Some(t) = core.next_event(ticked, &self.fabric) {
-                        if t <= now {
-                            busy_now = true;
-                            break;
-                        }
-                        next = Some(next.map_or(t, |m: u64| m.min(t)));
-                    }
-                }
-                if busy_now {
-                    continue;
-                }
-                if let Some(t) = self.fabric.next_event(ticked) {
-                    next = Some(next.map_or(t, |m: u64| m.min(t)));
-                }
-                let mut wake = next.unwrap_or(u64::MAX);
-                if let Some(deadline) = watchdog.deadline() {
-                    wake = wake.min(deadline - 1);
-                }
-                wake = wake.min(budget - 1);
-                if wake > now {
-                    let span = wake - now;
-                    for core in &mut self.cores {
-                        if !core.done() {
-                            core.credit_skipped(span);
-                        }
-                    }
-                    now = wake;
-                }
-            }
-        }
-        for core in &mut self.cores {
+        let dense = self.dense_loop;
+        machine::run(self, gate, dense)?;
+        let m = &mut self.m;
+        for core in &mut m.slots {
             core.finalize_stats();
-            core.drain(&mut self.mem);
+            core.drain(&mut m.mem);
         }
-        for (core, w) in self.cores.iter().zip(&self.workloads) {
-            crate::runner::try_verify_against_golden(
-                w,
-                core.config().nthreads,
-                core,
-                &self.mem,
-                now,
-            )?;
+        for (core, w) in m.slots.iter().zip(&self.workloads) {
+            try_verify_against_golden(w, core.config().nthreads, core, &m.mem, m.now)?;
         }
         Ok(SystemResult {
-            cycles: now,
-            per_core: self.cores.iter().map(|c| *c.stats()).collect(),
-            fabric: *self.fabric.stats(),
+            cycles: m.now,
+            per_core: m.slots.iter().map(|c| *c.stats()).collect(),
+            fabric: *m.fabric.stats(),
         })
     }
 
@@ -407,22 +315,31 @@ impl System {
     pub fn run(&mut self) -> SystemResult {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
+}
+
+impl Driver for System {
+    type Slot = Core;
+
+    fn machine(&mut self) -> &mut Machine<Core> {
+        &mut self.m
+    }
+
+    fn running(&self) -> bool {
+        !self.m.slots.iter().all(|c| c.done())
+    }
 
     /// Diagnostics for the most-stuck core: the first core that has not
     /// finished (or core 0 if all finished), labelled with its workload.
-    fn capture_diag(&self, now: u64) -> Box<RunDiagnostics> {
-        let i = self
-            .cores
-            .iter()
-            .position(|c| !c.done())
-            .unwrap_or_default();
-        RunDiagnostics::capture(self.workloads[i].name, &self.cores[i], now)
+    fn diag(&self) -> Box<RunDiagnostics> {
+        let cores = &self.m.slots;
+        let i = cores.iter().position(|c| !c.done()).unwrap_or_default();
+        RunDiagnostics::capture(self.workloads[i].name, &cores[i], self.m.now)
     }
 
     /// Concatenated per-core pipeline dumps for every unfinished core.
-    fn debug_dump(&self) -> String {
+    fn dump(&self) -> String {
         let mut s = String::new();
-        for (i, core) in self.cores.iter().enumerate() {
+        for (i, core) in self.m.slots.iter().enumerate() {
             if !core.done() {
                 s.push_str(&format!(
                     "--- core {i} ({}) ---\n{}",

@@ -14,7 +14,7 @@ use virec::sim::runner::{try_run_single, RunOptions, RunResult};
 use virec::sim::serve::{default_mix, ServeConfig, ServeFaultPlan};
 use virec::sim::{
     run_service, FaultClass, FaultPlan, FaultSite, ProtectionConfig, RasConfig, SimError, System,
-    SystemConfig,
+    SystemConfig, TaskService,
 };
 use virec::workloads::{kernels, suite, Layout};
 
@@ -385,4 +385,147 @@ fn mesh_serve_link_faults_byte_identical() {
     );
     assert_eq!(skip.lost, 0);
     assert_eq!(skip.silent_corruptions, 0);
+}
+
+/// Typed failures through both loops. The skip step caps its horizon one
+/// cycle short of the cycle budget and of the watchdog's deadline, so a
+/// budget exhaustion and a livelock must fire on the same cycle with the
+/// same diagnostics (and the same pipeline dump) under both loops.
+#[test]
+fn runner_error_outcomes_byte_identical() {
+    use virec::mem::FabricConfig;
+    let w = kernels::spatter::gather(N, Layout::for_core(0));
+    // Behind a 400-cycle hop the core sits stalled for hundreds of cycles
+    // at a time, so both limits fall inside a span the skip step jumps.
+    let far = RunOptions {
+        fabric: FabricConfig {
+            xbar_latency: 400,
+            ..FabricConfig::default()
+        },
+        ..RunOptions::default()
+    };
+    let cfg = CoreConfig::virec(4, 32);
+    let clean = try_run_single(cfg, &w, &far).expect("clean run");
+    let mut short = cfg;
+    short.max_cycles = clean.cycles / 2;
+    let drought = RunOptions {
+        livelock_cycles: 150,
+        ..far.clone()
+    };
+    let cases = [
+        ("budget", short, far, "cycle_budget"),
+        ("livelock", cfg, drought, "livelock"),
+    ];
+    for (label, cfg, opts, kind) in cases {
+        let skip = try_run_single(cfg, &w, &opts);
+        let dense = try_run_single(cfg, &w, &densified(&opts));
+        assert_eq!(
+            skip.as_ref().err().map(SimError::kind),
+            Some(kind),
+            "{label}: {}",
+            outcome_key(&skip)
+        );
+        assert_eq!(outcome_key(&dense), outcome_key(&skip), "{label}: diverged");
+    }
+}
+
+/// A `System` whose budget (the largest per-core `max_cycles`) runs out
+/// mid-run fails on the same cycle, with the same rendering, in both loops.
+#[test]
+fn system_budget_error_byte_identical() {
+    let mut core = CoreConfig::virec(4, 32);
+    core.max_cycles = 3_000;
+    let cfg = SystemConfig {
+        ncores: 3,
+        core,
+        // Far memory keeps every core stalled across the budget cycle.
+        fabric: virec::mem::FabricConfig {
+            xbar_latency: 400,
+            ..Default::default()
+        },
+    };
+    let run = |dense: bool| {
+        let mut sys = System::new(cfg, kernels::spatter::gather, 192);
+        sys.set_dense_loop(dense);
+        sys.try_run().expect_err("the budget is far too small")
+    };
+    let skip = run(false);
+    let dense = run(true);
+    assert_eq!(skip.kind(), "cycle_budget");
+    assert_eq!(dense.to_string(), skip.to_string());
+}
+
+/// Heterogeneous banked and ViReC cores contending on a 2x2 mesh: every
+/// per-core stat and the shared fabric's NoC counters match between loops.
+#[test]
+fn heterogeneous_mesh_system_byte_identical() {
+    use virec::mem::{FabricConfig, FabricTopology};
+    let cfg = SystemConfig {
+        ncores: 4,
+        core: CoreConfig::banked(4),
+        fabric: FabricConfig {
+            topology: FabricTopology::Mesh { cols: 2, rows: 2 },
+            ..FabricConfig::default()
+        },
+    };
+    let cores = [
+        CoreConfig::banked(4),
+        CoreConfig::virec(8, 40),
+        CoreConfig::banked(4),
+        CoreConfig::virec(4, 24),
+    ];
+    let specs: Vec<(virec::workloads::WorkloadCtor, u64)> = vec![
+        (kernels::spatter::gather, 192),
+        (kernels::spatter::gather, 192),
+        (kernels::stream::stream_triad, 192),
+        (kernels::stream::reduction, 192),
+    ];
+    let run = |dense: bool| {
+        let mut sys = System::new_heterogeneous(cfg, &cores, &specs);
+        sys.set_dense_loop(dense);
+        sys.try_run().expect("mesh system run completes")
+    };
+    let skip = run(false);
+    let dense = run(true);
+    assert_eq!(dense.cycles, skip.cycles, "system cycles diverged");
+    assert_eq!(dense.per_core, skip.per_core, "per-core stats diverged");
+    assert_eq!(dense.fabric, skip.fabric, "fabric stats diverged");
+    assert!(skip.fabric.noc_hops > 0, "traffic must cross the mesh");
+}
+
+/// Serve attempts that exhaust their per-attempt cycle budget: the skip
+/// step lands on each attempt's last budgeted cycle, so retries, budget
+/// scaling and the final `cycle_budget` failures match the dense loop.
+#[test]
+fn serve_attempt_budget_byte_identical() {
+    let run = |dense: bool| {
+        let mut cfg = ServeConfig::streaming(2, CoreConfig::virec(2, 16), 16, 0x00B0_D6E7);
+        cfg.mix = default_mix(32);
+        cfg.mean_interarrival = 512;
+        // Far memory keeps attempts stalled across their last budgeted
+        // cycle, so the skip step must stop exactly there.
+        cfg.fabric.xbar_latency = 400;
+        cfg.core.max_cycles = 2_000;
+        cfg.dense_loop = dense;
+        let mut service = TaskService::new(cfg).expect("valid config");
+        let report = service.run().expect("serve run completes");
+        (report, format!("{:?}", service.outcomes()))
+    };
+    let (skip, skip_outcomes) = run(false);
+    let (dense, dense_outcomes) = run(true);
+    assert_eq!(
+        format!("{dense:?}"),
+        format!("{skip:?}"),
+        "serve reports diverged"
+    );
+    assert_eq!(dense_outcomes, skip_outcomes, "task outcomes diverged");
+    assert!(skip.retries > 0, "budget failures must be retried");
+    assert!(
+        skip_outcomes.contains("cycle_budget"),
+        "some tasks must fail on their budget: {skip_outcomes}"
+    );
+    assert!(
+        skip.completed > 0,
+        "scaled retries must complete some tasks"
+    );
 }
