@@ -28,7 +28,7 @@
 //! skipping pays the most. The other two cells use the default
 //! near-memory fabric, where the loop must at least break even.
 //!
-//! Unlike `figures.rs` this is not a criterion harness: the metric is a
+//! This is not a statistical micro-benchmark harness: the metric is a
 //! ratio of simulated time to wall time, so the harness times whole runs
 //! itself (best-of-k) and cross-checks that both loops report the exact
 //! same simulated cycle count — the differential guarantee that makes the
@@ -127,9 +127,8 @@ fn measure(cfg: CoreConfig, w: &Workload, fabric: FabricConfig, iters: u32) -> [
 }
 
 fn main() {
-    // `cargo bench -- --test` (the CI bench smoke) forwards flags to every
-    // bench target; quick mode is already smoke-test sized, so flags are
-    // accepted and ignored.
+    // Quick mode is already smoke-test sized, so flags cargo forwards
+    // (e.g. `cargo bench -- --test`) are accepted and ignored.
     let full = std::env::var("VIREC_PERF_FULL").is_ok_and(|v| v == "1");
     let (n, iters) = if full { (65536, 9) } else { (2048, 2) };
     let layout = Layout::for_core(0);

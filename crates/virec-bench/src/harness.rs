@@ -71,11 +71,16 @@ pub fn results_dir() -> Option<PathBuf> {
 }
 
 /// Sweep-level control knobs shared by every figure binary and
-/// `virec-cli sweep`: crash-safe resume, a per-cell wall-clock deadline,
-/// and the deterministic interruption hook tests and CI use in place of a
-/// real Ctrl-C.
+/// `virec-cli sweep`: the worker pool, where results go, crash-safe
+/// resume, a per-cell wall-clock deadline, and the deterministic
+/// interruption hook tests and CI use in place of a real Ctrl-C.
 #[derive(Clone, Debug, Default)]
 pub struct SweepControl {
+    /// Worker count ([`jobs`]; `--jobs` on `virec-cli sweep`).
+    pub jobs: usize,
+    /// Directory for the cell journal and JSON rows ([`results_dir`];
+    /// `--json <dir>` on `virec-cli sweep`); `None` writes neither.
+    pub results: Option<PathBuf>,
     /// Replay journaled cells instead of re-running them (`--resume` on
     /// the command line, or `VIREC_RESUME=1`).
     pub resume: bool,
@@ -89,14 +94,16 @@ pub struct SweepControl {
 
 impl SweepControl {
     /// Reads the control knobs from the process arguments (`--resume`,
-    /// `--deadline <ms>`) and environment (`VIREC_RESUME`,
-    /// `VIREC_DEADLINE_MS`, `VIREC_INTERRUPT_AFTER`). Flags win over the
-    /// environment so a resumed invocation can be typed at the shell
-    /// without unsetting anything.
+    /// `--deadline <ms>`) and environment (`VIREC_JOBS`, `VIREC_RESULTS`,
+    /// `VIREC_RESUME`, `VIREC_DEADLINE_MS`, `VIREC_INTERRUPT_AFTER`).
+    /// Flags win over the environment so a resumed invocation can be typed
+    /// at the shell without unsetting anything.
     pub fn from_env_and_args() -> SweepControl {
         let env_flag =
             |name: &str| std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0" && v != "off");
         let mut ctl = SweepControl {
+            jobs: jobs(),
+            results: results_dir(),
             resume: env_flag("VIREC_RESUME"),
             deadline_ms: std::env::var("VIREC_DEADLINE_MS")
                 .ok()
@@ -137,17 +144,15 @@ pub fn run_spec(spec: &ExperimentSpec) -> ExperimentResult {
 /// [`run_spec`] with explicit [`SweepControl`] (the CLI parses its own
 /// flags and calls this directly).
 pub fn run_spec_controlled(spec: &ExperimentSpec, ctl: &SweepControl) -> ExperimentResult {
-    let jobs = jobs();
     let start = Instant::now();
     let (drain, abort) = interrupt_tokens();
-    let mut exec = Executor::new(jobs)
+    let mut exec = Executor::new(ctl.jobs)
         .with_interrupts(drain, abort)
         .with_deadline_ms(ctl.deadline_ms);
     if let Some(n) = ctl.interrupt_after {
         exec = exec.with_interrupt_after(n);
     }
-    let dir = results_dir();
-    let journal = dir.as_ref().map(|d| JournalConfig {
+    let journal = ctl.results.as_ref().map(|d| JournalConfig {
         dir: d.clone(),
         resume: ctl.resume,
     });
@@ -167,7 +172,7 @@ pub fn run_spec_controlled(spec: &ExperimentSpec, ctl: &SweepControl) -> Experim
         "[{}] {} cell(s) on {} worker(s) in {:.2?}",
         spec.name,
         spec.len(),
-        jobs,
+        ctl.jobs,
         start.elapsed()
     );
     if res.interrupted {
@@ -179,8 +184,8 @@ pub fn run_spec_controlled(spec: &ExperimentSpec, ctl: &SweepControl) -> Experim
         );
         std::process::exit(130);
     }
-    if let Some(dir) = dir {
-        match res.write_json(&dir) {
+    if let Some(dir) = &ctl.results {
+        match res.write_json(dir) {
             Ok(path) => eprintln!("[{}] wrote {}", spec.name, path.display()),
             Err(e) => eprintln!("[{}] could not write results JSON: {e}", spec.name),
         }

@@ -7,71 +7,150 @@
 //! virec-cli sweep --jobs 4 --workloads gather,spmv --engines banked,virec40,virec80
 //! virec-cli area --threads 8 --regs 64
 //! ```
+//!
+//! Every command declares the flags it accepts in [`COMMANDS`]; the usage
+//! text is generated from those declarations, and a flag the command does
+//! not declare is a usage error.
 
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::str::FromStr;
 use virec::area::AreaModel;
-use virec::bench::harness::{self, EngineSel, SuiteSweep};
+use virec::bench::harness::{self, EngineSel, SuiteSweep, SweepControl};
 use virec::bench::tune::{pareto_front, pick_for_area, tune_sweep, TuneConfig};
 use virec::cc::{regalloc, AllocStrategy};
 use virec::core::{CoreConfig, EngineKind, PolicyKind};
 use virec::mem::{FabricConfig, FabricTopology};
-use virec::sim::experiment::{Executor, RetryPolicy};
+use virec::sim::experiment::RetryPolicy;
 use virec::sim::runner::default_checkpoint_interval;
 use virec::sim::runner::{try_run_prefetch_exact, try_run_single, RunOptions};
 use virec::sim::{
-    interrupt_tokens, parse_sites, run_campaign_with, run_service, CampaignOptions, FaultClass,
-    FaultPlan, FaultSite, InjectionOutcome, JournalConfig, ProtectionConfig, RasConfig,
-    ServeConfig, ServeFaultPlan,
+    parse_sites, run_campaign_with, run_service, CampaignOptions, FaultClass, FaultPlan, FaultSite,
+    InjectionOutcome, ProtectionConfig, RasConfig, ServeConfig, ServeFaultPlan, ServeReport,
+    SimError,
 };
 use virec::verify::{
     broken_fixture, broken_spill_report, lint_everything, lint_program, tv_compiled_budgets,
     LintConfig,
 };
-use virec::workloads::{by_name, suite_names, Layout};
+use virec::workloads::{by_name, suite_names, Layout, Workload, SUITE};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "virec-cli — ViReC near-memory multithreading simulator
+/// A subcommand: its name, the flags it accepts and its body. The flags
+/// are declared as they read in the usage text: `--flag <value>` takes a
+/// value, a bare `--flag` is boolean, and brackets mark a flag optional.
+struct Command {
+    name: &'static str,
+    flags: &'static str,
+    run: fn(&Flags) -> Result<ExitCode, CliError>,
+}
 
-USAGE:
-    virec-cli list
-    virec-cli run      --workload <name> [--n <elems>] [--engine <e>]
-                       [--threads <t>] [--regs <r>] [--policy <p>] [--no-verify]
-                       [--group-evict <g>] [--switch-prefetch] [--max-cycles <c>]
-                       [--topology crossbar|mesh<C>x<R>]
-    virec-cli sweep    [--jobs <j>] [--workloads <w1,w2,..>] [--n <elems>]
-                       [--threads <t>] [--engines <e1,e2,..>] [--json <dir>]
-                       [--max-retries <k>] [--budget-factor <f>] [--budget-cap <c>]
-                       [--resume] [--deadline <ms>]
-    virec-cli campaign [--workload <name>] [--n <elems>] [--engine virec|banked]
-                       [--threads <t>] [--regs <r>] [--faults <k>] [--seed <s>]
-                       [--protection none|parity|secded] [--multi-fault]
-                       [--sites <s1,s2,..>] [--topology crossbar|mesh<C>x<R>]
-                       [--fault-class transient|intermittent|stuck-at]
-    virec-cli ras      [--workload <name>] [--n <elems>] [--engine virec|banked]
-                       [--threads <t>] [--regs <r>] [--faults <k>] [--seed <s>]
-                       [--fault-class intermittent|stuck-at]
-                       [--scrub-interval <c>] [--spare-rows <k>] [--spare-ways <k>]
-                       [--ce-threshold <k>] [--protection parity|secded]
-    virec-cli serve    [--cores <c>] [--tasks <k>] [--rate <tasks/Mcycle>]
-                       [--engine virec|banked] [--threads <t>] [--regs <r>]
-                       [--n <elems>] [--queue-depth <d>] [--deadline <cycles>]
-                       [--quarantine-after <k>] [--protection none|parity|secded]
-                       [--faults <k>] [--sticky-cores <k>] [--stuck-cores <k>]
-                       [--spare-rows <k>] [--seed <s>] [--no-verify]
-                       [--topology crossbar|mesh<C>x<R>] [--link-faults <k>]
-    virec-cli noc      [--workload <name>] [--n <elems>] [--threads <t>]
-                       [--faults <k>] [--seed <s>]
-                       [--topology mesh<C>x<R>]
-    virec-cli lint     [--n <elems>] [--broken-fixture]
-    virec-cli tv       [--broken-fixture]
-    virec-cli tune     [--n <elems>] [--threads <t>] [--strategy graph|linear]
-                       [--budgets <b1,b2,..>] [--capacities <c1,c2,..>]
-                       [--area-budget <mm2>]
-    virec-cli area     [--threads <t>] [--regs <r>]
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "list",
+        flags: "",
+        run: cmd_list,
+    },
+    Command {
+        name: "run",
+        flags: "--workload <name> [--n <elems>] [--engine <e>] [--threads <t>] [--regs <r>] \
+                [--policy <p>] [--no-verify] [--group-evict <g>] [--switch-prefetch] \
+                [--max-cycles <c>] [--topology crossbar|mesh<C>x<R>]",
+        run: cmd_run,
+    },
+    Command {
+        name: "sweep",
+        flags: "[--jobs <j>] [--workloads <w1,w2,..>] [--n <elems>] [--threads <t>] \
+                [--engines <e1,e2,..>] [--json <dir>] [--max-retries <k>] \
+                [--budget-retries <k>] [--budget-factor <f>] [--budget-cap <c>] [--resume] \
+                [--deadline <ms>]",
+        run: cmd_sweep,
+    },
+    Command {
+        name: "campaign",
+        flags: "[--workload <name>] [--n <elems>] [--engine virec|banked] [--threads <t>] \
+                [--regs <r>] [--faults <k>] [--seed <s>] [--protection none|parity|secded] \
+                [--multi-fault] [--sites <s1,s2,..>] [--topology crossbar|mesh<C>x<R>] \
+                [--fault-class transient|intermittent|stuck-at]",
+        run: cmd_campaign,
+    },
+    Command {
+        name: "ras",
+        flags: "[--workload <name>] [--n <elems>] [--engine virec|banked] [--threads <t>] \
+                [--regs <r>] [--faults <k>] [--seed <s>] [--fault-class intermittent|stuck-at] \
+                [--scrub-interval <c>] [--ce-leak-interval <c>] [--spare-rows <k>] \
+                [--spare-ways <k>] [--ce-threshold <k>] [--protection parity|secded]",
+        run: cmd_ras,
+    },
+    Command {
+        name: "serve",
+        flags: "[--cores <c>] [--tasks <k>] [--rate <tasks/Mcycle>] [--engine virec|banked] \
+                [--threads <t>] [--regs <r>] [--n <elems>] [--queue-depth <d>] \
+                [--deadline <cycles>] [--quarantine-after <k>] \
+                [--protection none|parity|secded] [--faults <k>] [--sticky-cores <k>] \
+                [--stuck-cores <k>] [--spare-rows <k>] [--seed <s>] [--no-verify] \
+                [--topology crossbar|mesh<C>x<R>] [--link-faults <k>]",
+        run: cmd_serve,
+    },
+    Command {
+        name: "noc",
+        flags: "[--workload <name>] [--n <elems>] [--threads <t>] [--faults <k>] [--seed <s>] \
+                [--topology mesh<C>x<R>]",
+        run: cmd_noc,
+    },
+    Command {
+        name: "lint",
+        flags: "[--n <elems>] [--broken-fixture]",
+        run: cmd_lint,
+    },
+    Command {
+        name: "tv",
+        flags: "[--broken-fixture]",
+        run: cmd_tv,
+    },
+    Command {
+        name: "tune",
+        flags: "[--n <elems>] [--threads <t>] [--strategy graph|linear] [--budgets <b1,b2,..>] \
+                [--capacities <c1,c2,..>] [--area-budget <mm2>]",
+        run: cmd_tune,
+    },
+    Command {
+        name: "area",
+        flags: "[--threads <t>] [--regs <r>]",
+        run: cmd_area,
+    },
+];
 
+impl Command {
+    /// The declared flags, one usage fragment each (`[--n <elems>]`): a
+    /// word that does not open a flag is the previous flag's placeholder.
+    fn fragments(&self) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        for word in self.flags.split_whitespace() {
+            match out.last_mut() {
+                Some(last) if !word.starts_with('[') && !word.starts_with("--") => {
+                    *last += " ";
+                    *last += word;
+                }
+                _ => out.push(word.to_string()),
+            }
+        }
+        out
+    }
+
+    /// Whether `--key` is declared, and if so whether it takes a value.
+    fn flag(&self, key: &str) -> Option<bool> {
+        self.fragments().iter().find_map(|frag| {
+            let frag = frag.trim_start_matches('[').trim_end_matches(']');
+            let (name, value) = frag
+                .split_once(' ')
+                .map_or((frag, false), |(n, _)| (n, true));
+            (name.strip_prefix("--") == Some(key)).then_some(value)
+        })
+    }
+}
+
+const USAGE_NOTES: &str = "
 ENGINES:  virec (default) | banked | software | prefetch_full | prefetch_exact | nsf
 POLICIES: lrc (default) | mrt-plru | plru | lru | mrt-lru | fifo | random
 SWEEP ENGINES: banked | software | virec<pct> | nsf<pct> | pf_full | pf_exact
@@ -80,35 +159,150 @@ SWEEP ENGINES: banked | software | virec<pct> | nsf<pct> | pf_full | pf_exact
 Sweeps journal completed cells to <json-dir>/<name>.journal.jsonl. An
 interrupted sweep (Ctrl-C, or a cell hitting --deadline is just a FAILED
 row) exits 130; re-run the same command with --resume to replay journaled
-cells and execute only the remainder."
-    );
-    ExitCode::from(2)
+cells and execute only the remainder.";
+
+/// The usage text, one wrapped line group per command in [`COMMANDS`].
+fn usage() -> String {
+    let mut out = "virec-cli — ViReC near-memory multithreading simulator\n\nUSAGE:\n".to_string();
+    for c in COMMANDS {
+        let mut line = format!("    virec-cli {:<8}", c.name);
+        for frag in c.fragments() {
+            if line.len() + frag.len() >= 80 {
+                out += &line;
+                out.push('\n');
+                line = " ".repeat(22);
+            }
+            line += " ";
+            line += &frag;
+        }
+        out += line.trim_end();
+        out.push('\n');
+    }
+    out + USAGE_NOTES
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let Some(key) = a.strip_prefix("--") else {
-            return Err(format!("unexpected argument {a:?}"));
-        };
-        // Boolean flags.
-        if matches!(
-            key,
-            "no-verify" | "switch-prefetch" | "resume" | "broken-fixture" | "multi-fault"
-        ) {
-            out.insert(key.to_string(), "true".to_string());
-            i += 1;
-            continue;
-        }
-        let Some(val) = args.get(i + 1) else {
-            return Err(format!("--{key} needs a value"));
-        };
-        out.insert(key.to_string(), val.clone());
-        i += 2;
+/// A failed command: its exit code and the one `error…: …` line `main`
+/// prints for it.
+struct CliError(u8, String);
+
+impl CliError {
+    /// A bad invocation: `error: …`, exit 2.
+    fn usage(msg: impl Display) -> CliError {
+        CliError(2, format!("error: {msg}"))
     }
-    Ok(out)
+
+    /// A run that went wrong: `error[kind]: …`, exit 1.
+    fn fail(kind: &str, msg: impl Display) -> CliError {
+        CliError(1, format!("error[{kind}]: {msg}"))
+    }
+}
+
+impl From<SimError> for CliError {
+    fn from(e: SimError) -> CliError {
+        CliError::fail(e.kind(), e)
+    }
+}
+
+/// The flags one invocation passed, each checked against its command's
+/// declarations.
+struct Flags {
+    cmd: &'static str,
+    vals: HashMap<String, String>,
+}
+
+impl Flags {
+    fn parse(cmd: &Command, args: &[String]) -> Result<Flags, CliError> {
+        let mut vals = HashMap::new();
+        let mut args = args.iter();
+        while let Some(a) = args.next() {
+            let Some(key) = a.strip_prefix("--") else {
+                return Err(CliError::usage(format!("unexpected argument {a:?}")));
+            };
+            let Some(takes_value) = cmd.flag(key) else {
+                return Err(CliError::usage(format!(
+                    "unknown flag --{key} for {}",
+                    cmd.name
+                )));
+            };
+            let val = if takes_value {
+                args.next()
+                    .ok_or_else(|| CliError::usage(format!("--{key} needs a value")))?
+                    .clone()
+            } else {
+                String::new()
+            };
+            vals.insert(key.to_string(), val);
+        }
+        Ok(Flags {
+            cmd: cmd.name,
+            vals,
+        })
+    }
+
+    fn get(&self, key: &str) -> Option<&str> {
+        self.vals.get(key).map(String::as_str)
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.vals.contains_key(key)
+    }
+
+    /// `--key` parsed as `T`, if given.
+    fn opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
+        self.get(key)
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| CliError::usage(format!("invalid --{key}")))
+            })
+            .transpose()
+    }
+
+    /// `--key` parsed as `T`, or `default` when absent.
+    fn num<T: FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+        Ok(self.opt(key)?.unwrap_or(default))
+    }
+
+    /// [`Flags::num`] for a value that must be positive.
+    fn pos<T: FromStr + PartialOrd + Default>(&self, key: &str, default: T) -> Result<T, CliError> {
+        let v = self.num(key, default)?;
+        if v > T::default() {
+            Ok(v)
+        } else {
+            Err(CliError::usage(format!("invalid --{key}")))
+        }
+    }
+
+    /// `--key` (or `default`) through `T`'s own parser, keeping its message.
+    fn parsed<T: FromStr<Err = String>>(&self, key: &str, default: &str) -> Result<T, CliError> {
+        self.get(key)
+            .unwrap_or(default)
+            .parse()
+            .map_err(|e| CliError::usage(format!("--{key}: {e}")))
+    }
+
+    /// A comma-separated `--key` list, or `default` when absent.
+    fn list(&self, key: &str, default: Vec<usize>) -> Result<Vec<usize>, CliError> {
+        self.get(key).map_or(Ok(default), |s| {
+            s.split(',')
+                .map(|p| p.trim().parse())
+                .collect::<Result<_, _>>()
+                .map_err(|_| CliError::usage(format!("invalid --{key}")))
+        })
+    }
+}
+
+/// A suite workload by name, at `n` elements on core 0.
+fn workload(name: &str, n: u64) -> Result<Workload, CliError> {
+    by_name(name, n, Layout::for_core(0))
+        .ok_or_else(|| CliError::usage(format!("unknown workload {name:?}; see `virec-cli list`")))
+}
+
+/// The shared `--topology` flag (crossbar when absent).
+fn fabric(f: &Flags) -> Result<FabricConfig, CliError> {
+    Ok(FabricConfig {
+        topology: f.parsed("topology", "crossbar")?,
+        ..FabricConfig::default()
+    })
 }
 
 fn parse_policy(s: &str) -> Option<PolicyKind> {
@@ -124,333 +318,229 @@ fn parse_policy(s: &str) -> Option<PolicyKind> {
     })
 }
 
-/// Parses the shared `--topology` flag into a fabric config (crossbar when
-/// absent, so every legacy invocation is byte-identical).
-fn parse_fabric(flags: &HashMap<String, String>) -> Result<FabricConfig, String> {
-    let mut fabric = FabricConfig::default();
-    if let Some(t) = flags.get("topology") {
-        fabric.topology = t
-            .parse::<FabricTopology>()
-            .map_err(|e| format!("--topology: {e}"))?;
-    }
-    Ok(fabric)
+/// Every `--engine` spelling `run` accepts.
+const ENGINES: &[&str] = &[
+    "virec",
+    "banked",
+    "software",
+    "prefetch_full",
+    "prefetch_exact",
+    "nsf",
+];
+
+/// The engines the fault-injection commands model fault sites for.
+const FAULT_ENGINES: &[&str] = &["virec", "banked"];
+
+/// A resolved `--engine`: its spelling, RF size and core config.
+struct Engine<'a> {
+    name: &'a str,
+    regs: usize,
+    cfg: CoreConfig,
 }
 
-fn cmd_run(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let Some(wname) = get("workload") else {
-        eprintln!("error: --workload is required (see `virec-cli list`)");
-        return ExitCode::from(2);
-    };
-    let n: u64 = get("n").map_or(Ok(4096), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(8), str::parse).unwrap_or(0);
-    if n == 0 || threads == 0 {
-        eprintln!("error: invalid --n or --threads");
-        return ExitCode::from(2);
-    }
-    let Some(workload) = by_name(wname, n, Layout::for_core(0)) else {
-        eprintln!("error: unknown workload {wname:?}; see `virec-cli list`");
-        return ExitCode::from(2);
-    };
-    let default_regs = (threads * workload.active_context_size()).max(12);
-    let regs: usize = get("regs")
-        .map_or(Ok(default_regs), str::parse)
-        .unwrap_or(0);
-    if regs == 0 {
-        eprintln!("error: invalid --regs");
-        return ExitCode::from(2);
+impl Engine<'_> {
+    /// Resolves `--engine` (default virec) and `--regs` (default: every
+    /// thread's active context of `w`, at least 12) for `threads` threads,
+    /// refusing a spelling outside `accepted`.
+    fn resolve<'a>(
+        f: &'a Flags,
+        accepted: &[&str],
+        threads: usize,
+        w: &Workload,
+    ) -> Result<Engine<'a>, CliError> {
+        let name = f.get("engine").unwrap_or("virec");
+        let ctx = w.active_context_size();
+        let regs = f.pos("regs", (threads * ctx).max(12))?;
+        let cfg = match name {
+            "virec" => CoreConfig::virec(threads, regs),
+            "banked" => CoreConfig::banked(threads),
+            "software" => CoreConfig::software(threads),
+            "prefetch_full" => CoreConfig::prefetch_full(threads, ctx),
+            "prefetch_exact" => CoreConfig::prefetch_exact(threads, ctx),
+            "nsf" => CoreConfig::nsf(threads, regs),
+            _ => return Err(CliError::usage(format!("unknown engine {name:?}"))),
+        };
+        if !accepted.contains(&name) {
+            return Err(CliError::usage(format!(
+                "{} supports {}, not {name:?}",
+                f.cmd,
+                accepted.join("|")
+            )));
+        }
+        Ok(Engine { name, regs, cfg })
     }
 
-    let engine = get("engine").unwrap_or("virec");
-    let mut cfg = match engine {
-        "virec" => CoreConfig::virec(threads, regs),
-        "banked" => CoreConfig::banked(threads),
-        "software" => CoreConfig::software(threads),
-        "prefetch_full" => CoreConfig::prefetch_full(threads, workload.active_context_size()),
-        "prefetch_exact" => CoreConfig::prefetch_exact(threads, workload.active_context_size()),
-        "nsf" => CoreConfig::nsf(threads, regs),
-        other => {
-            eprintln!("error: unknown engine {other:?}");
-            return ExitCode::from(2);
+    /// The fault sites this (virec or banked) core has, for transient or
+    /// for persistent fault classes.
+    fn sites(&self, persistent: bool) -> &'static [FaultSite] {
+        match (self.name == "virec", persistent) {
+            (true, false) => &FaultSite::ALL,
+            (false, false) => &FaultSite::NON_VRMU,
+            (true, true) => &FaultSite::PERMANENT,
+            (false, true) => &FaultSite::PERMANENT_NON_VRMU,
         }
-    };
-    if let Some(p) = get("policy") {
-        let Some(p) = parse_policy(p) else {
-            eprintln!("error: unknown policy {p:?}");
-            return ExitCode::from(2);
-        };
-        cfg.policy = p;
     }
-    if let Some(g) = get("group-evict") {
-        cfg.group_evict = g.parse().unwrap_or(1);
+}
+
+const DEFAULT_SEED: u64 = 0xF00D_5EED;
+
+/// The flags the fault-injection commands share, with per-command defaults
+/// for `--n` and `--faults`.
+struct FaultArgs<'a> {
+    name: &'a str,
+    w: Workload,
+    n: u64,
+    threads: usize,
+    faults: usize,
+    seed: u64,
+}
+
+impl FaultArgs<'_> {
+    fn parse(f: &Flags, n: u64, faults: usize) -> Result<FaultArgs<'_>, CliError> {
+        let name = f.get("workload").unwrap_or("gather");
+        let n = f.pos("n", n)?;
+        Ok(FaultArgs {
+            name,
+            w: workload(name, n)?,
+            n,
+            threads: f.pos("threads", 4)?,
+            faults: f.pos("faults", faults)?,
+            seed: f.num("seed", DEFAULT_SEED)?,
+        })
     }
-    if get("switch-prefetch").is_some() {
-        cfg.switch_prefetch = true;
+}
+
+fn cmd_list(_: &Flags) -> Result<ExitCode, CliError> {
+    println!("available workloads:");
+    for (name, ctor) in SUITE {
+        let w = ctor(64, Layout::for_core(0));
+        println!(
+            "  {name:<15} active context = {:>2} registers, {} static instrs",
+            w.active_context_size(),
+            w.program().len()
+        );
     }
-    if let Some(c) = get("max-cycles") {
-        let Ok(c) = c.parse() else {
-            eprintln!("error: invalid --max-cycles");
-            return ExitCode::from(2);
-        };
-        cfg.max_cycles = c;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_run(f: &Flags) -> Result<ExitCode, CliError> {
+    let wname = f
+        .get("workload")
+        .ok_or_else(|| CliError::usage("--workload is required (see `virec-cli list`)"))?;
+    let n = f.pos("n", 4096)?;
+    let threads = f.pos("threads", 8)?;
+    let w = workload(wname, n)?;
+    let engine = Engine::resolve(f, ENGINES, threads, &w)?;
+    let mut cfg = engine.cfg;
+    if let Some(p) = f.get("policy") {
+        cfg.policy =
+            parse_policy(p).ok_or_else(|| CliError::usage(format!("unknown policy {p:?}")))?;
     }
-    let fabric = match parse_fabric(&flags) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    cfg.group_evict = f.num("group-evict", cfg.group_evict)?;
+    cfg.switch_prefetch |= f.has("switch-prefetch");
+    cfg.max_cycles = f.num("max-cycles", cfg.max_cycles)?;
     let opts = RunOptions {
-        verify: get("no-verify").is_none(),
-        fabric,
+        verify: !f.has("no-verify"),
+        fabric: fabric(f)?,
         ..RunOptions::default()
     };
 
     let result = if cfg.engine == EngineKind::PrefetchExact {
-        try_run_prefetch_exact(
-            threads,
-            workload.active_context_size(),
-            &workload,
-            opts.fabric,
-        )
+        try_run_prefetch_exact(threads, w.active_context_size(), &w, opts.fabric)
     } else {
-        try_run_single(cfg, &workload, &opts)
-    };
-    let result = match result {
-        Ok(r) => r,
-        Err(e) => {
-            // One structured line: machine-greppable kind, then the full
-            // error (which carries the diagnostics summary).
-            eprintln!("error[{}]: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
-    };
-
-    println!("workload          : {} (n={n})", workload.name);
+        try_run_single(cfg, &w, &opts)
+    }?;
+    println!("workload          : {} (n={n})", w.name);
     println!(
-        "engine            : {engine}, {threads} threads, {regs} regs, policy {:?}",
-        cfg.policy
+        "engine            : {}, {threads} threads, {} regs, policy {:?}",
+        engine.name, engine.regs, cfg.policy
     );
     print!("{}", result.stats.report());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `virec-cli sweep` — a workloads × engines grid on the parallel
-/// experiment executor. Tables and JSON are byte-identical for any
-/// `--jobs`; a failed cell degrades to a FAILED row without aborting its
-/// siblings, but does fail the exit status (for CI smoke use).
-fn cmd_sweep(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let n: u64 = get("n").map_or(Ok(1024), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(8), str::parse).unwrap_or(0);
-    let jobs: usize = get("jobs")
-        .map_or_else(|| Ok(harness::jobs()), str::parse)
-        .unwrap_or(0);
-    if n == 0 || threads == 0 || jobs == 0 {
-        eprintln!("error: invalid --n, --threads or --jobs");
-        return ExitCode::from(2);
+/// `virec-cli sweep` — a workloads × engines grid on the harness's sweep
+/// path. Tables and JSON are byte-identical for any `--jobs`; a failed cell
+/// degrades to a FAILED row without aborting its siblings, but does fail
+/// the exit status (for CI smoke use).
+fn cmd_sweep(f: &Flags) -> Result<ExitCode, CliError> {
+    // Workers, results dir, resume and deadline come from the environment
+    // too; explicit flags win.
+    let mut ctl = SweepControl::from_env_and_args();
+    ctl.jobs = f.pos("jobs", ctl.jobs)?;
+    if let Some(dir) = f.get("json") {
+        ctl.results = Some(dir.into());
     }
-    let workloads: Vec<String> = match get("workloads") {
+    ctl.resume |= f.has("resume");
+    ctl.deadline_ms = f.num("deadline", ctl.deadline_ms)?;
+    let workloads = match f.get("workloads") {
         None => suite_names().iter().map(|s| s.to_string()).collect(),
-        Some(list) => {
-            let names: Vec<String> = list.split(',').map(str::to_string).collect();
-            for name in &names {
-                if by_name(name, 64, Layout::for_core(0)).is_none() {
-                    eprintln!("error: unknown workload {name:?}; see `virec-cli list`");
-                    return ExitCode::from(2);
-                }
-            }
-            names
-        }
+        Some(list) => list
+            .split(',')
+            .map(|name| workload(name, 64).map(|_| name.to_string()))
+            .collect::<Result<_, _>>()?,
     };
-    let engine_list = get("engines").unwrap_or("banked,virec40,virec80");
-    let mut engines = Vec::new();
-    for s in engine_list.split(',') {
-        let Some(e) = EngineSel::parse(s) else {
-            eprintln!("error: unknown sweep engine {s:?} (see usage)");
-            return ExitCode::from(2);
-        };
-        engines.push(e);
-    }
-    let defaults = RetryPolicy::default();
-    let retry = RetryPolicy {
-        // `--budget-retries` is the pre-generalization spelling; keep it
-        // as an alias so existing scripts stay valid.
-        max_retries: get("max-retries")
-            .or_else(|| get("budget-retries"))
-            .map_or(Ok(defaults.max_retries), str::parse)
-            .unwrap_or(u32::MAX),
-        budget_factor: get("budget-factor")
-            .map_or(Ok(defaults.budget_factor), str::parse)
-            .unwrap_or(0),
-        scale_cap: get("budget-cap")
-            .map_or(Ok(defaults.scale_cap), str::parse)
-            .unwrap_or(0),
-    };
-    if retry.max_retries == u32::MAX || retry.budget_factor == 0 || retry.scale_cap == 0 {
-        eprintln!("error: invalid --max-retries, --budget-factor or --budget-cap");
-        return ExitCode::from(2);
-    }
-
-    // Resume/deadline come from the environment too (VIREC_RESUME,
-    // VIREC_DEADLINE_MS, VIREC_INTERRUPT_AFTER); explicit flags win.
-    let mut ctl = harness::SweepControl::from_env_and_args();
-    if get("resume").is_some() {
-        ctl.resume = true;
-    }
-    if let Some(ms) = get("deadline") {
-        let Ok(ms) = ms.parse() else {
-            eprintln!("error: invalid --deadline");
-            return ExitCode::from(2);
-        };
-        ctl.deadline_ms = ms;
-    }
-
+    let engines = f
+        .get("engines")
+        .unwrap_or("banked,virec40,virec80")
+        .split(',')
+        .map(|s| {
+            EngineSel::parse(s)
+                .ok_or_else(|| CliError::usage(format!("unknown sweep engine {s:?} (see usage)")))
+        })
+        .collect::<Result<_, _>>()?;
+    let d = RetryPolicy::default();
+    // `--budget-retries` is the pre-generalization spelling of
+    // `--max-retries`, kept so existing scripts stay valid.
+    let retries = ["max-retries", "budget-retries"]
+        .into_iter()
+        .find(|k| f.has(k))
+        .unwrap_or("max-retries");
     let sweep = SuiteSweep {
         name: "sweep".into(),
         workloads,
         engines,
-        n,
-        threads,
-        retry,
+        n: f.pos("n", 1024)?,
+        threads: f.pos("threads", 8)?,
+        retry: RetryPolicy {
+            max_retries: f.num(retries, d.max_retries)?,
+            budget_factor: f.pos("budget-factor", d.budget_factor)?,
+            scale_cap: f.pos("budget-cap", d.scale_cap)?,
+        },
     };
-    let spec = sweep.spec();
-    let start = Instant::now();
-    let (drain, abort) = interrupt_tokens();
-    let mut exec = Executor::new(jobs)
-        .with_interrupts(drain, abort)
-        .with_deadline_ms(ctl.deadline_ms);
-    if let Some(k) = ctl.interrupt_after {
-        exec = exec.with_interrupt_after(k);
-    }
-    let dir = get("json")
-        .map(std::path::PathBuf::from)
-        .or_else(harness::results_dir);
-    let journal = dir.as_ref().map(|d| JournalConfig {
-        dir: d.clone(),
-        resume: ctl.resume,
-    });
-    let res = match exec.run_journaled(&spec, journal.as_ref()) {
-        Ok(res) => res,
-        Err(e) => {
-            eprintln!("[sweep] cell journal unavailable ({e}); running without crash-safety");
-            exec.run(&spec)
-        }
-    };
-    eprintln!(
-        "[sweep] {} cell(s) on {} worker(s) in {:.2?}",
-        spec.len(),
-        jobs,
-        start.elapsed()
-    );
-    if res.interrupted {
-        eprintln!(
-            "[sweep] interrupted: {} cell(s) not run; journal retained — re-run the same \
-             command with --resume to pick up where this sweep left off",
-            res.skipped()
-        );
-        return ExitCode::from(130);
-    }
+    let res = harness::run_spec_controlled(&sweep.spec(), &ctl);
     print!("{}", sweep.render(&res));
-    if let Some(dir) = dir {
-        match res.write_json(&dir) {
-            Ok(path) => eprintln!("[sweep] wrote {}", path.display()),
-            Err(e) => eprintln!("[sweep] could not write results JSON: {e}"),
-        }
-    }
     res.print_failures();
-    if res.all_ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    status(res.all_ok())
 }
 
-fn cmd_campaign(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let wname = get("workload").unwrap_or("gather");
-    let n: u64 = get("n").map_or(Ok(1024), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(4), str::parse).unwrap_or(0);
-    let faults: usize = get("faults").map_or(Ok(64), str::parse).unwrap_or(0);
-    let seed: u64 = get("seed").map_or(Ok(0xF00D_5EED), str::parse).unwrap_or(0);
-    if n == 0 || threads == 0 || faults == 0 || seed == 0 {
-        eprintln!("error: invalid --n, --threads, --faults or --seed");
-        return ExitCode::from(2);
-    }
-    let Some(workload) = by_name(wname, n, Layout::for_core(0)) else {
-        eprintln!("error: unknown workload {wname:?}; see `virec-cli list`");
-        return ExitCode::from(2);
-    };
-    let regs: usize = get("regs")
-        .map_or(
-            Ok((threads * workload.active_context_size()).max(12)),
-            |s| s.parse(),
-        )
-        .unwrap_or(0);
-    let engine = get("engine").unwrap_or("virec");
-    let (cfg, engine_sites) = match engine {
-        "virec" => (CoreConfig::virec(threads, regs), &FaultSite::ALL[..]),
-        "banked" => (CoreConfig::banked(threads), &FaultSite::NON_VRMU[..]),
-        other => {
-            eprintln!("error: campaign supports virec|banked, not {other:?}");
-            return ExitCode::from(2);
-        }
-    };
-    let fabric = match parse_fabric(&flags) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_campaign(f: &Flags) -> Result<ExitCode, CliError> {
+    let a = FaultArgs::parse(f, 1024, 64)?;
+    let engine = Engine::resolve(f, FAULT_ENGINES, a.threads, &a.w)?;
+    let fabric = fabric(f)?;
     let mesh = fabric.topology != FabricTopology::Crossbar;
     // --sites narrows the injection surface; sites the chosen engine does
     // not have (VRMU structures on banked) are rejected, not ignored. The
     // transport site exists on any engine — but only when the fabric has
     // links to corrupt.
-    let site_exists =
-        |s: &FaultSite| engine_sites.contains(s) || (*s == FaultSite::NocLink && mesh);
-    let sites: Vec<FaultSite> = match get("sites") {
+    let engine_sites = engine.sites(false);
+    let sites = match f.get("sites") {
         None => engine_sites.to_vec(),
-        Some(list) => match parse_sites(list) {
-            Ok(requested) => {
-                if let Some(bad) = requested.iter().find(|s| !site_exists(s)) {
-                    if *bad == FaultSite::NocLink {
-                        eprintln!(
-                            "error: site noc-link needs a mesh fabric \
-                             (pass --topology mesh<C>x<R>)"
-                        );
-                    } else {
-                        eprintln!("error: site {bad} does not exist on the {engine} engine");
-                    }
-                    return ExitCode::from(2);
-                }
-                requested
-            }
-            Err(e) => {
-                eprintln!("error: --sites: {e}");
-                return ExitCode::from(2);
-            }
-        },
+        Some(list) => parse_sites(list).map_err(|e| CliError::usage(format!("--sites: {e}")))?,
     };
-    let protection: ProtectionConfig = match get("protection").unwrap_or("none").parse() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: --protection: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let class: FaultClass = match get("fault-class").unwrap_or("transient").parse() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: --fault-class: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let exists = |s: &&FaultSite| engine_sites.contains(s) || (**s == FaultSite::NocLink && mesh);
+    if let Some(bad) = sites.iter().find(|s| !exists(s)) {
+        return Err(CliError::usage(if *bad == FaultSite::NocLink {
+            "site noc-link needs a mesh fabric (pass --topology mesh<C>x<R>)".to_string()
+        } else {
+            format!("site {bad} does not exist on the {} engine", engine.name)
+        }));
+    }
+    let protection: ProtectionConfig = f.parsed("protection", "none")?;
+    let class: FaultClass = f.parsed("fault-class", "transient")?;
     let campaign = CampaignOptions {
         protection,
-        multi_fault: get("multi-fault").is_some(),
+        multi_fault: f.has("multi-fault"),
         // Mid-run recovery only makes sense with a detector in front of it.
         checkpoint_interval: if protection.is_none() {
             0
@@ -469,150 +559,93 @@ fn cmd_campaign(flags: HashMap<String, String>) -> ExitCode {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_campaign_with(cfg, &workload, faults, seed, &sites, &campaign)
+        run_campaign_with(engine.cfg, &a.w, a.faults, a.seed, &sites, &campaign)
     }));
     std::panic::set_hook(prev);
-    let Ok(report) = report else {
-        eprintln!("error[campaign]: the clean reference run failed");
-        return ExitCode::FAILURE;
-    };
+    let report =
+        report.map_err(|_| CliError::fail("campaign", "the clean reference run failed"))?;
     println!("{}", report.summary());
     if class.is_persistent() {
         println!("{}", report.ras_summary());
     }
     for rec in &report.records {
-        match rec.outcome {
-            InjectionOutcome::Silent => {
-                println!("  SILENT escape: seed {} faults {:?}", rec.seed, rec.faults);
-            }
-            InjectionOutcome::Detected => {
-                println!(
-                    "  unrecovered detection: seed {} faults {:?}",
-                    rec.seed, rec.faults
-                );
-            }
-            _ => {}
-        }
+        let what = match rec.outcome {
+            InjectionOutcome::Silent => "SILENT escape",
+            InjectionOutcome::Detected => "unrecovered detection",
+            _ => continue,
+        };
+        println!("  {what}: seed {} faults {:?}", rec.seed, rec.faults);
     }
     if !report.all_detected() {
-        eprintln!("error[silent_fault]: an effectful fault escaped every checker");
-        return ExitCode::FAILURE;
+        return Err(CliError::fail(
+            "silent_fault",
+            "an effectful fault escaped every checker",
+        ));
     }
     if !report.all_recovered() {
-        eprintln!("error[unrecovered]: a detected injection did not recover on re-execution");
-        return ExitCode::FAILURE;
+        return Err(CliError::fail(
+            "unrecovered",
+            "a detected injection did not recover on re-execution",
+        ));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Runs `opts` against a clean reference run of the same core, so a
+/// degraded run can be checked against the clean digest.
+fn clean_reference(
+    cfg: CoreConfig,
+    w: &Workload,
+    opts: &RunOptions,
+) -> Result<virec::sim::RunResult, CliError> {
+    try_run_single(cfg, w, opts)
+        .map_err(|e| CliError::fail(e.kind(), format!("clean reference run failed: {e}")))
 }
 
 /// `virec-cli ras` — one protected run under a seeded persistent-fault
 /// plan with the RAS layer on, reporting what the scrubber, CE tracker,
 /// and spare pools did. A clean reference run sizes the injection window
 /// and provides the digest the degraded machine must still reproduce.
-fn cmd_ras(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let wname = get("workload").unwrap_or("gather");
-    let n: u64 = get("n").map_or(Ok(1024), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(4), str::parse).unwrap_or(0);
-    let faults: usize = get("faults").map_or(Ok(8), str::parse).unwrap_or(0);
-    let seed: u64 = get("seed").map_or(Ok(0xF00D_5EED), str::parse).unwrap_or(0);
-    if n == 0 || threads == 0 || faults == 0 || seed == 0 {
-        eprintln!("error: invalid --n, --threads, --faults or --seed");
-        return ExitCode::from(2);
-    }
-    let Some(workload) = by_name(wname, n, Layout::for_core(0)) else {
-        eprintln!("error: unknown workload {wname:?}; see `virec-cli list`");
-        return ExitCode::from(2);
-    };
-    let regs: usize = get("regs")
-        .map_or(
-            Ok((threads * workload.active_context_size()).max(12)),
-            |s| s.parse(),
-        )
-        .unwrap_or(0);
-    let engine = get("engine").unwrap_or("virec");
-    let (cfg, sites) = match engine {
-        "virec" => (CoreConfig::virec(threads, regs), &FaultSite::PERMANENT[..]),
-        "banked" => (
-            CoreConfig::banked(threads),
-            &FaultSite::PERMANENT_NON_VRMU[..],
-        ),
-        other => {
-            eprintln!("error: ras supports virec|banked, not {other:?}");
-            return ExitCode::from(2);
-        }
-    };
-    let class: FaultClass = match get("fault-class").unwrap_or("stuck-at").parse() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: --fault-class: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_ras(f: &Flags) -> Result<ExitCode, CliError> {
+    let a = FaultArgs::parse(f, 1024, 8)?;
+    let engine = Engine::resolve(f, FAULT_ENGINES, a.threads, &a.w)?;
+    let class: FaultClass = f.parsed("fault-class", "stuck-at")?;
     if !class.is_persistent() {
-        eprintln!("error: the ras demo wants a persistent class (intermittent or stuck-at)");
-        return ExitCode::from(2);
+        return Err(CliError::usage(
+            "the ras demo wants a persistent class (intermittent or stuck-at)",
+        ));
     }
-    let mut rc = RasConfig::default();
-    for (key, slot) in [
-        ("scrub-interval", &mut rc.scrub_interval),
-        ("ce-leak-interval", &mut rc.ce_leak_interval),
-    ] {
-        if let Some(v) = flags.get(key) {
-            let Ok(v) = v.parse() else {
-                eprintln!("error: invalid --{key}");
-                return ExitCode::from(2);
-            };
-            *slot = v;
-        }
-    }
-    for (key, slot) in [
-        ("spare-rows", &mut rc.spare_rows),
-        ("spare-ways", &mut rc.spare_ways),
-        ("ce-threshold", &mut rc.ce_threshold),
-    ] {
-        if let Some(v) = flags.get(key) {
-            let Ok(v) = v.parse() else {
-                eprintln!("error: invalid --{key}");
-                return ExitCode::from(2);
-            };
-            *slot = v;
-        }
-    }
+    let d = RasConfig::default();
+    let rc = RasConfig {
+        scrub_interval: f.num("scrub-interval", d.scrub_interval)?,
+        ce_leak_interval: f.num("ce-leak-interval", d.ce_leak_interval)?,
+        spare_rows: f.num("spare-rows", d.spare_rows)?,
+        spare_ways: f.num("spare-ways", d.spare_ways)?,
+        ce_threshold: f.num("ce-threshold", d.ce_threshold)?,
+        ..d
+    };
     // RAS needs a detector in front of it: default to SEC-DED.
-    let protection: ProtectionConfig = match get("protection").unwrap_or("secded").parse() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: --protection: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let protection: ProtectionConfig = f.parsed("protection", "secded")?;
 
-    let clean = match try_run_single(cfg, &workload, &RunOptions::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: clean reference run failed: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
-    };
+    let clean = clean_reference(engine.cfg, &a.w, &RunOptions::default())?;
     let opts = RunOptions {
-        faults: FaultPlan::seeded_class(seed, faults, (0, clean.cycles), sites, class),
+        faults: FaultPlan::seeded_class(
+            a.seed,
+            a.faults,
+            (0, clean.cycles),
+            engine.sites(true),
+            class,
+        ),
         protection,
         checkpoint_interval: default_checkpoint_interval(),
         ras: Some(rc),
         ..RunOptions::default()
     };
-    let r = match try_run_single(cfg, &workload, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
-    };
+    let r = try_run_single(engine.cfg, &a.w, &opts)?;
 
     println!(
-        "ras demo          : {} on {wname} (n={n}), {faults} {class} fault(s), seed {seed:#x}",
-        engine
+        "ras demo          : {} on {} (n={}), {} {class} fault(s), seed {:#x}",
+        engine.name, a.name, a.n, a.faults, a.seed
     );
     println!(
         "cycles            : clean {} vs ras {} ({:+.1}%)",
@@ -636,14 +669,35 @@ fn cmd_ras(flags: HashMap<String, String>) -> ExitCode {
         println!("  {f}");
     }
     if r.arch_digest != clean.arch_digest {
-        eprintln!("error[silent_fault]: degraded run diverged from the clean digest");
-        return ExitCode::FAILURE;
+        return Err(CliError::fail(
+            "silent_fault",
+            "degraded run diverged from the clean digest",
+        ));
     }
     println!(
         "arch digest       : {:#018x} (matches clean run)",
         r.arch_digest
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Prints a serve report; lost, duplicated or silently corrupt tasks are
+/// an accounting failure.
+fn serve_accounting(report: &ServeReport) -> Result<ExitCode, CliError> {
+    println!("{}", report.summary());
+    if let Some(f) = &report.last_failure {
+        eprintln!("[serve] last attempt failure: {f}");
+    }
+    if report.lost > 0 || report.duplicated > 0 || report.silent_corruptions > 0 {
+        return Err(CliError::fail(
+            "accounting",
+            format!(
+                "lost={} duplicated={} silent_corruptions={}",
+                report.lost, report.duplicated, report.silent_corruptions
+            ),
+        ));
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `virec-cli serve` — the fault-tolerant streaming task service: a seeded
@@ -651,145 +705,49 @@ fn cmd_ras(flags: HashMap<String, String>) -> ExitCode {
 /// admission queue, with retry, quarantine/failover, and typed shedding.
 /// Exits nonzero when any task is lost, any task resolves twice, or any
 /// completed task's state digest disagrees with the golden reference.
-fn cmd_serve(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let cores: usize = get("cores").map_or(Ok(4), str::parse).unwrap_or(0);
-    let tasks: usize = get("tasks").map_or(Ok(128), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(4), str::parse).unwrap_or(0);
-    let n: u64 = get("n").map_or(Ok(64), str::parse).unwrap_or(0);
-    let seed: u64 = get("seed").map_or(Ok(0xF00D_5EED), str::parse).unwrap_or(0);
-    if cores == 0 || tasks == 0 || threads == 0 || n == 0 || seed == 0 {
-        eprintln!("error: invalid --cores, --tasks, --threads, --n or --seed");
-        return ExitCode::from(2);
-    }
-    let engine = get("engine").unwrap_or("virec");
-    let core = match engine {
-        "virec" => {
-            let ctx = by_name("gather", n, Layout::for_core(0))
-                .expect("gather is a suite workload")
-                .active_context_size();
-            let regs: usize = get("regs")
-                .map_or(Ok((threads * ctx).max(12)), str::parse)
-                .unwrap_or(0);
-            if regs == 0 {
-                eprintln!("error: invalid --regs");
-                return ExitCode::from(2);
-            }
-            CoreConfig::virec(threads, regs)
-        }
-        "banked" => CoreConfig::banked(threads),
-        other => {
-            eprintln!("error: serve supports virec|banked, not {other:?}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let mut cfg = ServeConfig::streaming(cores, core, tasks, seed);
+fn cmd_serve(f: &Flags) -> Result<ExitCode, CliError> {
+    let threads = f.pos("threads", 4)?;
+    let n = f.pos("n", 64)?;
+    let engine = Engine::resolve(f, FAULT_ENGINES, threads, &workload("gather", n)?)?;
+    let mut cfg = ServeConfig::streaming(
+        f.pos("cores", 4)?,
+        engine.cfg,
+        f.pos("tasks", 128)?,
+        f.num("seed", DEFAULT_SEED)?,
+    );
     cfg.mix = virec::sim::serve::default_mix(n);
-    cfg.verify = get("no-verify").is_none();
-    match parse_fabric(&flags) {
-        Ok(f) => cfg.fabric = f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    }
+    cfg.verify = !f.has("no-verify");
+    cfg.fabric = fabric(f)?;
     // --rate is in tasks per million cycles; the service wants the mean
     // inter-arrival gap in cycles.
-    if let Some(r) = get("rate") {
-        let Ok(rate) = r.parse::<f64>() else {
-            eprintln!("error: invalid --rate");
-            return ExitCode::from(2);
-        };
-        if rate <= 0.0 {
-            eprintln!("error: --rate must be positive");
-            return ExitCode::from(2);
-        }
-        cfg.mean_interarrival = ((1.0e6 / rate) as u64).max(1);
+    if f.has("rate") {
+        cfg.mean_interarrival = ((1.0e6 / f.pos("rate", 0.0)?) as u64).max(1);
     }
-    if let Some(d) = get("queue-depth") {
-        cfg.queue_depth = d.parse().unwrap_or(0);
-    }
-    if let Some(d) = get("deadline") {
-        let Ok(d) = d.parse() else {
-            eprintln!("error: invalid --deadline");
-            return ExitCode::from(2);
-        };
-        cfg.deadline_cycles = d;
-    }
-    if let Some(q) = get("quarantine-after") {
-        let Ok(q) = q.parse() else {
-            eprintln!("error: invalid --quarantine-after");
-            return ExitCode::from(2);
-        };
-        cfg.quarantine_after = q;
-    }
-    match get("protection").unwrap_or("none").parse() {
-        Ok(p) => cfg.protection = p,
-        Err(e) => {
-            eprintln!("error: --protection: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    let transient: usize = get("faults")
-        .map_or(Ok(0), str::parse)
-        .unwrap_or(usize::MAX);
-    let sticky: usize = get("sticky-cores")
-        .map_or(Ok(0), str::parse)
-        .unwrap_or(usize::MAX);
-    let stuck: usize = get("stuck-cores")
-        .map_or(Ok(0), str::parse)
-        .unwrap_or(usize::MAX);
-    let link_faults: usize = get("link-faults")
-        .map_or(Ok(0), str::parse)
-        .unwrap_or(usize::MAX);
-    if transient == usize::MAX
-        || sticky == usize::MAX
-        || stuck == usize::MAX
-        || link_faults == usize::MAX
-    {
-        eprintln!("error: invalid --faults, --sticky-cores, --stuck-cores or --link-faults");
-        return ExitCode::from(2);
-    }
+    cfg.queue_depth = f.num("queue-depth", cfg.queue_depth)?;
+    cfg.deadline_cycles = f.num("deadline", cfg.deadline_cycles)?;
+    cfg.quarantine_after = f.num("quarantine-after", cfg.quarantine_after)?;
+    cfg.protection = f.parsed("protection", "none")?;
+    let link_faults = f.num("link-faults", 0)?;
     if link_faults > 0 && cfg.fabric.topology == FabricTopology::Crossbar {
-        eprintln!("error: --link-faults needs a mesh fabric (pass --topology mesh<C>x<R>)");
-        return ExitCode::from(2);
+        return Err(CliError::usage(
+            "--link-faults needs a mesh fabric (pass --topology mesh<C>x<R>)",
+        ));
     }
-    cfg.faults = ServeFaultPlan::campaign(transient, sticky);
-    cfg.faults.stuck_cores = stuck;
-    cfg.faults.link_faults = link_faults;
-    if stuck > 0 {
+    cfg.faults = ServeFaultPlan {
+        stuck_cores: f.num("stuck-cores", 0)?,
+        link_faults,
+        ..ServeFaultPlan::campaign(f.num("faults", 0)?, f.num("sticky-cores", 0)?)
+    };
+    let d = RasConfig::default();
+    let rc = RasConfig {
+        spare_rows: f.num("spare-rows", d.spare_rows)?,
+        ..d
+    };
+    if cfg.faults.stuck_cores > 0 {
         // Stuck-at defects are only survivable with the RAS layer on.
-        let mut rc = RasConfig::default();
-        if let Some(v) = get("spare-rows") {
-            let Ok(v) = v.parse() else {
-                eprintln!("error: invalid --spare-rows");
-                return ExitCode::from(2);
-            };
-            rc.spare_rows = v;
-        }
         cfg.ras = Some(rc);
     }
-
-    let report = match run_service(cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", report.summary());
-    if let Some(f) = &report.last_failure {
-        eprintln!("[serve] last attempt failure: {f}");
-    }
-    if report.lost > 0 || report.duplicated > 0 || report.silent_corruptions > 0 {
-        eprintln!(
-            "error[accounting]: lost={} duplicated={} silent_corruptions={}",
-            report.lost, report.duplicated, report.silent_corruptions
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    serve_accounting(&run_service(cfg)?)
 }
 
 /// `virec-cli noc` — the mesh-NoC resilience demo, four legs on one mesh:
@@ -798,37 +756,18 @@ fn cmd_serve(flags: HashMap<String, String>) -> ExitCode {
 /// the flaky link and routes around it), one instrumented single run
 /// reporting the fabric's transport counters, and a faulty serve run whose
 /// link loss shows up in availability while no task is lost.
-fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let wname = get("workload").unwrap_or("gather");
-    let n: u64 = get("n").map_or(Ok(512), str::parse).unwrap_or(0);
-    let threads: usize = get("threads").map_or(Ok(4), str::parse).unwrap_or(0);
-    let faults: usize = get("faults").map_or(Ok(32), str::parse).unwrap_or(0);
-    let seed: u64 = get("seed").map_or(Ok(0xF00D_5EED), str::parse).unwrap_or(0);
-    if n == 0 || threads == 0 || faults == 0 || seed == 0 {
-        eprintln!("error: invalid --n, --threads, --faults or --seed");
-        return ExitCode::from(2);
-    }
-    let Some(workload) = by_name(wname, n, Layout::for_core(0)) else {
-        eprintln!("error: unknown workload {wname:?}; see `virec-cli list`");
-        return ExitCode::from(2);
-    };
-    let mut fabric = match parse_fabric(&flags) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_noc(f: &Flags) -> Result<ExitCode, CliError> {
+    let a = FaultArgs::parse(f, 512, 32)?;
+    let mut fabric = fabric(f)?;
     if fabric.topology == FabricTopology::Crossbar {
         fabric.topology = FabricTopology::Mesh { cols: 2, rows: 2 };
     }
-    let regs = (threads * workload.active_context_size()).max(12);
-    let cfg = CoreConfig::virec(threads, regs);
+    // noc takes neither --engine nor --regs: virec at the default RF size.
+    let cfg = Engine::resolve(f, &["virec"], a.threads, &a.w)?.cfg;
     let sites = [FaultSite::NocLink];
     println!(
-        "noc demo          : virec on {wname} (n={n}), {} fabric, seed {seed:#x}",
-        fabric.topology
+        "noc demo          : virec on {} (n={}), {} fabric, seed {:#x}",
+        a.name, a.n, fabric.topology, a.seed
     );
 
     // Leg 1 — transient wire upsets: the per-hop CRC catches every one and
@@ -837,11 +776,13 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
         fabric,
         ..CampaignOptions::default()
     };
-    let report = run_campaign_with(cfg, &workload, faults, seed, &sites, &transient);
+    let report = run_campaign_with(cfg, &a.w, a.faults, a.seed, &sites, &transient);
     println!("{}", report.summary());
     if !report.all_detected() || !report.all_recovered() {
-        eprintln!("error[noc]: a transient link upset escaped the CRC layer");
-        return ExitCode::FAILURE;
+        return Err(CliError::fail(
+            "noc",
+            "a transient link upset escaped the CRC layer",
+        ));
     }
 
     // Leg 2 — stuck-at links under the full RAS stack: the CE leaky bucket
@@ -854,12 +795,14 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
         fabric,
         ..CampaignOptions::protected()
     };
-    let report = run_campaign_with(cfg, &workload, faults, seed, &sites, &stuck);
+    let report = run_campaign_with(cfg, &a.w, a.faults, a.seed, &sites, &stuck);
     println!("{}", report.summary());
     println!("{}", report.ras_summary());
     if !report.all_detected() || !report.all_recovered() {
-        eprintln!("error[noc]: a stuck-at link fault was not contained");
-        return ExitCode::FAILURE;
+        return Err(CliError::fail(
+            "noc",
+            "a stuck-at link fault was not contained",
+        ));
     }
 
     // Leg 3 — one instrumented run: hammer the first mesh link with a
@@ -868,13 +811,7 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
         fabric,
         ..RunOptions::default()
     };
-    let clean = match try_run_single(cfg, &workload, &clean_opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: clean reference run failed: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
-    };
+    let clean = clean_reference(cfg, &a.w, &clean_opts)?;
     let opts = RunOptions {
         faults: FaultPlan::single(virec::sim::FaultEvent {
             cycle: (clean.cycles / 4).max(1),
@@ -889,13 +826,7 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
         fabric,
         ..RunOptions::default()
     };
-    let r = match try_run_single(cfg, &workload, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
-    };
+    let r = try_run_single(cfg, &a.w, &opts)?;
     println!(
         "noc: hops={} crc_detected={} retransmissions={} links_retired={} links_fenced={}",
         r.fabric.noc_hops,
@@ -908,8 +839,10 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
         println!("  {f}");
     }
     if r.arch_digest != clean.arch_digest {
-        eprintln!("error[silent_fault]: the degraded mesh diverged from the clean digest");
-        return ExitCode::FAILURE;
+        return Err(CliError::fail(
+            "silent_fault",
+            "the degraded mesh diverged from the clean digest",
+        ));
     }
     println!(
         "arch digest       : {:#018x} (matches clean run)",
@@ -919,27 +852,12 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
     // Leg 4 — the streaming service on the same mesh under a link-wear
     // campaign: capacity shrinks with the lost links, accounting stays
     // exact.
-    let mut scfg = ServeConfig::streaming(4, CoreConfig::banked(2), 32, seed);
-    scfg.mix = virec::sim::serve::default_mix(n.min(64));
+    let mut scfg = ServeConfig::streaming(4, CoreConfig::banked(2), 32, a.seed);
+    scfg.mix = virec::sim::serve::default_mix(a.n.min(64));
     scfg.fabric = fabric;
     scfg.faults = ServeFaultPlan::links(9);
     scfg.ras = Some(RasConfig::default());
-    let report = match run_service(scfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error[{}]: {e}", e.kind());
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", report.summary());
-    if report.lost > 0 || report.duplicated > 0 || report.silent_corruptions > 0 {
-        eprintln!(
-            "error[accounting]: lost={} duplicated={} silent_corruptions={}",
-            report.lost, report.duplicated, report.silent_corruptions
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    serve_accounting(&run_service(scfg)?)
 }
 
 /// `virec-cli lint` — the static-analysis gate: every built-in workload
@@ -947,28 +865,22 @@ fn cmd_noc(flags: HashMap<String, String>) -> ExitCode {
 /// clean. `--broken-fixture` lints a deliberately malformed program instead
 /// (the CI negative control: it must exit nonzero with a stable
 /// diagnostic).
-fn cmd_lint(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    if get("broken-fixture").is_some() {
+fn cmd_lint(f: &Flags) -> Result<ExitCode, CliError> {
+    if f.has("broken-fixture") {
         let diags = lint_program(&broken_fixture(), &LintConfig::default());
         for d in &diags {
             println!("broken-fixture: {d}");
         }
-        if diags.is_empty() {
-            eprintln!("error: the broken fixture linted clean — the gate is not catching bugs");
-        }
         // Nonzero either way: with diagnostics (the designed outcome) so
         // CI can assert the gate rejects malformed programs, and without
         // them because a gate that passes its negative control is broken.
-        return ExitCode::FAILURE;
+        return negative_control(
+            diags.is_empty(),
+            "the broken fixture linted clean — the gate is not catching bugs",
+        );
     }
 
-    let n: u64 = get("n").map_or(Ok(256), str::parse).unwrap_or(0);
-    if n == 0 {
-        eprintln!("error: invalid --n");
-        return ExitCode::from(2);
-    }
-    let lints = lint_everything(n);
+    let lints = lint_everything(f.pos("n", 256)?);
     let mut dirty = 0usize;
     for l in &lints {
         if l.is_clean() {
@@ -985,27 +897,37 @@ fn cmd_lint(flags: HashMap<String, String>) -> ExitCode {
         lints.len(),
         dirty
     );
-    if dirty == 0 {
+    status(dirty == 0)
+}
+
+/// Exit 0 when `ok`, 1 otherwise.
+fn status(ok: bool) -> Result<ExitCode, CliError> {
+    Ok(if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_tv(flags: HashMap<String, String>) -> ExitCode {
-    if flags.contains_key("broken-fixture") {
+/// The exit of a gate's negative control: always nonzero, with an error
+/// when the broken input passed.
+fn negative_control(passed: bool, msg: &str) -> Result<ExitCode, CliError> {
+    if passed {
+        return Err(CliError(1, format!("error: {msg}")));
+    }
+    Ok(ExitCode::FAILURE)
+}
+
+fn cmd_tv(f: &Flags) -> Result<ExitCode, CliError> {
+    if f.has("broken-fixture") {
         let r = broken_spill_report();
         for v in &r.violations {
             println!("broken-fixture: {v}");
         }
-        if r.is_valid() {
-            eprintln!(
-                "error: the broken spill fixture validated clean — the gate is not \
-                 catching miscompiles"
-            );
-        }
-        // Nonzero either way, mirroring `lint --broken-fixture`.
-        return ExitCode::FAILURE;
+        return negative_control(
+            r.is_valid(),
+            "the broken spill fixture validated clean — the gate is not catching miscompiles",
+        );
     }
 
     let reports = tv_compiled_budgets();
@@ -1024,79 +946,39 @@ fn cmd_tv(flags: HashMap<String, String>) -> ExitCode {
         }
     }
     println!("tv: {} program(s), {} with violations", reports.len(), bad);
-    if bad == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    status(bad == 0)
 }
 
-fn cmd_tune(flags: HashMap<String, String>) -> ExitCode {
-    let get = |k: &str| flags.get(k).map(|s| s.as_str());
-    let mut cfg = TuneConfig::default();
-    if let Some(s) = get("n") {
-        match s.parse() {
-            Ok(n) if n > 0 => cfg.n = n,
-            _ => {
-                eprintln!("error: invalid --n");
-                return ExitCode::from(2);
+fn cmd_tune(f: &Flags) -> Result<ExitCode, CliError> {
+    let d = TuneConfig::default();
+    let cfg = TuneConfig {
+        n: f.pos("n", d.n)?,
+        nthreads: f.pos("threads", d.nthreads)?,
+        strategy: match f.get("strategy") {
+            None | Some("graph") => AllocStrategy::GraphColor,
+            Some("linear") => AllocStrategy::LinearScan,
+            Some(s) => {
+                return Err(CliError::usage(format!(
+                    "unknown strategy {s:?} (graph|linear)"
+                )))
             }
-        }
-    }
-    if let Some(s) = get("threads") {
-        match s.parse() {
-            Ok(t) if t > 0 => cfg.nthreads = t,
-            _ => {
-                eprintln!("error: invalid --threads");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    match get("strategy") {
-        None | Some("graph") => cfg.strategy = AllocStrategy::GraphColor,
-        Some("linear") => cfg.strategy = AllocStrategy::LinearScan,
-        Some(s) => {
-            eprintln!("error: unknown strategy {s:?} (graph|linear)");
-            return ExitCode::from(2);
-        }
-    }
-    let parse_list = |s: &str| -> Result<Vec<usize>, String> {
-        s.split(',')
-            .map(|p| p.trim().parse::<usize>().map_err(|_| p.to_string()))
-            .collect::<Result<_, _>>()
-            .map_err(|p| format!("invalid list element {p:?}"))
+        },
+        budgets: f.list("budgets", d.budgets)?,
+        capacities: f.list("capacities", d.capacities)?,
     };
-    if let Some(s) = get("budgets") {
-        match parse_list(s) {
-            Ok(b) if !b.is_empty() => cfg.budgets = b,
-            _ => {
-                eprintln!("error: invalid --budgets");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(s) = get("capacities") {
-        match parse_list(s) {
-            Ok(c) if !c.is_empty() => cfg.capacities = c,
-            _ => {
-                eprintln!("error: invalid --capacities");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let envelope: Option<f64> = f.opt("area-budget")?;
     // Surface out-of-range budgets as the allocator's typed diagnostic
     // instead of a panic deep inside the sweep.
     for &b in &cfg.budgets {
-        if let Err(e) = regalloc::pool(b) {
-            eprintln!("error[alloc]: {e}");
-            return ExitCode::from(2);
-        }
+        regalloc::pool(b).map_err(|e| CliError(2, format!("error[alloc]: {e}")))?;
     }
 
     let points = tune_sweep(&cfg);
     if points.is_empty() {
-        eprintln!("error: no sweep point completed (capacities too small?)");
-        return ExitCode::FAILURE;
+        return Err(CliError(
+            1,
+            "error: no sweep point completed (capacities too small?)".into(),
+        ));
     }
     println!(
         "tune: {} point(s) over budgets {:?} x capacities {:?} (strategy={}, n={}, threads={})",
@@ -1128,35 +1010,25 @@ fn cmd_tune(flags: HashMap<String, String>) -> ExitCode {
             p.budget, p.capacity, p.cycles, p.area_mm2, p.spill_loads
         );
     }
-    if let Some(s) = get("area-budget") {
-        let Ok(envelope) = s.parse::<f64>() else {
-            eprintln!("error: invalid --area-budget");
-            return ExitCode::from(2);
-        };
-        match pick_for_area(&points, envelope) {
-            Some(p) => println!(
-                "pick: area envelope {envelope:.4} mm2 -> budget={} capacity={} \
-                 ({} cycles, {:.4} mm2)",
-                p.budget, p.capacity, p.cycles, p.area_mm2
-            ),
-            None => {
-                eprintln!("error: no point fits the {envelope:.4} mm2 envelope");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(envelope) = envelope {
+        let p = pick_for_area(&points, envelope).ok_or_else(|| {
+            CliError(
+                1,
+                format!("error: no point fits the {envelope:.4} mm2 envelope"),
+            )
+        })?;
+        println!(
+            "pick: area envelope {envelope:.4} mm2 -> budget={} capacity={} \
+             ({} cycles, {:.4} mm2)",
+            p.budget, p.capacity, p.cycles, p.area_mm2
+        );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_area(flags: HashMap<String, String>) -> ExitCode {
-    let threads: usize = flags
-        .get("threads")
-        .map_or(Ok(8), |s| s.parse())
-        .unwrap_or(8);
-    let regs: usize = flags
-        .get("regs")
-        .map_or(Ok(64), |s| s.parse())
-        .unwrap_or(64);
+fn cmd_area(f: &Flags) -> Result<ExitCode, CliError> {
+    let threads: usize = f.num("threads", 8)?;
+    let regs: usize = f.num("regs", 64)?;
     let m = AreaModel::default();
     println!("area model (45 nm):");
     println!("  base core          : {:.3} mm²", m.base_core_mm2);
@@ -1202,97 +1074,23 @@ fn cmd_area(flags: HashMap<String, String>) -> ExitCode {
         "  savings vs banked  : {:.1}%  (both designs with ECC + RAS)",
         100.0 * (1.0 - r.virec_core(&m, &e, regs) / r.banked_core(&m, &e, threads))
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
+    let Some(cmd) = args
+        .first()
+        .and_then(|a| COMMANDS.iter().find(|c| c.name == a))
+    else {
+        eprintln!("{}", usage());
+        return ExitCode::from(2);
     };
-    match cmd.as_str() {
-        "list" => {
-            println!("available workloads:");
-            for name in suite_names() {
-                let w = by_name(name, 64, Layout::for_core(0)).expect("suite entry");
-                println!(
-                    "  {name:<15} active context = {:>2} registers, {} static instrs",
-                    w.active_context_size(),
-                    w.program().len()
-                );
-            }
-            ExitCode::SUCCESS
+    match Flags::parse(cmd, &args[1..]).and_then(|f| (cmd.run)(&f)) {
+        Ok(code) => code,
+        Err(CliError(code, line)) => {
+            eprintln!("{line}");
+            ExitCode::from(code)
         }
-        "run" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_run(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "sweep" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_sweep(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "campaign" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_campaign(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "ras" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_ras(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "serve" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_serve(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "noc" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_noc(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "lint" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_lint(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "tv" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_tv(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "tune" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_tune(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        "area" => match parse_flags(&args[1..]) {
-            Ok(flags) => cmd_area(flags),
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage()
-            }
-        },
-        _ => usage(),
     }
 }
