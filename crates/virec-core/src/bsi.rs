@@ -142,23 +142,6 @@ impl Bsi {
                 .any(|o| matches!(o.action, Action::Fill { demand: true, .. }))
     }
 
-    /// Earliest future cycle at which [`Bsi::tick`] could do anything.
-    /// Call after `tick(now)`. Queued fills/spills retry issue every cycle;
-    /// hit completions wake at their recorded cycle; MSHR waits contribute
-    /// nothing — the dcache's `next_event` covers their completion.
-    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
-        if !self.fills.is_empty() || !self.spills.is_empty() {
-            return Some(now + 1);
-        }
-        self.outstanding
-            .iter()
-            .filter_map(|o| match o.wait {
-                Wait::At(t) => Some(t.max(now + 1)),
-                Wait::Mshr(_) => None,
-            })
-            .min()
-    }
-
     fn fill_kind(&self) -> AccessKind {
         if self.pinning {
             AccessKind::RegFill
@@ -176,7 +159,8 @@ impl Bsi {
     }
 
     /// Advances the BSI one cycle: completes returned requests and issues
-    /// new ones (fills before spills).
+    /// new ones (fills before spills). Returns the next cycle the BSI has
+    /// work, as [`crate::engine::ContextEngine::tick`] does.
     pub fn tick(
         &mut self,
         now: u64,
@@ -184,12 +168,17 @@ impl Bsi {
         fabric: &mut Fabric,
         tags: &mut TagStore,
         mem: &FlatMem,
-    ) {
+    ) -> Option<u64> {
         // Complete outstanding requests.
+        let mut hit_at = u64::MAX;
         let mut i = 0;
         while i < self.outstanding.len() {
             let done = match self.outstanding[i].wait {
-                Wait::At(t) => t <= now,
+                Wait::At(t) if t > now => {
+                    hit_at = hit_at.min(t);
+                    false
+                }
+                Wait::At(_) => true,
                 Wait::Mshr(id) => {
                     if dcache.mshr_ready(id, now) {
                         // Guarded by mshr_ready, so a retire failure means the
@@ -223,7 +212,7 @@ impl Bsi {
 
         // Issue new requests. Blocking BSI: one request in flight, total.
         if !self.nonblocking && !self.outstanding.is_empty() {
-            return;
+            return self.wake(now, hit_at);
         }
 
         // Fills have priority over spills (§5.3); within fills, demand
@@ -236,6 +225,7 @@ impl Bsi {
                 AccessResult::Hit { ready_at } => {
                     self.fills.pop_front();
                     self.push_outstanding(f, Wait::At(ready_at));
+                    hit_at = hit_at.min(ready_at);
                 }
                 AccessResult::Miss { mshr } => {
                     self.fills.pop_front();
@@ -244,7 +234,7 @@ impl Bsi {
                 AccessResult::NoMshr | AccessResult::NoPort => break,
             }
             if !self.nonblocking {
-                return;
+                return self.wake(now, hit_at);
             }
         }
 
@@ -256,6 +246,7 @@ impl Bsi {
                         wait: Wait::At(ready_at),
                         action: Action::Bookkeeping,
                     });
+                    hit_at = hit_at.min(ready_at);
                 }
                 AccessResult::Miss { mshr } => {
                     self.spills.pop_front();
@@ -267,8 +258,20 @@ impl Bsi {
                 AccessResult::NoMshr | AccessResult::NoPort => break,
             }
             if !self.nonblocking {
-                return;
+                return self.wake(now, hit_at);
             }
+        }
+        self.wake(now, hit_at)
+    }
+
+    /// `now + 1` while requests wait to issue (MSHR waits count nothing:
+    /// the dcache's `next_event` covers them), else the earliest hit
+    /// completion `hit_at`.
+    fn wake(&self, now: u64, hit_at: u64) -> Option<u64> {
+        if !self.fills.is_empty() || !self.spills.is_empty() {
+            Some(now + 1)
+        } else {
+            (hit_at < u64::MAX).then_some(hit_at)
         }
     }
 

@@ -30,7 +30,7 @@ use crate::engines::{BankedEngine, PrefetchEngine, SoftwareEngine, VirecEngine};
 use crate::regions::RegRegion;
 use crate::stats::CoreStats;
 use crate::thread::{Thread, ThreadStatus};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{TraceEvent, Tracer, TracerSlot};
 use std::collections::VecDeque;
 use virec_isa::{AccessSize, DataMemory, Flags, FlatMem, Instr, Program, Reg};
 use virec_mem::{AccessKind, AccessResult, Cache, Fabric, MshrId, MshrRetireError, PortId};
@@ -131,7 +131,10 @@ enum SysWait {
     Mshr(MshrId),
 }
 
-/// A near-memory processor core.
+/// A near-memory processor core. A clone is a deep copy for architectural
+/// checkpointing; it carries no tracer, so replayed cycles are not traced
+/// twice.
+#[derive(Clone)]
 pub struct Core {
     cfg: CoreConfig,
     program: Program,
@@ -172,13 +175,10 @@ pub struct Core {
     /// Abandoned icache MSHRs (squashed fetches), retired when they return.
     orphan_ifetches: Vec<MshrId>,
 
-    /// Per-quantum register-use recording for the prefetch oracle.
-    recorder: Option<Vec<Vec<u32>>>,
-    quantum_mask: Vec<u32>,
-
-    /// Quantum tracer (static-analysis cross-checks): closed quanta plus
-    /// the in-flight quantum's start PC and use/demand/written masks. Only
-    /// the running thread accumulates, so scalars suffice.
+    /// Quantum tracer (the prefetch oracle and static-analysis
+    /// cross-checks): closed quanta plus the in-flight quantum's start PC
+    /// and use/demand/written masks. Only the running thread accumulates,
+    /// so scalars suffice.
     qtracer: Option<QuantumTrace>,
     q_start_pc: u32,
     q_used: u32,
@@ -194,7 +194,13 @@ pub struct Core {
     /// it and converts the run into a detected failure instead of a panic.
     structural_fault: Option<String>,
 
-    tracer: Option<Tracer>,
+    /// Earliest cycle at which a stage or the engine has work again, which
+    /// each decision point of [`Core::tick`] lowers through
+    /// [`Core::wake_at`]. Mutators called between ticks set it to 0, so the
+    /// next [`Core::next_event`] answers the very next cycle.
+    wake: u64,
+
+    tracer: TracerSlot,
     stats: CoreStats,
 }
 
@@ -203,99 +209,6 @@ pub struct Core {
 fn note_structural(slot: &mut Option<String>, e: MshrRetireError) {
     if slot.is_none() {
         *slot = Some(e.to_string());
-    }
-}
-
-/// Deep copy for architectural checkpointing. The tracer callback is not
-/// cloneable and is dropped from the copy; replayed windows therefore do not
-/// re-emit trace events, which keeps recorded traces free of duplicates.
-impl Clone for Core {
-    fn clone(&self) -> Core {
-        Core {
-            cfg: self.cfg,
-            program: self.program.clone(),
-            region: self.region,
-            code_base: self.code_base,
-            icache: self.icache.clone(),
-            dcache: self.dcache.clone(),
-            engine: self.engine.clone_box(),
-            threads: self.threads.clone(),
-            running: self.running,
-            started: self.started,
-            pending_in: self.pending_in,
-            last_tid: self.last_tid,
-            committed_since_switch: self.committed_since_switch,
-            fetch_pc: self.fetch_pc,
-            fetch_stopped: self.fetch_stopped,
-            fetch_wait_mshr: self.fetch_wait_mshr,
-            fetched: self.fetched,
-            decode: self.decode,
-            exec: self.exec,
-            mem_slot: self.mem_slot,
-            sq: self.sq.clone(),
-            use_sysbuf: self.use_sysbuf,
-            sys_ready: self.sys_ready.clone(),
-            sys_queue: self.sys_queue.clone(),
-            sys_wait: self.sys_wait.clone(),
-            sys_demand_outstanding: self.sys_demand_outstanding,
-            orphan_ifetches: self.orphan_ifetches.clone(),
-            recorder: self.recorder.clone(),
-            quantum_mask: self.quantum_mask.clone(),
-            qtracer: self.qtracer.clone(),
-            q_start_pc: self.q_start_pc,
-            q_used: self.q_used,
-            q_demand: self.q_demand,
-            q_written: self.q_written,
-            last_commit_pc: self.last_commit_pc.clone(),
-            structural_fault: self.structural_fault.clone(),
-            tracer: None,
-            stats: self.stats,
-        }
-    }
-
-    /// Allocation-reusing deep copy: the checkpoint ring overwrites evicted
-    /// snapshots in place, so the `clone_from` of every heap-backed field
-    /// recycles its existing buffer instead of reallocating. The engine has
-    /// no in-place path (it is a boxed trait object) and is re-boxed.
-    fn clone_from(&mut self, src: &Core) {
-        self.cfg = src.cfg;
-        self.program.clone_from(&src.program);
-        self.region = src.region;
-        self.code_base = src.code_base;
-        self.icache.clone_from(&src.icache);
-        self.dcache.clone_from(&src.dcache);
-        self.engine = src.engine.clone_box();
-        self.threads.clone_from(&src.threads);
-        self.running = src.running;
-        self.started = src.started;
-        self.pending_in = src.pending_in;
-        self.last_tid = src.last_tid;
-        self.committed_since_switch = src.committed_since_switch;
-        self.fetch_pc = src.fetch_pc;
-        self.fetch_stopped = src.fetch_stopped;
-        self.fetch_wait_mshr = src.fetch_wait_mshr;
-        self.fetched = src.fetched;
-        self.decode = src.decode;
-        self.exec = src.exec;
-        self.mem_slot = src.mem_slot;
-        self.sq.clone_from(&src.sq);
-        self.use_sysbuf = src.use_sysbuf;
-        self.sys_ready.clone_from(&src.sys_ready);
-        self.sys_queue.clone_from(&src.sys_queue);
-        self.sys_wait.clone_from(&src.sys_wait);
-        self.sys_demand_outstanding = src.sys_demand_outstanding;
-        self.orphan_ifetches.clone_from(&src.orphan_ifetches);
-        self.recorder.clone_from(&src.recorder);
-        self.quantum_mask.clone_from(&src.quantum_mask);
-        self.qtracer.clone_from(&src.qtracer);
-        self.q_start_pc = src.q_start_pc;
-        self.q_used = src.q_used;
-        self.q_demand = src.q_demand;
-        self.q_written = src.q_written;
-        self.last_commit_pc.clone_from(&src.last_commit_pc);
-        self.structural_fault.clone_from(&src.structural_fault);
-        self.tracer = None;
-        self.stats = src.stats;
     }
 }
 
@@ -370,8 +283,6 @@ impl Core {
             sys_wait: Vec::new(),
             sys_demand_outstanding: false,
             orphan_ifetches: Vec::new(),
-            recorder: None,
-            quantum_mask: vec![0; cfg.nthreads],
             qtracer: None,
             q_start_pc: 0,
             q_used: 0,
@@ -379,7 +290,8 @@ impl Core {
             q_written: 0,
             last_commit_pc: vec![None; cfg.nthreads],
             structural_fault: None,
-            tracer: None,
+            wake: 0,
+            tracer: TracerSlot::default(),
             stats: CoreStats::default(),
             cfg,
         }
@@ -388,24 +300,20 @@ impl Core {
     /// Installs an event tracer (see [`crate::trace`]). Pass the callback
     /// from [`crate::trace::VecTracer::tracer`] to record into a vector.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
+        self.tracer = TracerSlot(Some(tracer));
     }
 
     #[inline]
     fn emit(&mut self, now: u64, ev: TraceEvent) {
-        if let Some(t) = &mut self.tracer {
+        if let Some(t) = &mut self.tracer.0 {
             t(now, ev);
         }
     }
 
-    /// Enables per-quantum register-use recording (to build the oracle for
-    /// exact-context prefetching).
-    pub fn enable_quantum_recording(&mut self) {
-        self.recorder = Some(vec![Vec::new(); self.cfg.nthreads]);
-    }
-
     /// Enables per-quantum tracing of use/demand masks and engine live-bit
-    /// samples, for cross-checking against static liveness (virec-verify).
+    /// samples: the source of the exact-prefetch oracle
+    /// ([`OracleSchedule::from_trace`]) and of the cross-checks against
+    /// static liveness (virec-verify).
     pub fn enable_quantum_trace(&mut self) {
         self.qtracer = Some(QuantumTrace::default());
     }
@@ -413,20 +321,6 @@ impl Core {
     /// Takes the recorded quantum trace (call after the run).
     pub fn take_quantum_trace(&mut self) -> QuantumTrace {
         self.qtracer.take().unwrap_or_default()
-    }
-
-    /// Takes the recorded oracle schedule (call after the run).
-    pub fn take_oracle(&mut self) -> OracleSchedule {
-        let mut sets = self.recorder.take().unwrap_or_default();
-        // Close the final quantum of every thread.
-        for (t, mask) in self.quantum_mask.iter().enumerate() {
-            if *mask != 0 {
-                if let Some(v) = sets.get_mut(t) {
-                    v.push(*mask);
-                }
-            }
-        }
-        OracleSchedule { sets }
     }
 
     /// This core's configuration.
@@ -470,6 +364,7 @@ impl Core {
             "can only deactivate a not-yet-run thread"
         );
         self.threads[tid].status = ThreadStatus::Inactive;
+        self.wake = 0;
     }
 
     /// Launches a previously inactive thread at `pc`. The caller must have
@@ -482,6 +377,7 @@ impl Core {
         );
         self.threads[tid].pc = pc;
         self.threads[tid].status = ThreadStatus::Ready;
+        self.wake = 0;
     }
 
     /// Copies cache statistics into the core stats snapshot.
@@ -514,6 +410,7 @@ impl Core {
     /// subsystem's entry point for engine-internal state). Returns a
     /// description of the corrupted site, or `None` if not applicable.
     pub fn inject_fault(&mut self, fault: EngineFault) -> Option<String> {
+        self.wake = 0;
         self.engine.inject_fault(fault)
     }
 
@@ -527,6 +424,7 @@ impl Core {
         fabric: &mut Fabric,
         mem: &mut FlatMem,
     ) -> Option<crate::engine::WayRetire> {
+        self.wake = 0;
         let mut env = Self::env(&mut self.stats, &mut self.dcache, fabric, mem, self.region);
         self.engine.retire_way(nth, use_spare, &mut env)
     }
@@ -540,6 +438,7 @@ impl Core {
         fabric: &mut Fabric,
         mem: &mut FlatMem,
     ) -> bool {
+        self.wake = 0;
         let mut env = Self::env(&mut self.stats, &mut self.dcache, fabric, mem, self.region);
         self.engine.remask_way(idx, use_spare, &mut env)
     }
@@ -621,6 +520,7 @@ impl Core {
     /// per cycle (before or after all cores, consistently).
     pub fn tick(&mut self, now: u64, fabric: &mut Fabric, mem: &mut FlatMem) {
         self.stats.cycles += 1;
+        self.wake = u64::MAX;
 
         self.dcache.tick(now, fabric);
         self.icache.tick(now, fabric);
@@ -641,13 +541,22 @@ impl Core {
 
         // Engine machinery (BSI / transfer queues) after the LSQ had its
         // chance at the dcache ports — the arbiter priority of §5.3.
-        {
+        let engine_wake = {
             let mut env = Self::env(&mut self.stats, &mut self.dcache, fabric, mem, self.region);
-            self.engine.tick(now, &mut env);
+            self.engine.tick(now, &mut env)
+        };
+        if let Some(t) = engine_wake {
+            self.wake_at(t);
         }
         self.tick_sysops(now, fabric);
         self.stage_fetch(now, fabric);
         self.schedule(now, fabric, mem);
+    }
+
+    /// Notes that a stage has work again at cycle `t`.
+    #[inline]
+    fn wake_at(&mut self, t: u64) {
+        self.wake = self.wake.min(t);
     }
 
     /// Earliest future cycle at which [`Core::tick`] could do anything
@@ -655,99 +564,23 @@ impl Core {
     /// reproduces. Call after `tick(now)`. `None` means the core is fully
     /// quiescent until new work arrives (e.g. a thread is activated).
     ///
-    /// The contract mirrors the tick body: every state that retries
-    /// something each cycle answers `now + 1`; every timer-driven state
-    /// answers its recorded cycle; MSHR waits answer nothing because the
-    /// caches' own next events cover fill completion (a filled MSHR keeps
-    /// reporting `now + 1` until its waiter retires it).
+    /// Each stage recorded its own wake during the tick: a retry answers
+    /// `now + 1`, a timer its cycle. MSHR waits record nothing; the caches
+    /// answer for their fills here, because the fabric decides completion
+    /// times after the cores tick (a filled MSHR keeps reporting `now + 1`
+    /// until its waiter retires it).
     pub fn next_event(&self, now: u64, fabric: &Fabric) -> Option<u64> {
-        // Every state that retries something each cycle answers `now + 1`,
-        // and no answer can be earlier, so these cheap O(1) tests settle
-        // the query on productive cycles without the scans below: a memory
-        // op retrying issue until a port/MSHR frees up, a decode acquire
-        // not yet Ready, a queued sysop, a store-queue head issuing, active
-        // fetch (an icache access every cycle), scheduling while a
-        // switch-in is wanted or possible, and a fetched op due for decode.
-        if matches!(
-            self.mem_slot,
-            Some(MemSlot {
-                phase: MemPhase::Start,
-                ..
-            })
-        ) || self.decode.as_ref().is_some_and(|d| !d.ready)
-            || !self.sys_queue.is_empty()
-            || matches!(
-                self.sq.front(),
-                Some(SqEntry {
-                    state: SqState::Issue,
-                    ..
-                })
-            )
-            || (self.running.is_some()
-                && self.fetched.is_none()
-                && !self.fetch_stopped
-                && !self.sys_demand_outstanding
-                && self.fetch_wait_mshr.is_none())
-            || (self.running.is_none()
-                && (self.pending_in.is_some() || self.threads.iter().any(|t| t.runnable())))
-            || (self.decode.is_none() && self.fetched.as_ref().is_some_and(|f| f.avail_at <= now))
-        {
+        if self.wake <= now + 1 {
             return Some(now + 1);
         }
-
-        let mut min: Option<u64> = None;
-        let mut push = |t: u64| {
-            let t = t.max(now + 1);
-            min = Some(min.map_or(t, |m: u64| m.min(t)));
-        };
-
+        let mut wake = self.wake;
         if let Some(t) = self.dcache.next_event(now, fabric) {
-            push(t);
+            wake = wake.min(t);
         }
         if let Some(t) = self.icache.next_event(now, fabric) {
-            push(t);
+            wake = wake.min(t);
         }
-        if let Some(t) = self.engine.next_event(now) {
-            push(t);
-        }
-
-        // The timers. MSHR waits (a memory op or store-queue head in
-        // `WaitMshr`) answer nothing: the dcache's next event covers the
-        // fill. When every thread is blocked, the scheduler's wakeups come
-        // from those cache events too.
-        if let Some(MemSlot {
-            phase: MemPhase::Wait { at } | MemPhase::Done { at },
-            ..
-        }) = &self.mem_slot
-        {
-            push(*at);
-        }
-        if let Some(SqEntry {
-            state: SqState::Wait { at },
-            ..
-        }) = self.sq.front()
-        {
-            push(*at);
-        }
-        if let Some(e) = &self.exec {
-            // A finished execute slot (done_at <= now) is blocked on the mem
-            // slot, whose events cover the unblock — they drain in the same
-            // tick (backend-first stage order).
-            if e.done_at > now {
-                push(e.done_at);
-            }
-        }
-        // A Ready decode slot is blocked on execute/mem, whose events cover
-        // the unblock; without one, a fetched op decodes once available.
-        if let (None, Some(f)) = (&self.decode, &self.fetched) {
-            push(f.avail_at);
-        }
-        for (w, _) in &self.sys_wait {
-            if let SysWait::At(t) = w {
-                push(*t);
-            }
-        }
-        min
+        (wake < u64::MAX).then(|| wake.max(now + 1))
     }
 
     /// Credits a span of skipped (provably no-op) cycles to the statistics
@@ -850,12 +683,17 @@ impl Core {
         if !self.threads[tid as usize].runnable() {
             // Chosen thread got blocked/halted in the meantime; rescan.
             self.pending_in = None;
+            if self.threads.iter().any(Thread::runnable) {
+                self.wake_at(now + 1);
+            }
             return;
         }
         let ready = {
             let mut env = Self::env(&mut self.stats, &mut self.dcache, fabric, mem, self.region);
             self.engine.thread_ready(now, tid, &mut env)
         };
+        // A held thread retries, and a switched-in one fetches, next cycle.
+        self.wake_at(now + 1);
         if !ready {
             return;
         }
@@ -971,12 +809,6 @@ impl Core {
             self.engine.on_thread_halt(tid, &mut env);
         }
 
-        // Close the recording quantum.
-        if let Some(rec) = &mut self.recorder {
-            let mask = std::mem::take(&mut self.quantum_mask[tid as usize]);
-            rec[tid as usize].push(mask);
-        }
-
         if self.use_sysbuf {
             self.sys_ready[tid as usize] = false;
             self.sys_queue.push_back(SysOp {
@@ -1020,6 +852,8 @@ impl Core {
                         self.engine.write(tid, dst, slot.load_val);
                     }
                     slot.phase = MemPhase::Done { at: now };
+                } else {
+                    self.wake_at(at);
                 }
                 self.mem_slot = Some(slot);
             }
@@ -1062,6 +896,7 @@ impl Core {
                         slot.load_val = mem.read(slot.addr, size);
                         slot.phase = MemPhase::Wait { at: ready_at };
                         self.mem_slot = Some(slot);
+                        self.wake_at(ready_at);
                     }
                     AccessResult::Miss { mshr } => {
                         if self.region.contains(slot.addr) {
@@ -1082,6 +917,7 @@ impl Core {
                     }
                     AccessResult::NoMshr | AccessResult::NoPort => {
                         self.mem_slot = Some(slot); // retry next cycle
+                        self.wake_at(now + 1);
                     }
                 }
             }
@@ -1089,12 +925,17 @@ impl Core {
                 if self.sq.len() >= self.cfg.sq_entries {
                     self.stats.stall_sq_full += 1;
                     self.mem_slot = Some(slot);
+                    self.wake_at(now + 1);
                 } else {
                     mem.write(slot.addr, size, slot.store_val);
                     self.sq.push_back(SqEntry {
                         addr: slot.addr,
                         state: SqState::Issue,
                     });
+                    if self.sq.len() == 1 {
+                        // A new head issues from the next cycle on.
+                        self.wake_at(now + 1);
+                    }
                     slot.phase = MemPhase::Done { at: now };
                     self.mem_slot = Some(slot);
                 }
@@ -1166,36 +1007,52 @@ impl Core {
         let Some(head) = self.sq.front_mut() else {
             return;
         };
-        match head.state {
+        let retired = match head.state {
             SqState::Issue => {
                 match self
                     .dcache
                     .access(now, head.addr, AccessKind::DataStore, fabric)
                 {
-                    AccessResult::Hit { ready_at } => head.state = SqState::Wait { at: ready_at },
+                    AccessResult::Hit { ready_at } => {
+                        head.state = SqState::Wait { at: ready_at };
+                        self.wake_at(ready_at);
+                    }
                     AccessResult::Miss { mshr } => head.state = SqState::WaitMshr { mshr },
-                    AccessResult::NoMshr | AccessResult::NoPort => {}
+                    AccessResult::NoMshr | AccessResult::NoPort => self.wake_at(now + 1),
                 }
+                false
             }
-            SqState::Wait { at } => {
-                if at <= now {
-                    self.sq.pop_front();
-                }
+            SqState::Wait { at } if at > now => {
+                self.wake_at(at);
+                false
             }
+            SqState::Wait { .. } => true,
             SqState::WaitMshr { mshr } => {
-                if self.dcache.mshr_ready(mshr, now) {
+                let ready = self.dcache.mshr_ready(mshr, now);
+                if ready {
                     if let Err(e) = self.dcache.mshr_retire(mshr) {
                         note_structural(&mut self.structural_fault, e);
                     }
-                    self.sq.pop_front();
                 }
+                ready
+            }
+        };
+        if retired {
+            self.sq.pop_front();
+            if !self.sq.is_empty() {
+                // The next store issues from the next cycle on.
+                self.wake_at(now + 1);
             }
         }
     }
 
     fn stage_exec(&mut self, now: u64, fabric: &mut Fabric, mem: &mut FlatMem) {
         let Some(slot) = self.exec else { return };
-        if slot.done_at > now || self.mem_slot.is_some() {
+        if slot.done_at > now {
+            self.wake_at(slot.done_at);
+            return;
+        }
+        if self.mem_slot.is_some() {
             return;
         }
         let tid = self.running.expect("exec with no running thread");
@@ -1246,27 +1103,20 @@ impl Core {
             };
             slot.started = true;
             slot.ready = outcome == AcquireOutcome::Ready;
-            if slot.ready {
-                if let Some(_rec) = &self.recorder {
-                    let mut mask = 0u32;
-                    for r in slot.instr.regs().iter() {
-                        mask |= 1 << r.index();
-                    }
-                    self.quantum_mask[tid as usize] |= mask;
+            if !slot.ready {
+                self.wake_at(now + 1);
+            } else if self.qtracer.is_some() {
+                // Acquired instructions are on the true execution path
+                // (branches resolve at decode-exit), so the
+                // read-before-written accumulation below is exactly the
+                // quantum's demand set.
+                for r in slot.instr.regs().iter() {
+                    self.q_used |= 1 << r.index();
                 }
-                if self.qtracer.is_some() {
-                    // Acquired instructions are on the true execution path
-                    // (branches resolve at decode-exit), so the
-                    // read-before-written accumulation below is exactly the
-                    // quantum's demand set.
-                    for r in slot.instr.regs().iter() {
-                        self.q_used |= 1 << r.index();
-                    }
-                    let uses = virec_isa::dataflow::use_mask(&slot.instr);
-                    let defs = virec_isa::dataflow::def_mask(&slot.instr);
-                    self.q_demand |= uses & !self.q_written;
-                    self.q_written |= defs;
-                }
+                let uses = virec_isa::dataflow::use_mask(&slot.instr);
+                let defs = virec_isa::dataflow::def_mask(&slot.instr);
+                self.q_demand |= uses & !self.q_written;
+                self.q_written |= defs;
             }
             self.decode = Some(slot);
         }
@@ -1367,14 +1217,16 @@ impl Core {
             self.fetch_stopped = false;
         }
 
+        let done_at = now + latency as u64;
         self.exec = Some(ExecSlot {
             instr: slot.instr,
             pc: slot.pc,
-            done_at: now + latency as u64,
+            done_at,
             result,
             addr,
             store_val,
         });
+        self.wake_at(done_at);
     }
 
     fn stage_fetch_to_decode(&mut self, now: u64) {
@@ -1383,6 +1235,7 @@ impl Core {
         }
         let Some(f) = self.fetched else { return };
         if f.avail_at > now {
+            self.wake_at(f.avail_at);
             return;
         }
         self.fetched = None;
@@ -1393,6 +1246,8 @@ impl Core {
             started: false,
             ready: false,
         });
+        // Decode acquires its registers from the next cycle on.
+        self.wake_at(now + 1);
     }
 
     fn stage_fetch(&mut self, now: u64, fabric: &mut Fabric) {
@@ -1422,7 +1277,7 @@ impl Core {
             AccessResult::Miss { mshr } => {
                 self.fetch_wait_mshr = Some(mshr);
             }
-            AccessResult::NoMshr | AccessResult::NoPort => {}
+            AccessResult::NoMshr | AccessResult::NoPort => self.wake_at(now + 1),
         }
     }
 
@@ -1450,6 +1305,9 @@ impl Core {
             predicted_next,
             avail_at,
         });
+        if self.decode.is_none() {
+            self.wake_at(avail_at);
+        }
         if !self.fetch_stopped {
             self.fetch_pc = predicted_next;
         }
@@ -1463,7 +1321,11 @@ impl Core {
         let mut i = 0;
         while i < self.sys_wait.len() {
             let done = match self.sys_wait[i].0 {
-                SysWait::At(t) => t <= now,
+                SysWait::At(t) if t > now => {
+                    self.wake_at(t);
+                    false
+                }
+                SysWait::At(_) => true,
                 SysWait::Mshr(m) => {
                     if self.dcache.mshr_ready(m, now) {
                         if let Err(e) = self.dcache.mshr_retire(m) {
@@ -1498,12 +1360,16 @@ impl Core {
                 AccessResult::Hit { ready_at } => {
                     self.sys_queue.pop_front();
                     self.sys_wait.push((SysWait::At(ready_at), op.purpose));
+                    self.wake_at(ready_at);
                 }
                 AccessResult::Miss { mshr } => {
                     self.sys_queue.pop_front();
                     self.sys_wait.push((SysWait::Mshr(mshr), op.purpose));
                 }
                 AccessResult::NoMshr | AccessResult::NoPort => {}
+            }
+            if !self.sys_queue.is_empty() {
+                self.wake_at(now + 1);
             }
         }
     }

@@ -93,6 +93,18 @@ pub struct OracleSchedule {
 }
 
 impl OracleSchedule {
+    /// The schedule a traced run implies: each thread's quantum `used`
+    /// masks, in switch-out order.
+    pub fn from_trace(trace: &QuantumTrace, nthreads: usize) -> OracleSchedule {
+        let mut sets = vec![Vec::new(); nthreads];
+        for q in &trace.quanta {
+            if let Some(v) = sets.get_mut(q.tid as usize) {
+                v.push(q.used);
+            }
+        }
+        OracleSchedule { sets }
+    }
+
     /// Register mask for a thread's `quantum`-th run, if recorded.
     pub fn mask(&self, tid: usize, quantum: usize) -> Option<u32> {
         self.sets.get(tid).and_then(|v| v.get(quantum)).copied()
@@ -112,7 +124,7 @@ pub struct QuantumRecord {
     /// PC the thread will replay from after the switch-out flush.
     pub resume_pc: u32,
     /// Registers of every decode-acquired instruction (no flags bit; the
-    /// same mask the prefetch oracle records).
+    /// mask [`OracleSchedule::from_trace`] records for the prefetch oracle).
     pub used: u32,
     /// Registers (and flags) read before being written within the quantum —
     /// the true demand set, a subset of static `live_in(start_pc)`.
@@ -180,18 +192,12 @@ pub trait ContextEngine {
         let _ = (tid, env);
     }
 
-    /// Advances engine-internal machinery (BSI, transfer queues) one cycle.
-    fn tick(&mut self, now: u64, env: &mut EngineEnv<'_>);
-
-    /// Earliest future cycle at which [`ContextEngine::tick`] could do
-    /// anything beyond fixed per-cycle bookkeeping, assuming no new work
-    /// arrives from the pipeline. Called after `tick(now)` by the
-    /// event-driven runner; `None` means fully quiescent. The default is
-    /// the always-safe dense answer — every cycle is an event — so engines
-    /// that do not implement the query never allow skipping past them.
-    fn next_event(&self, now: u64) -> Option<u64> {
-        Some(now + 1)
-    }
+    /// Advances engine-internal machinery (BSI, transfer queues) one cycle
+    /// and returns the next cycle at which it has work of its own: `now + 1`
+    /// while requests wait to issue, else the earliest hit completion.
+    /// `None` means quiescent until the pipeline hands it more work. MSHR
+    /// waits return nothing: the dcache's `next_event` covers their fills.
+    fn tick(&mut self, now: u64, env: &mut EngineEnv<'_>) -> Option<u64>;
 
     /// CSL mask: a register load or store is outstanding in the BSI (§5.2).
     fn bsi_busy(&self) -> bool {
@@ -274,4 +280,10 @@ pub trait ContextEngine {
     /// architectural checkpointing (the runner snapshots the whole machine
     /// and restores it on a detected-uncorrectable fault).
     fn clone_box(&self) -> Box<dyn ContextEngine>;
+}
+
+impl Clone for Box<dyn ContextEngine> {
+    fn clone(&self) -> Box<dyn ContextEngine> {
+        self.clone_box()
+    }
 }

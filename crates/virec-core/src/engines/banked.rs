@@ -112,20 +112,15 @@ impl ContextEngine for BankedEngine {
         }
     }
 
-    fn tick(&mut self, now: u64, env: &mut EngineEnv<'_>) {
-        self.xfer.tick(now, env.dcache, env.fabric);
+    fn tick(&mut self, now: u64, env: &mut EngineEnv<'_>) -> Option<u64> {
+        let wake = self.xfer.tick(now, env.dcache, env.fabric);
         if let Some(tid) = self.loading_tid {
             if self.xfer.idle() {
                 self.state[tid as usize] = LoadState::Ready;
                 self.loading_tid = None;
             }
         }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // Ready-promotion happens in the same tick that drains the xfer, so
-        // after a tick `loading_tid` is only set while the xfer is busy.
-        self.xfer.next_event(now)
+        wake
     }
 
     fn inject_fault(&mut self, fault: EngineFault) -> Option<String> {

@@ -51,29 +51,25 @@ impl Xfer {
         self.queued.is_empty() && self.outstanding.is_empty()
     }
 
-    /// Earliest future cycle at which [`Xfer::tick`] could do anything.
-    /// Call after `tick(now)`. Queued transfers retry issue every cycle;
-    /// `At` waits complete at their recorded cycle; MSHR waits contribute
-    /// nothing — the dcache's own `next_event` covers their completion.
-    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
-        if !self.queued.is_empty() {
-            return Some(now + 1);
-        }
-        self.outstanding
-            .iter()
-            .filter_map(|w| match *w {
-                XferWait::At(t) => Some(t.max(now + 1)),
-                XferWait::Mshr(_) => None,
-            })
-            .min()
-    }
-
-    /// Issues queued transfers and completes outstanding ones.
-    pub(crate) fn tick(&mut self, now: u64, dcache: &mut Cache, fabric: &mut Fabric) {
+    /// Issues queued transfers and completes outstanding ones. Returns the
+    /// next cycle the queue has work, as [`ContextEngine::tick`] does.
+    ///
+    /// [`ContextEngine::tick`]: crate::engine::ContextEngine::tick
+    pub(crate) fn tick(
+        &mut self,
+        now: u64,
+        dcache: &mut Cache,
+        fabric: &mut Fabric,
+    ) -> Option<u64> {
+        let mut wake = u64::MAX;
         let mut i = 0;
         while i < self.outstanding.len() {
             let done = match self.outstanding[i] {
-                XferWait::At(t) => t <= now,
+                XferWait::At(t) if t > now => {
+                    wake = wake.min(t);
+                    false
+                }
+                XferWait::At(_) => true,
                 XferWait::Mshr(id) => {
                     if dcache.mshr_ready(id, now) {
                         // Guarded by mshr_ready, so a retire failure means the
@@ -103,13 +99,15 @@ impl Xfer {
                 AccessResult::Hit { ready_at } => {
                     self.queued.pop_front();
                     self.outstanding.push(XferWait::At(ready_at));
+                    wake = wake.min(ready_at);
                 }
                 AccessResult::Miss { mshr } => {
                     self.queued.pop_front();
                     self.outstanding.push(XferWait::Mshr(mshr));
                 }
-                AccessResult::NoMshr | AccessResult::NoPort => break,
+                AccessResult::NoMshr | AccessResult::NoPort => return Some(now + 1),
             }
         }
+        (wake < u64::MAX).then_some(wake)
     }
 }

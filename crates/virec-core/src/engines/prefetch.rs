@@ -288,9 +288,11 @@ impl ContextEngine for PrefetchEngine {
         }
     }
 
-    fn tick(&mut self, now: u64, env: &mut EngineEnv<'_>) {
+    fn tick(&mut self, now: u64, env: &mut EngineEnv<'_>) -> Option<u64> {
+        let mut wake = None;
         for i in 0..2 {
-            self.banks[i].xfer.tick(now, env.dcache, env.fabric);
+            let bank_wake = self.banks[i].xfer.tick(now, env.dcache, env.fabric);
+            wake = wake.into_iter().chain(bank_wake).min();
             if self.banks[i].xfer.idle() {
                 match self.banks[i].state {
                     BankState::Filling => self.banks[i].state = BankState::Ready,
@@ -312,32 +314,10 @@ impl ContextEngine for PrefetchEngine {
                 .or_else(|| self.predict_next());
             if let Some(tid) = target {
                 self.start_fill(b, tid, env);
-            }
-        }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // State promotions (Filling→Ready, Saving→Empty) happen in the same
-        // tick that drains a bank's xfer, so after a tick those states imply
-        // a busy xfer — the xfers' next events cover them. An Empty bank
-        // starts a prefetch on any tick where a fill target exists, and the
-        // target expression mirrors the one in `tick`.
-        let mut min: Option<u64> = None;
-        for b in &self.banks {
-            if let Some(t) = b.xfer.next_event(now) {
-                min = Some(min.map_or(t, |m: u64| m.min(t)));
-            }
-        }
-        if self.banks.iter().any(|b| b.state == BankState::Empty) {
-            let target = self
-                .wanted
-                .filter(|&t| self.bank_of(t).is_none() && !self.halted[t as usize])
-                .or_else(|| self.predict_next());
-            if target.is_some() {
                 return Some(now + 1);
             }
         }
-        min
+        wake
     }
 
     fn drain(&mut self, region: RegRegion, mem: &mut FlatMem) {

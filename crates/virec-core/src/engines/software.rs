@@ -110,27 +110,18 @@ impl ContextEngine for SoftwareEngine {
         }
     }
 
-    fn tick(&mut self, now: u64, env: &mut EngineEnv<'_>) {
+    fn tick(&mut self, now: u64, env: &mut EngineEnv<'_>) -> Option<u64> {
         let was_busy = !self.xfer.idle();
         self.xfer.tick(now, env.dcache, env.fabric);
         if was_busy {
             env.stats.stall_ctx_software += 1;
         }
         if self.xfer.idle() {
-            if let Some(t) = self.restoring.take() {
-                // Restore finished; keep it recorded as the resident thread.
-                self.restoring = None;
-                let _ = t;
-            }
-        }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // Every tick while the xfer is busy bumps `stall_ctx_software`, so
-        // no cycle may be skipped until it drains — even MSHR waits.
-        if self.xfer.idle() {
+            self.restoring = None;
             None
         } else {
+            // Every busy cycle bumps `stall_ctx_software`, so none may be
+            // skipped until the xfer drains, MSHR waits included.
             Some(now + 1)
         }
     }

@@ -366,15 +366,9 @@ impl ContextEngine for VirecEngine {
         true
     }
 
-    fn tick(&mut self, now: u64, env: &mut EngineEnv<'_>) {
+    fn tick(&mut self, now: u64, env: &mut EngineEnv<'_>) -> Option<u64> {
         self.bsi
-            .tick(now, env.dcache, env.fabric, &mut self.tags, env.mem);
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // Tick only advances the BSI; pending acquires progress via the
-        // decode stage, which the core's own next-event logic covers.
-        self.bsi.next_event(now)
+            .tick(now, env.dcache, env.fabric, &mut self.tags, env.mem)
     }
 
     fn bsi_busy(&self) -> bool {

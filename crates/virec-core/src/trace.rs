@@ -51,6 +51,17 @@ pub enum TraceEvent {
 /// Receives `(cycle, event)` pairs.
 pub type Tracer = Box<dyn FnMut(u64, TraceEvent)>;
 
+/// The core's tracer slot. A clone is empty: a checkpoint copy replays
+/// cycles the original already reported, so it must not emit them again.
+#[derive(Default)]
+pub(crate) struct TracerSlot(pub(crate) Option<Tracer>);
+
+impl Clone for TracerSlot {
+    fn clone(&self) -> TracerSlot {
+        TracerSlot(None)
+    }
+}
+
 /// A convenience tracer that records events into a vector (for tests and
 /// offline analysis).
 #[derive(Default)]

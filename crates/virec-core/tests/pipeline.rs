@@ -4,7 +4,7 @@
 //! through the ViReC spill/fill machinery, these tests validate the whole
 //! of §5.
 
-use virec_core::{Core, CoreConfig, PolicyKind, RegRegion};
+use virec_core::{Core, CoreConfig, OracleSchedule, PolicyKind, RegRegion};
 use virec_isa::reg::names::*;
 use virec_isa::{Asm, Cond, ExecOutcome, FlatMem, Interpreter, Program, Reg, ThreadCtx};
 use virec_mem::{Fabric, FabricConfig};
@@ -245,7 +245,7 @@ fn prefetch_exact_with_recorded_oracle_matches_golden() {
         CODE_BASE,
         (0, 1),
     );
-    rec_core.enable_quantum_recording();
+    rec_core.enable_quantum_trace();
     let mut fabric = Fabric::new(FabricConfig::default());
     let mut now = 0;
     while !rec_core.done() {
@@ -254,7 +254,7 @@ fn prefetch_exact_with_recorded_oracle_matches_golden() {
         now += 1;
         assert!(now < 20_000_000);
     }
-    let oracle = rec_core.take_oracle();
+    let oracle = OracleSchedule::from_trace(&rec_core.take_quantum_trace(), 4);
     assert!(oracle.sets.iter().any(|s| !s.is_empty()), "oracle recorded");
 
     // Replay with exact prefetching.

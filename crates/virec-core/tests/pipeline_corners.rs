@@ -1,7 +1,8 @@
 //! Corner-case tests for the pipeline: CSL masking, store-queue pressure,
-//! round-robin fairness, sysreg buffering, and quantum recording.
+//! round-robin fairness, sysreg buffering, quantum recording, tracer-free
+//! clones, and the wakes that outside mutators owe the event-driven loop.
 
-use virec_core::{Core, CoreConfig, RegRegion, ThreadStatus};
+use virec_core::{Core, CoreConfig, OracleSchedule, RegRegion, ThreadStatus};
 use virec_isa::reg::names::*;
 use virec_isa::{Asm, Cond, FlatMem, Program, Reg};
 use virec_mem::{Fabric, FabricConfig};
@@ -42,6 +43,13 @@ impl Rig {
         }
         self.core.finalize_stats();
         now
+    }
+
+    /// Ticks one cycle; returns the core's next event after that tick.
+    fn step(&mut self, now: u64) -> Option<u64> {
+        self.fabric.tick(now);
+        self.core.tick(now, &mut self.fabric, &mut self.mem);
+        self.core.next_event(now, &self.fabric)
     }
 }
 
@@ -166,9 +174,9 @@ fn quantum_recording_masks_match_kernel_registers() {
     let cfg = CoreConfig::banked(4);
     let mut rig = Rig::new(cfg, gather_prog(), gather_ctx(n, 4));
     init_gather(&mut rig.mem, n);
-    rig.core.enable_quantum_recording();
+    rig.core.enable_quantum_trace();
     rig.run_to_completion();
-    let oracle = rig.core.take_oracle();
+    let oracle = OracleSchedule::from_trace(&rig.core.take_quantum_trace(), 4);
     assert_eq!(oracle.sets.len(), 4);
     // Kernel registers: x0..x7 minus x2/x3 bases… all of x0-x7 appear.
     let all: u32 = oracle.sets.iter().flatten().fold(0, |acc, m| acc | m);
@@ -333,4 +341,99 @@ fn tracer_captures_schedule_events() {
         wakeups >= outs,
         "every blocked thread must wake ({wakeups} vs {outs})"
     );
+}
+
+#[test]
+fn cloned_core_emits_no_trace_events() {
+    use virec_core::VecTracer;
+    let n = 64;
+    let mut rig = Rig::new(CoreConfig::virec(4, 32), gather_prog(), gather_ctx(n, 4));
+    init_gather(&mut rig.mem, n);
+    let rec = VecTracer::new();
+    rig.core.set_tracer(rec.tracer());
+
+    // The clone runs to completion on copies of the fabric and memory.
+    let mut copy = rig.core.clone();
+    let (mut fabric, mut mem) = (rig.fabric.clone(), rig.mem.clone());
+    let mut now = 0;
+    while !copy.done() {
+        fabric.tick(now);
+        copy.tick(now, &mut fabric, &mut mem);
+        now += 1;
+        assert!(now < 50_000_000, "clone wedged");
+    }
+    assert!(copy.stats().instructions > 0);
+    assert!(rec.events().is_empty(), "a clone must not emit events");
+
+    rig.run_to_completion();
+    let commits = rec
+        .events()
+        .iter()
+        .filter(|(_, e)| matches!(e, virec_core::TraceEvent::Commit { .. }))
+        .count() as u64;
+    assert_eq!(
+        commits,
+        rig.core.stats().instructions,
+        "the original still traces"
+    );
+}
+
+#[test]
+fn activating_a_thread_wakes_a_quiescent_core() {
+    let n = 64;
+    let mut rig = Rig::new(CoreConfig::banked(2), gather_prog(), gather_ctx(n, 2));
+    init_gather(&mut rig.mem, n);
+    rig.core.deactivate_thread(1);
+    // Quiescent: neither the core nor the fabric has a next event.
+    let mut now = 0;
+    while rig.step(now).or(rig.fabric.next_event(now)).is_some() {
+        now += 1;
+        assert!(now < 50_000_000, "core never went quiescent");
+    }
+    assert!(
+        rig.core.done(),
+        "quiescent at {now} but not done:\n{}",
+        rig.core.debug_dump()
+    );
+
+    rig.core.activate_thread(1, 0);
+    assert_eq!(rig.core.next_event(now, &rig.fabric), Some(now + 1));
+    now += 1;
+    while !rig.core.done() {
+        rig.step(now);
+        now += 1;
+        assert!(now < 50_000_000, "activated thread never halted");
+    }
+    assert_eq!(rig.core.thread(1).status, ThreadStatus::Halted);
+}
+
+#[test]
+fn way_retirement_spill_wakes_a_stalled_core() {
+    // 16 physical registers for four 8-register threads: once the tag
+    // store is full, relocating a retired way's occupant evicts (and
+    // spills) another register. A 400-cycle hop gives long stalls.
+    let n = 256;
+    let mut rig = Rig::new(CoreConfig::virec(4, 16), gather_prog(), gather_ctx(n, 4));
+    rig.fabric = Fabric::new(FabricConfig {
+        xbar_latency: 400,
+        ..FabricConfig::default()
+    });
+    init_gather(&mut rig.mem, n);
+    let mut now = 0;
+    loop {
+        let next = rig.step(now);
+        if next.is_some_and(|t| t > now + 1) {
+            // A skippable cycle: retire a way on a copy of the machine.
+            let mut core = rig.core.clone();
+            let (mut fabric, mut mem) = (rig.fabric.clone(), rig.mem.clone());
+            let spills = core.stats().rf_spills;
+            let retired = core.retire_value_way(0, false, &mut fabric, &mut mem);
+            if retired.is_some() && core.stats().rf_spills > spills {
+                assert_eq!(core.next_event(now, &fabric), Some(now + 1));
+                return;
+            }
+        }
+        now += 1;
+        assert!(!rig.core.done(), "no stalled cycle whose retirement spills");
+    }
 }

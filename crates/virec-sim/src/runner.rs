@@ -40,7 +40,8 @@ pub struct RunOptions {
     /// Check final architectural state against the golden interpreter
     /// (cheap insurance; on by default).
     pub verify: bool,
-    /// Record per-quantum register sets (for the prefetch oracle).
+    /// Record per-quantum register sets for the prefetch oracle (read off
+    /// the quantum trace by [`OracleSchedule::from_trace`]).
     pub record_oracle: bool,
     /// Oracle to feed an exact-context prefetching core.
     pub oracle: OracleSchedule,
@@ -192,10 +193,7 @@ fn try_run_single_impl(
         (0, 1),
         opts.oracle.clone(),
     );
-    if opts.record_oracle {
-        core.enable_quantum_recording();
-    }
-    if want_trace {
+    if opts.record_oracle || want_trace {
         core.enable_quantum_trace();
     }
 
@@ -258,19 +256,25 @@ fn try_run_single_impl(
         });
     }
     let core = &mut run.m.slots[0];
+    let trace = core.take_quantum_trace();
+    let oracle = if opts.record_oracle {
+        OracleSchedule::from_trace(&trace, cfg.nthreads)
+    } else {
+        OracleSchedule::default()
+    };
     Ok((
         RunResult {
             cycles: run.m.now,
             stats: *core.stats(),
             arch_digest: arch_digest(core, &run.m.mem, workload, cfg.nthreads),
-            oracle: core.take_oracle(),
+            oracle,
             faults_applied: run.faults_applied,
             ecc: run.ecc,
             checkpoint_clone_ns: run.checkpoint_clone_ns,
             ras: run.ras,
             fabric: *run.m.fabric.stats(),
         },
-        core.take_quantum_trace(),
+        trace,
     ))
 }
 
@@ -377,35 +381,19 @@ impl Single<'_> {
     #[cold]
     fn checkpoint(&mut self) {
         let snap_start = std::time::Instant::now();
-        let (now, core) = (self.m.now, &self.m.slots[0]);
+        // Evict before cloning, so the ring never holds depth + 1 images.
         if self.checkpoints.len() == self.opts.checkpoint_depth.max(1) {
-            // Swap-and-overwrite: recycle the evicted ring slot's heap
-            // buffers (memory image, cache arrays, queues) instead of
-            // reallocating a full deep copy for every snapshot. Only
-            // the boxed engine is necessarily a fresh allocation.
-            let mut slot = self
-                .checkpoints
-                .pop_front()
-                .expect("ring is non-empty at depth");
-            slot.cycle = now;
-            slot.core.clone_from(core);
-            slot.fabric.clone_from(&self.m.fabric);
-            slot.mem.clone_from(&self.m.mem);
-            slot.pending.clone_from(&self.pending);
-            slot.faults_applied.clone_from(&self.faults_applied);
-            slot.ecc = self.ecc;
-            self.checkpoints.push_back(slot);
-        } else {
-            self.checkpoints.push_back(Checkpoint {
-                cycle: now,
-                core: core.clone(),
-                fabric: self.m.fabric.clone(),
-                mem: self.m.mem.clone(),
-                pending: self.pending.clone(),
-                faults_applied: self.faults_applied.clone(),
-                ecc: self.ecc,
-            });
+            self.checkpoints.pop_front();
         }
+        self.checkpoints.push_back(Checkpoint {
+            cycle: self.m.now,
+            core: self.m.slots[0].clone(),
+            fabric: self.m.fabric.clone(),
+            mem: self.m.mem.clone(),
+            pending: self.pending.clone(),
+            faults_applied: self.faults_applied.clone(),
+            ecc: self.ecc,
+        });
         self.checkpoint_clone_ns += snap_start.elapsed().as_nanos() as u64;
         self.ecc.checkpoints_taken += 1;
     }
