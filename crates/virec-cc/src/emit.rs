@@ -401,8 +401,8 @@ mod tests {
                 assert_eq!(got, want, "budget {budget}/{} diverged", strategy.name());
                 // Memory effects must match too (outside the frame).
                 assert_eq!(
-                    &mem.bytes()[..FRAME_BASE as usize],
-                    &ir_mem.bytes()[..FRAME_BASE as usize],
+                    mem.first_difference(&ir_mem, 0, FRAME_BASE as usize),
+                    None,
                     "budget {budget}/{}: memory image diverged",
                     strategy.name()
                 );

@@ -95,8 +95,8 @@ fn check_against_golden(
     }
     // Data segment must match byte-for-byte (stores flowed correctly).
     assert_eq!(
-        &mem.bytes()[DATA_BASE as usize..],
-        &mem_golden.bytes()[DATA_BASE as usize..],
+        mem.first_difference(&mem_golden, DATA_BASE as usize, mem.size()),
+        None,
         "data segment diverged from golden run"
     );
     core

@@ -43,7 +43,7 @@ pub use cond::{Cond, Flags};
 pub use dataflow::{Liveness, ReachingDefs};
 pub use instr::{AccessSize, AluOp, Instr, MemOffset, Operand2, RegList};
 pub use interp::{ExecOutcome, Interpreter, ThreadCtx};
-pub use mem::{DataMemory, FlatMem};
+pub use mem::{Chunk, DataMemory, FlatMem, PAGE_SIZE};
 pub use program::{Asm, Program};
 pub use reduce::{demote_registers, ReducedProgram};
 pub use reg::Reg;

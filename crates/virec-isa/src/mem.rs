@@ -5,6 +5,11 @@
 //! completes; this module models *what* it returns. Keeping the functional
 //! state in one place lets the differential tests compare final memory
 //! images byte-for-byte.
+//!
+//! The store is flat in its API and paged underneath: [`FlatMem`] keeps a
+//! table of lazily allocated 4 KiB pages, so a 16 MiB core span that a
+//! kernel writes a few KiB of costs a few KiB to build, clone, digest and
+//! compare.
 
 use crate::instr::AccessSize;
 
@@ -16,7 +21,18 @@ pub trait DataMemory {
     fn write(&mut self, addr: u64, size: AccessSize, value: u64);
 }
 
+/// Size in bytes of one page of a [`FlatMem`].
+pub const PAGE_SIZE: usize = 4096;
+
 /// A flat, contiguous memory starting at a base address.
+///
+/// The API is flat, but the bytes live in a table of lazily allocated
+/// [`PAGE_SIZE`] pages: a page no write has touched holds no buffer and
+/// reads as zero. Building an image, cloning it (checkpoints), digesting
+/// it ([`FlatMem::chunks`]) and comparing it ([`FlatMem::first_difference`])
+/// therefore cost only the pages a run wrote, not the whole mapping. Pages
+/// are never shared: a clone deep-copies every written page, so a clone
+/// and its source cannot observe each other's writes.
 ///
 /// Accesses outside the mapped range panic — out-of-range addresses in the
 /// simulator indicate a kernel or machinery bug and must not be silently
@@ -24,7 +40,28 @@ pub trait DataMemory {
 #[derive(Clone)]
 pub struct FlatMem {
     base: u64,
-    bytes: Vec<u8>,
+    size: usize,
+    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
+}
+
+/// One page-bounded piece of a range of a [`FlatMem`], as yielded by
+/// [`FlatMem::chunks`].
+#[derive(Clone, Copy, Debug)]
+pub enum Chunk<'a> {
+    /// This many bytes of a page no write has touched, all zero.
+    Zeros(usize),
+    /// The bytes of a written page.
+    Bytes(&'a [u8]),
+}
+
+impl Chunk<'_> {
+    /// Number of bytes the chunk covers.
+    fn len(&self) -> usize {
+        match self {
+            Chunk::Zeros(n) => *n,
+            Chunk::Bytes(b) => b.len(),
+        }
+    }
 }
 
 impl FlatMem {
@@ -32,7 +69,8 @@ impl FlatMem {
     pub fn new(base: u64, size: usize) -> FlatMem {
         FlatMem {
             base,
-            bytes: vec![0; size],
+            size,
+            pages: vec![None; size.div_ceil(PAGE_SIZE)],
         }
     }
 
@@ -43,12 +81,12 @@ impl FlatMem {
 
     /// Size of the mapping in bytes.
     pub fn size(&self) -> usize {
-        self.bytes.len()
+        self.size
     }
 
     /// One-past-the-end address of the mapping.
     pub fn end(&self) -> u64 {
-        self.base + self.bytes.len() as u64
+        self.base + self.size as u64
     }
 
     /// Whether `addr..addr+len` lies within the mapping.
@@ -67,6 +105,39 @@ impl FlatMem {
         (addr - self.base) as usize
     }
 
+    /// Checks that the offsets `lo..hi` from the base lie within the
+    /// mapping, with the same message as an out-of-range access.
+    fn check_span(&self, lo: usize, hi: usize) {
+        assert!(lo <= hi, "memory span reversed: {lo:#x}..{hi:#x}");
+        self.offset(self.base + lo as u64, (hi - lo) as u64);
+    }
+
+    /// The byte at offset `off`.
+    fn byte(&self, off: usize) -> u8 {
+        self.pages[off / PAGE_SIZE]
+            .as_ref()
+            .map_or(0, |page| page[off % PAGE_SIZE])
+    }
+
+    /// Page `page`, allocated (zeroed) on its first write.
+    fn page_mut(&mut self, page: usize) -> &mut [u8; PAGE_SIZE] {
+        self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
+    }
+
+    /// Splits the offsets `lo..hi` at page boundaries into
+    /// `(page, start, end)` pieces, `start..end` within the page.
+    fn pieces(lo: usize, hi: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let mut at = lo;
+        std::iter::from_fn(move || {
+            (at < hi).then(|| {
+                let (page, start) = (at / PAGE_SIZE, at % PAGE_SIZE);
+                let end = PAGE_SIZE.min(start + (hi - at));
+                at += end - start;
+                (page, start, end)
+            })
+        })
+    }
+
     /// Reads a `u64` at `addr`.
     pub fn read_u64(&self, addr: u64) -> u64 {
         self.read(addr, AccessSize::B8)
@@ -77,31 +148,116 @@ impl FlatMem {
         self.write(addr, AccessSize::B8, value);
     }
 
-    /// Borrow of the raw backing bytes (for image comparison in tests).
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The offsets `lo..hi` from the base, split at page boundaries: a
+    /// page no write has touched comes as [`Chunk::Zeros`], a written one
+    /// as its bytes.
+    ///
+    /// # Panics
+    /// Panics if `lo..hi` is not within the mapping.
+    pub fn chunks(&self, lo: usize, hi: usize) -> impl Iterator<Item = Chunk<'_>> {
+        self.check_span(lo, hi);
+        Self::pieces(lo, hi).map(|(page, start, end)| match &self.pages[page] {
+            None => Chunk::Zeros(end - start),
+            Some(bytes) => Chunk::Bytes(&bytes[start..end]),
+        })
+    }
+
+    /// A copy of the bytes at offsets `lo..hi` from the base.
+    ///
+    /// # Panics
+    /// Panics if `lo..hi` is not within the mapping.
+    pub fn bytes(&self, lo: usize, hi: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(hi.saturating_sub(lo));
+        for chunk in self.chunks(lo, hi) {
+            match chunk {
+                Chunk::Zeros(n) => out.resize(out.len() + n, 0),
+                Chunk::Bytes(b) => out.extend_from_slice(b),
+            }
+        }
+        out
+    }
+
+    /// The first offset in `lo..hi` (from the base) at which `self` and
+    /// `other` hold different bytes, or `None` if the ranges are equal.
+    /// Pages neither side wrote are skipped without a scan.
+    ///
+    /// # Panics
+    /// Panics if `lo..hi` is not within both mappings.
+    pub fn first_difference(&self, other: &FlatMem, lo: usize, hi: usize) -> Option<usize> {
+        let mut at = lo;
+        for (a, b) in self.chunks(lo, hi).zip(other.chunks(lo, hi)) {
+            let hit = match (a, b) {
+                (Chunk::Zeros(_), Chunk::Zeros(_)) => None,
+                (Chunk::Bytes(x), Chunk::Zeros(_)) | (Chunk::Zeros(_), Chunk::Bytes(x)) => {
+                    x.iter().position(|&v| v != 0)
+                }
+                (Chunk::Bytes(x), Chunk::Bytes(y)) => x.iter().zip(y).position(|(p, q)| p != q),
+            };
+            if let Some(i) = hit {
+                return Some(at + i);
+            }
+            at += a.len();
+        }
+        None
     }
 
     /// Copies a slice into memory at `addr`.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
         let off = self.offset(addr, data.len() as u64);
-        self.bytes[off..off + data.len()].copy_from_slice(data);
+        let mut src = data;
+        for (page, start, end) in Self::pieces(off, off + data.len()) {
+            let (head, rest) = src.split_at(end - start);
+            self.page_mut(page)[start..end].copy_from_slice(head);
+            src = rest;
+        }
+    }
+
+    /// Zeroes `len` bytes at `addr`: pages the range covers whole are
+    /// released, partly covered ones are zero-filled in place.
+    pub fn zero_range(&mut self, addr: u64, len: u64) {
+        let off = self.offset(addr, len);
+        for (page, start, end) in Self::pieces(off, off + len as usize) {
+            let mapped = PAGE_SIZE.min(self.size - page * PAGE_SIZE);
+            let slot = &mut self.pages[page];
+            if start == 0 && end == mapped {
+                *slot = None;
+            } else if let Some(bytes) = slot {
+                bytes[start..end].fill(0);
+            }
+        }
     }
 }
 
 impl DataMemory for FlatMem {
     fn read(&self, addr: u64, size: AccessSize) -> u64 {
-        let n = size.bytes();
-        let off = self.offset(addr, n);
-        let mut buf = [0u8; 8];
-        buf[..n as usize].copy_from_slice(&self.bytes[off..off + n as usize]);
-        u64::from_le_bytes(buf)
+        let n = size.bytes() as usize;
+        let off = self.offset(addr, n as u64);
+        let start = off % PAGE_SIZE;
+        if start + n > PAGE_SIZE {
+            return (0..n).fold(0, |v, i| v | (self.byte(off + i) as u64) << (8 * i));
+        }
+        match &self.pages[off / PAGE_SIZE] {
+            None => 0,
+            Some(page) => {
+                let mut buf = [0u8; 8];
+                buf[..n].copy_from_slice(&page[start..start + n]);
+                u64::from_le_bytes(buf)
+            }
+        }
     }
 
     fn write(&mut self, addr: u64, size: AccessSize, value: u64) {
-        let n = size.bytes();
-        let off = self.offset(addr, n);
-        self.bytes[off..off + n as usize].copy_from_slice(&value.to_le_bytes()[..n as usize]);
+        let n = size.bytes() as usize;
+        let off = self.offset(addr, n as u64);
+        let start = off % PAGE_SIZE;
+        let bytes = value.to_le_bytes();
+        if start + n > PAGE_SIZE {
+            for (at, &b) in (off..).zip(&bytes[..n]) {
+                self.page_mut(at / PAGE_SIZE)[at % PAGE_SIZE] = b;
+            }
+            return;
+        }
+        self.page_mut(off / PAGE_SIZE)[start..start + n].copy_from_slice(&bytes[..n]);
     }
 }
 
@@ -124,8 +280,7 @@ mod tests {
     fn little_endian_layout() {
         let mut m = FlatMem::new(0, 8);
         m.write(0, AccessSize::B4, 0xAABBCCDD);
-        assert_eq!(m.bytes()[0], 0xDD);
-        assert_eq!(m.bytes()[3], 0xAA);
+        assert_eq!(m.bytes(0, 4), [0xDD, 0xCC, 0xBB, 0xAA]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
 use std::collections::{HashMap, VecDeque};
 use virec_core::engines::ROLLBACK_DEPTH;
 use virec_core::{Core, CoreConfig, CoreStats, EngineKind, OracleSchedule, QuantumTrace};
-use virec_isa::{ExecOutcome, FlatMem, Interpreter, Reg, ThreadCtx};
+use virec_isa::{Chunk, ExecOutcome, FlatMem, Interpreter, Reg, ThreadCtx};
 use virec_mem::{Fabric, FabricConfig, FabricStats, LinkRetireOutcome, RetireOutcome};
 use virec_workloads::{layout, Workload};
 
@@ -278,9 +278,11 @@ fn try_run_single_impl(
     ))
 }
 
-/// One entry of the in-memory checkpoint ring: a full deep copy of the
-/// machine (core, fabric, functional memory) plus the injection bookkeeping
-/// needed to replay deterministically from this cycle.
+/// One entry of the in-memory checkpoint ring: a deep copy of the machine
+/// (core, fabric, functional memory) plus the injection bookkeeping needed
+/// to replay deterministically from this cycle. The memory copy costs only
+/// the pages the run has written, and shares none of them with the live
+/// image.
 struct Checkpoint {
     cycle: u64,
     core: Core,
@@ -1003,6 +1005,8 @@ pub fn run_single(cfg: CoreConfig, workload: &Workload, opts: &RunOptions) -> Ru
 /// directly comparable.
 struct Fnv(u64);
 
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
 impl Fnv {
     fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
@@ -1010,7 +1014,7 @@ impl Fnv {
 
     fn eat(&mut self, byte: u8) {
         self.0 ^= byte as u64;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        self.0 = self.0.wrapping_mul(FNV_PRIME);
     }
 
     fn eat_u64(&mut self, v: u64) {
@@ -1019,14 +1023,29 @@ impl Fnv {
         }
     }
 
+    /// Eats the data segment. A page no write touched is `len` zero
+    /// bytes, and eating a zero byte only multiplies by the prime, so the
+    /// page costs one `PRIME^len` instead of `len` steps — the same value
+    /// as eating it byte by byte.
     fn eat_data_segment(&mut self, mem: &FlatMem, workload: &Workload) {
-        let data_lo = workload.layout.data_base as usize;
-        let data_hi =
-            (workload.layout.data_base + workload.layout.data_size).min(mem.size() as u64) as usize;
-        for &b in &mem.bytes()[data_lo..data_hi] {
-            self.eat(b);
+        let (lo, hi) = data_span(mem, workload);
+        for chunk in mem.chunks(lo, hi) {
+            match chunk {
+                Chunk::Zeros(len) => {
+                    self.0 = self.0.wrapping_mul(FNV_PRIME.wrapping_pow(len as u32))
+                }
+                Chunk::Bytes(bytes) => bytes.iter().for_each(|&b| self.eat(b)),
+            }
         }
     }
+}
+
+/// The workload's data segment as offsets into `mem`, clipped to the
+/// mapping.
+fn data_span(mem: &FlatMem, workload: &Workload) -> (usize, usize) {
+    let lo = workload.layout.data_base as usize;
+    let hi = (workload.layout.data_base + workload.layout.data_size).min(mem.size() as u64);
+    (lo, hi as usize)
 }
 
 /// FNV-1a digest of a finished core's architectural state: every
@@ -1138,21 +1157,12 @@ pub fn try_verify_against_golden(
             }
         }
     }
-    let data_lo = workload.layout.data_base as usize;
-    let data_hi =
-        (workload.layout.data_base + workload.layout.data_size).min(mem.size() as u64) as usize;
-    let got = &mem.bytes()[data_lo..data_hi];
-    let want = &gold_mem.bytes()[data_lo..data_hi];
-    if got != want {
-        let first_mismatch = got
-            .iter()
-            .zip(want)
-            .position(|(a, b)| a != b)
-            .map_or(data_lo, |off| data_lo + off);
+    let (lo, hi) = data_span(mem, workload);
+    if let Some(first_mismatch) = mem.first_difference(&gold_mem, lo, hi) {
         return Err(SimError::GoldenDivergence {
             site: DivergenceSite::DataRange {
-                lo: data_lo,
-                hi: data_hi,
+                lo,
+                hi,
                 first_mismatch,
             },
             diag: diag(),
@@ -1403,5 +1413,32 @@ mod tests {
         let banked = run_single(CoreConfig::banked(4), &w, &RunOptions::default());
         let virec = run_single(CoreConfig::virec(4, 32), &w, &RunOptions::default());
         assert_eq!(banked.arch_digest, virec.arch_digest);
+    }
+
+    #[test]
+    fn data_segment_digest_equals_bytewise_fnv() {
+        // Written, written-then-zeroed, partly zeroed and never-written
+        // pages, over a page-aligned and an unaligned data span: skipping
+        // never-written pages must not change the digest.
+        let mut mem = FlatMem::new(0, layout::mem_size(1));
+        let mut w = kernels::spatter::gather(64, Layout::for_core(0));
+        let base = w.layout.data_base;
+        mem.write_bytes(base + 0x1ff8, &[0xa5; 0x2010]);
+        mem.write_u64(base + 0x9000, 0x0123_4567_89ab_cdef);
+        mem.write_u64(base + 0x9000, 0);
+        mem.zero_range(base + 0x2000, 0x1000);
+        mem.zero_range(base + 0x3004, 8);
+        mem.write_u64(base + w.layout.data_size - 8, u64::MAX);
+        for (lo, size) in [(base, w.layout.data_size), (base + 0x13, 0x5432)] {
+            w.layout.data_base = lo;
+            w.layout.data_size = size;
+            let mut paged = Fnv::new();
+            paged.eat_data_segment(&mem, &w);
+            let mut bytewise = Fnv::new();
+            for b in mem.bytes(lo as usize, (lo + size) as usize) {
+                bytewise.eat(b);
+            }
+            assert_eq!(paged.0, bytewise.0);
+        }
     }
 }

@@ -853,17 +853,11 @@ impl TaskService {
     /// Zeroes the slot's whole address span so a re-offload starts from a
     /// clean image: stale data from a previous (possibly killed or
     /// corrupted) task must never leak into the next task's golden
-    /// comparison.
+    /// comparison. The span is page-aligned, so this drops its pages.
     fn scrub(&mut self, slot: usize) {
-        const CHUNK: usize = 1 << 16;
-        static ZEROS: [u8; CHUNK] = [0; CHUNK];
-        let base = slot as u64 * layout::CORE_SPAN;
-        let mut off = 0u64;
-        while off < layout::CORE_SPAN {
-            let len = CHUNK.min((layout::CORE_SPAN - off) as usize);
-            self.m.mem.write_bytes(base + off, &ZEROS[..len]);
-            off += len as u64;
-        }
+        self.m
+            .mem
+            .zero_range(slot as u64 * layout::CORE_SPAN, layout::CORE_SPAN);
     }
 
     fn dispatch(&mut self, slot: usize, mut task: Task) {

@@ -897,11 +897,10 @@ fn check_concrete(f: &Function, c: &Compiled, case: &TvCase, v: &mut Vec<TvViola
     }
     let frame_lo = TV_FRAME_BASE as usize;
     let frame_hi = frame_lo + 8 * c.frame_slots as usize;
-    let (a, b) = (ir_mem.bytes(), m_mem.bytes());
-    if a[..frame_lo] != b[..frame_lo] || a[frame_hi..] != b[frame_hi..] {
-        let first = (0..a.len())
-            .find(|&i| (i < frame_lo || i >= frame_hi) && a[i] != b[i])
-            .unwrap_or(0);
+    let first = ir_mem
+        .first_difference(&m_mem, 0, frame_lo)
+        .or_else(|| ir_mem.first_difference(&m_mem, frame_hi, ir_mem.size()));
+    if let Some(first) = first {
         v.push(TvViolation {
             kind: TvKind::MemoryDivergence,
             pc: None,

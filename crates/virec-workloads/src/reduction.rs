@@ -102,7 +102,7 @@ mod tests {
         // arrays below the spill area.
         let lo = layout.data_base as usize;
         let hi = (layout.data_base + layout.data_size - 64 * SPILL_STRIDE) as usize;
-        assert_eq!(&mem_a.bytes()[lo..hi], &mem_b.bytes()[lo..hi]);
+        assert_eq!(mem_a.first_difference(&mem_b, lo, hi), None);
     }
 
     #[test]
@@ -142,6 +142,6 @@ mod tests {
         let (mem_b, _) = final_state(&reduced, 2);
         let lo = layout.data_base as usize;
         let hi = (layout.data_base + layout.data_size - 64 * SPILL_STRIDE) as usize;
-        assert_eq!(&mem_a.bytes()[lo..hi], &mem_b.bytes()[lo..hi]);
+        assert_eq!(mem_a.first_difference(&mem_b, lo, hi), None);
     }
 }

@@ -170,8 +170,8 @@ fn run_differential(ops: Vec<Op>, iters: u8, seed: u64, phys_regs: usize, policy
         }
     }
     assert_eq!(
-        &mem.bytes()[DATA_BASE as usize..],
-        &gold_mem.bytes()[DATA_BASE as usize..],
+        mem.first_difference(&gold_mem, DATA_BASE as usize, mem.size()),
+        None,
         "memory image diverged"
     );
 }
