@@ -532,11 +532,19 @@ impl Core {
             *stalls += 1;
         }
 
-        // Backend first so younger stages see freed slots this cycle.
-        self.stage_mem(now, fabric, mem);
+        // Backend first so younger stages see freed slots this cycle. A
+        // switch-out flushes every latch, so a latch holds an instruction
+        // only while its thread runs: the latched stages run with its id.
+        if let Some(tid) = self.running {
+            self.stage_mem(now, tid, fabric, mem);
+        }
         self.drain_sq(now, fabric);
-        self.stage_exec(now, fabric, mem);
-        self.stage_decode(now, fabric, mem);
+        if let Some(tid) = self.running {
+            self.stage_exec(now, tid, fabric, mem);
+        }
+        if let Some(tid) = self.running {
+            self.stage_decode(now, tid, fabric, mem);
+        }
         self.stage_fetch_to_decode(now);
 
         // Engine machinery (BSI / transfer queues) after the LSQ had its
@@ -593,6 +601,25 @@ impl Core {
         if let Some(stalls) = self.stall_class() {
             *stalls += span;
         }
+        if self.store_blocked_on_sq() {
+            self.stats.stall_sq_full += span;
+        }
+    }
+
+    /// Whether the mem stage holds a store that the full store queue
+    /// refuses. Such a store records no wake: it can retry only once the
+    /// queue's head retires, and the head's own timer (or, for a head on
+    /// an MSHR, the dcache's fill) already wakes the core for that cycle,
+    /// where [`Core::drain_sq`] wakes the store for the next.
+    fn store_blocked_on_sq(&self) -> bool {
+        matches!(
+            self.mem_slot,
+            Some(MemSlot {
+                instr: Instr::Str { .. },
+                phase: MemPhase::Start,
+                ..
+            })
+        ) && self.sq.len() >= self.cfg.sq_entries
     }
 
     /// The stall counter the current state charges a cycle to, most severe
@@ -756,26 +783,24 @@ impl Core {
         None
     }
 
-    /// Flushes the pipeline and suspends the running thread.
-    /// `resume_pc` is where the thread will replay from; `blocked_on` is the
-    /// MSHR of the triggering load miss (if any).
+    /// Flushes the pipeline and suspends the running thread `tid` with
+    /// `status`: `Blocked` on the MSHR of the triggering load miss, or
+    /// `Halted`. `resume_pc` is where the thread will replay from.
     fn context_switch_out(
         &mut self,
         now: u64,
+        tid: u8,
         resume_pc: u32,
-        blocked_on: Option<MshrId>,
-        halted: bool,
+        status: ThreadStatus,
         fabric: &mut Fabric,
         mem: &mut FlatMem,
     ) {
-        let tid = self.running.take().expect("switching out with no thread");
+        debug_assert_eq!(self.running, Some(tid));
+        self.running = None;
+        let halted = status == ThreadStatus::Halted;
         let t = &mut self.threads[tid as usize];
         t.pc = resume_pc;
-        t.status = match (halted, blocked_on) {
-            (true, _) => ThreadStatus::Halted,
-            (false, Some(m)) => ThreadStatus::Blocked(m),
-            (false, None) => ThreadStatus::Ready,
-        };
+        t.status = status;
 
         // Flush the pipeline; the engine compacts its rollback queue and
         // clears the C bits of in-flight registers (§5.1).
@@ -826,24 +851,24 @@ impl Core {
             TraceEvent::SwitchOut {
                 tid,
                 resume_pc,
-                blocked: blocked_on.is_some(),
+                blocked: matches!(status, ThreadStatus::Blocked(_)),
             },
         );
     }
 
     // ---- pipeline stages -------------------------------------------------
 
-    fn stage_mem(&mut self, now: u64, fabric: &mut Fabric, mem: &mut FlatMem) {
+    fn stage_mem(&mut self, now: u64, tid: u8, fabric: &mut Fabric, mem: &mut FlatMem) {
         let Some(mut slot) = self.mem_slot.take() else {
             return;
         };
-        let tid = self.running.expect("mem stage with no running thread");
 
         match slot.phase {
             MemPhase::Start => {
-                // The issue attempt failed last cycle (port/MSHR); retry.
+                // The issue attempt failed last cycle (port/MSHR/full
+                // store queue); retry.
                 self.mem_slot = Some(slot);
-                self.mem_issue(now, fabric, mem);
+                self.mem_issue(now, tid, fabric, mem);
                 return;
             }
             MemPhase::Wait { at } => {
@@ -874,13 +899,18 @@ impl Core {
                 self.mem_slot = Some(slot);
             }
         }
-        self.try_commit(now, fabric, mem);
+        self.try_commit(now, tid, fabric, mem);
     }
 
     /// Processes a mem-stage slot in [`MemPhase::Start`]: issues the dcache
     /// access for loads/stores (the CSL switch decision happens here) or
     /// completes non-memory instructions in a single cycle.
-    fn mem_issue(&mut self, now: u64, fabric: &mut Fabric, mem: &mut FlatMem) {
+    fn mem_issue(&mut self, now: u64, tid: u8, fabric: &mut Fabric, mem: &mut FlatMem) {
+        if self.store_blocked_on_sq() {
+            // No wake: `drain_sq` wakes the store when the head retires.
+            self.stats.stall_sq_full += 1;
+            return;
+        }
         let Some(mut slot) = self.mem_slot.take() else {
             return;
         };
@@ -904,12 +934,12 @@ impl Core {
                             // (§5.3) — wait for the fill.
                             slot.phase = MemPhase::WaitMshr { mshr };
                             self.mem_slot = Some(slot);
-                        } else if self.can_switch() {
-                            self.context_switch_out(now, slot.pc, Some(mshr), false, fabric, mem);
+                        } else if self.can_switch(tid) {
+                            let blocked = ThreadStatus::Blocked(mshr);
+                            self.context_switch_out(now, tid, slot.pc, blocked, fabric, mem);
                             return;
                         } else {
                             self.stats.switches_masked += 1;
-                            let tid = self.running.expect("mem stage implies running");
                             self.emit(now, TraceEvent::SwitchMasked { tid });
                             slot.phase = MemPhase::WaitMshr { mshr };
                             self.mem_slot = Some(slot);
@@ -922,33 +952,27 @@ impl Core {
                 }
             }
             Instr::Str { size, .. } => {
-                if self.sq.len() >= self.cfg.sq_entries {
-                    self.stats.stall_sq_full += 1;
-                    self.mem_slot = Some(slot);
+                mem.write(slot.addr, size, slot.store_val);
+                self.sq.push_back(SqEntry {
+                    addr: slot.addr,
+                    state: SqState::Issue,
+                });
+                if self.sq.len() == 1 {
+                    // A new head issues from the next cycle on.
                     self.wake_at(now + 1);
-                } else {
-                    mem.write(slot.addr, size, slot.store_val);
-                    self.sq.push_back(SqEntry {
-                        addr: slot.addr,
-                        state: SqState::Issue,
-                    });
-                    if self.sq.len() == 1 {
-                        // A new head issues from the next cycle on.
-                        self.wake_at(now + 1);
-                    }
-                    slot.phase = MemPhase::Done { at: now };
-                    self.mem_slot = Some(slot);
                 }
+                slot.phase = MemPhase::Done { at: now };
+                self.mem_slot = Some(slot);
             }
             _ => {
                 slot.phase = MemPhase::Done { at: now };
                 self.mem_slot = Some(slot);
             }
         }
-        self.try_commit(now, fabric, mem);
+        self.try_commit(now, tid, fabric, mem);
     }
 
-    fn try_commit(&mut self, now: u64, fabric: &mut Fabric, mem: &mut FlatMem) {
+    fn try_commit(&mut self, now: u64, tid: u8, fabric: &mut Fabric, mem: &mut FlatMem) {
         let Some(slot) = self.mem_slot else { return };
         let MemPhase::Done { at } = slot.phase else {
             return;
@@ -956,7 +980,6 @@ impl Core {
         if at > now {
             return;
         }
-        let tid = self.running.expect("commit with no running thread");
         self.mem_slot = None;
         self.engine.commit_instr(tid, &slot.instr);
         self.stats.instructions += 1;
@@ -971,18 +994,17 @@ impl Core {
             },
         );
         if matches!(slot.instr, Instr::Halt) {
-            self.context_switch_out(now, slot.pc, None, true, fabric, mem);
+            self.context_switch_out(now, tid, slot.pc, ThreadStatus::Halted, fabric, mem);
         }
     }
 
-    /// The CSL masking conditions of §5.2.
-    fn can_switch(&self) -> bool {
+    /// The CSL masking conditions of §5.2 for switching out `tid`.
+    fn can_switch(&self, tid: u8) -> bool {
         // (1) At least one instruction committed since the last switch.
         if !self.committed_since_switch {
             return false;
         }
         // (2) Another runnable thread exists.
-        let tid = self.running.expect("mask check while idle");
         let any_other = self
             .threads
             .iter()
@@ -1038,15 +1060,18 @@ impl Core {
             }
         };
         if retired {
+            // A store the full queue refused retries, and the next head
+            // issues, from the next cycle on. The refusal must be read
+            // before the pop, which is what ends it.
+            let unblocks = self.store_blocked_on_sq();
             self.sq.pop_front();
-            if !self.sq.is_empty() {
-                // The next store issues from the next cycle on.
+            if unblocks || !self.sq.is_empty() {
                 self.wake_at(now + 1);
             }
         }
     }
 
-    fn stage_exec(&mut self, now: u64, fabric: &mut Fabric, mem: &mut FlatMem) {
+    fn stage_exec(&mut self, now: u64, tid: u8, fabric: &mut Fabric, mem: &mut FlatMem) {
         let Some(slot) = self.exec else { return };
         if slot.done_at > now {
             self.wake_at(slot.done_at);
@@ -1055,7 +1080,6 @@ impl Core {
         if self.mem_slot.is_some() {
             return;
         }
-        let tid = self.running.expect("exec with no running thread");
         // Writeback of ALU-class results happens as the instruction leaves
         // execute (full forwarding to the next instruction's execute entry).
         if let Some((dst, val)) = slot.result {
@@ -1072,7 +1096,7 @@ impl Core {
         });
         // Issue immediately (the LSQ access happens in the cycle the
         // instruction enters the mem stage).
-        self.mem_issue(now, fabric, mem);
+        self.mem_issue(now, tid, fabric, mem);
     }
 
     /// Whether `instr` must wait for an in-flight load's destination.
@@ -1091,9 +1115,8 @@ impl Core {
         instr.regs().contains(*dst)
     }
 
-    fn stage_decode(&mut self, now: u64, fabric: &mut Fabric, mem: &mut FlatMem) {
+    fn stage_decode(&mut self, now: u64, tid: u8, fabric: &mut Fabric, mem: &mut FlatMem) {
         let Some(mut slot) = self.decode else { return };
-        let tid = self.running.expect("decode with no running thread");
 
         if !slot.ready {
             let outcome = {

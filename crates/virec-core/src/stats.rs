@@ -32,7 +32,11 @@ pub struct CoreStats {
     pub stall_idle: u64,
     /// Cycles lost to fetch stalls (icache misses, post-switch redirect).
     pub stall_fetch: u64,
-    /// Cycles the store queue was full and blocked the mem stage.
+    /// Cycles a store sat in the mem stage refused by the full store
+    /// queue. The store polls nothing while it waits (the head's
+    /// retirement wakes it), so the event-driven loop credits skipped
+    /// cycles here through `Core::credit_skipped`; the count is the same
+    /// as the dense loop's.
     pub stall_sq_full: u64,
     /// Cycles spent on software save/restore sequences (software engine).
     pub stall_ctx_software: u64,

@@ -51,6 +51,34 @@ impl Rig {
         self.core.tick(now, &mut self.fabric, &mut self.mem);
         self.core.next_event(now, &self.fabric)
     }
+
+    /// Runs to completion as the event-driven loop does: after each tick
+    /// the clock jumps to the earlier of the core's and the fabric's next
+    /// event, and the core is credited with the cycles jumped over. A live
+    /// core with neither has lost a wakeup (the event loop would sleep to
+    /// its budget), so that panics.
+    fn run_skipping(&mut self) -> u64 {
+        let mut now = 0;
+        while !self.core.done() {
+            let next = self
+                .step(now)
+                .into_iter()
+                .chain(self.fabric.next_event(now))
+                .min();
+            now += 1;
+            if self.core.done() {
+                break;
+            }
+            let next = next.unwrap_or_else(|| panic!("lost wakeup after cycle {}", now - 1));
+            if next > now {
+                self.core.credit_skipped(next - now);
+                now = next;
+            }
+            assert!(now < 50_000_000, "run wedged");
+        }
+        self.core.finalize_stats();
+        now
+    }
 }
 
 /// A store-burst kernel: consecutive stores to distinct lines.
@@ -95,6 +123,55 @@ fn bigger_store_queue_relieves_pressure() {
     let (c16, s16) = run_with_sq(16);
     assert!(s16 < s2);
     assert!(c16 <= c2);
+}
+
+#[test]
+fn store_refused_by_full_queue_sleeps_until_head_retires() {
+    // A one-entry queue behind a 400-cycle hop: every store after the
+    // first waits out its predecessor's far miss in the mem stage.
+    let mut cfg = CoreConfig::banked(1);
+    cfg.sq_entries = 1;
+    let rig = || {
+        let mut rig = Rig::new(cfg, store_burst(16), |_| vec![]);
+        rig.fabric = Fabric::new(FabricConfig {
+            xbar_latency: 400,
+            ..FabricConfig::default()
+        });
+        rig
+    };
+
+    // The refused store records no wake: once the front end behind it has
+    // settled, the core sleeps past the next cycle instead of polling the
+    // full queue, while the store is still refused.
+    let mut probe = rig();
+    let mut now = 0;
+    let mut refused = 0;
+    loop {
+        let next = probe.step(now);
+        let stalls = probe.core.stats().stall_sq_full;
+        if stalls > 0 {
+            assert!(
+                stalls > refused,
+                "the first refusal ended at cycle {now} and the core never slept"
+            );
+            if next.is_none_or(|t| t > now + 1) {
+                break;
+            }
+        }
+        refused = stalls;
+        now += 1;
+        assert!(!probe.core.done(), "the store queue never filled");
+    }
+
+    // Skipping the sleeps credits every refused cycle to `stall_sq_full`,
+    // exactly as the dense run counts them.
+    let mut dense = rig();
+    let dense_cycles = dense.run_to_completion();
+    let mut skipping = rig();
+    let skipping_cycles = skipping.run_skipping();
+    assert_eq!(skipping_cycles, dense_cycles);
+    assert_eq!(skipping.core.stats(), dense.core.stats());
+    assert!(dense.core.stats().stall_sq_full > 0);
 }
 
 /// Gather kernel for switch-oriented tests.

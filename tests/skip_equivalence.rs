@@ -68,6 +68,56 @@ fn all_engines_all_workloads_byte_identical() {
     }
 }
 
+/// Store-heavy kernels behind a 400-cycle hop with small store queues: a
+/// store refused by the full queue records no wake of its own and sleeps
+/// until the queue's head retires, so the event loop jumps the whole far
+/// miss. The retirement must wake it on exactly the dense loop's cycle.
+#[test]
+fn store_pressure_far_byte_identical() {
+    use virec::mem::FabricConfig;
+    let far = RunOptions {
+        fabric: FabricConfig {
+            xbar_latency: 400,
+            ..FabricConfig::default()
+        },
+        ..RunOptions::default()
+    };
+    let kernels: [virec::workloads::WorkloadCtor; 5] = [
+        kernels::spatter::scatter,
+        kernels::spatter::gather_scatter,
+        kernels::sparse::histogram,
+        kernels::pointer::update,
+        kernels::stream::stream_triad,
+    ];
+    for ctor in kernels {
+        let w = ctor(N, Layout::for_core(0));
+        for engine in [
+            CoreConfig::virec(4, 16),
+            CoreConfig::banked(4),
+            CoreConfig::software(3),
+        ] {
+            for sq_entries in [1, 2, 5] {
+                let cfg = CoreConfig {
+                    sq_entries,
+                    ..engine
+                };
+                let label = format!("{} / {:?} / sq={sq_entries}", w.name, cfg.engine);
+                let skip = try_run_single(cfg, &w, &far)
+                    .unwrap_or_else(|e| panic!("{label}: event-driven run failed: {e}"));
+                let dense = try_run_single(cfg, &w, &densified(&far))
+                    .unwrap_or_else(|e| panic!("{label}: dense run failed: {e}"));
+                assert_identical(&label, &dense, &skip);
+                if w.name == "scatter" && sq_entries == 1 {
+                    assert!(
+                        skip.stats.stall_sq_full > 0,
+                        "{label}: a one-entry queue must refuse stores"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Flattens an outcome to a comparable string: full field identity for
 /// successes, the (deterministic) display rendering for typed failures.
 fn outcome_key(r: &Result<RunResult, SimError>) -> String {
