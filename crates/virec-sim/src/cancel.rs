@@ -9,9 +9,10 @@
 //! * [`CancelToken`] — a shareable atomic flag. Setting it is async-signal
 //!   safe, so the interrupt handler can flip it directly.
 //! * [`RunGate`] — a per-cell gate combining a token with an optional
-//!   wall-clock deadline. Simulation step loops call [`RunGate::poll`]
-//!   every cycle; the gate only consults the clock every
-//!   [`GATE_POLL_CYCLES`] cycles, so the check is free in the hot loop.
+//!   wall-clock deadline. Simulation step loops call
+//!   [`RunGate::poll_due`] on a schedule that consults the clock once per
+//!   [`GATE_POLL_CYCLES`] simulated cycles, so the check is free in the
+//!   hot loop.
 //! * [`interrupt_tokens`] — installs the process-wide SIGINT/SIGTERM
 //!   handler (once) and returns the `(drain, abort)` token pair: the first
 //!   signal sets *drain* (workers finish their current cell and claim no
@@ -130,21 +131,14 @@ impl RunGate {
         }
     }
 
-    /// Cheap periodic check for step loops: performs [`RunGate::trip`]
-    /// only when `cycle` is a multiple of [`GATE_POLL_CYCLES`].
-    pub fn poll(&self, cycle: u64) -> Option<GateTrip> {
-        if !cycle.is_multiple_of(GATE_POLL_CYCLES) {
-            return None;
-        }
-        self.trip()
-    }
-
-    /// Schedule-based variant of [`RunGate::poll`] for event-driven loops
-    /// that may fast-forward the cycle counter: checks once `cycle` reaches
-    /// `*next` and advances the schedule. Starting from `next = 0` this
-    /// reproduces the dense cadence (0, 8192, …) exactly while guaranteeing
-    /// a skipped span cannot starve cancellation — the first iteration at
-    /// or past a due poll always performs the check.
+    /// Cheap periodic check for step loops that may fast-forward the cycle
+    /// counter: performs [`RunGate::trip`] once `cycle` reaches `*next` and
+    /// advances the schedule [`GATE_POLL_CYCLES`] past it. Starting from
+    /// `next = 0` this checks at 0, 8192, … on a dense loop, while a
+    /// skipped span cannot starve cancellation — the first iteration at
+    /// or past a due poll always performs the check. Inlined: step loops
+    /// call it every iteration, and the common answer is one compare.
+    #[inline]
     pub fn poll_due(&self, cycle: u64, next: &mut u64) -> Option<GateTrip> {
         if cycle < *next {
             return None;
@@ -249,12 +243,17 @@ mod tests {
     }
 
     #[test]
-    fn poll_only_checks_on_the_mask() {
+    fn poll_due_checks_on_its_schedule() {
         let t = CancelToken::new();
         t.cancel();
         let g = RunGate::new(t, 0);
-        assert!(g.poll(1).is_none(), "off-mask cycles are free");
-        assert!(g.poll(GATE_POLL_CYCLES).is_some());
-        assert!(g.poll(0).is_some(), "cycle 0 is checked");
+        let mut next = 0;
+        assert!(g.poll_due(0, &mut next).is_some(), "cycle 0 is checked");
+        assert!(
+            g.poll_due(1, &mut next).is_none(),
+            "off-schedule cycles are free"
+        );
+        assert!(g.poll_due(GATE_POLL_CYCLES + 5, &mut next).is_some());
+        assert_eq!(next, 2 * GATE_POLL_CYCLES + 5, "a late poll reschedules");
     }
 }

@@ -293,19 +293,9 @@ impl FaultPlan {
     /// `count` faults drawn from `sites`, with cycles uniform in
     /// `window.0..window.1`, fully determined by `seed`.
     pub fn seeded(seed: u64, count: usize, window: (u64, u64), sites: &[FaultSite]) -> FaultPlan {
-        assert!(!sites.is_empty(), "fault plan needs at least one site");
-        let mut rng = XorShift::new(seed);
-        let span = window.1.saturating_sub(window.0).max(1);
-        let events = (0..count)
-            .map(|_| FaultEvent {
-                cycle: window.0 + rng.next_u64() % span,
-                site: sites[(rng.next_u64() % sites.len() as u64) as usize],
-                index: rng.next_u64(),
-                bit: (rng.next_u64() % 64) as u8,
-                class: FaultClass::Transient,
-            })
-            .collect();
-        FaultPlan { events }
+        FaultPlan::drawn(seed, count, window, sites, FaultClass::Transient, |_, _| {
+            false
+        })
     }
 
     /// `count` faults of the given temporal `class`, drawn like
@@ -320,37 +310,11 @@ impl FaultPlan {
         sites: &[FaultSite],
         class: FaultClass,
     ) -> FaultPlan {
-        assert!(!sites.is_empty(), "fault plan needs at least one site");
-        let mut rng = XorShift::new(seed);
-        let span = window.1.saturating_sub(window.0).max(1);
-        let mut events = Vec::with_capacity(count);
-        for _ in 0..count {
-            let cycle = window.0 + rng.next_u64() % span;
-            let site = sites[(rng.next_u64() % sites.len() as u64) as usize];
-            let index = rng.next_u64();
-            let bit = (rng.next_u64() % 64) as u8;
-            let double = matches!(class, FaultClass::StuckAt { .. })
+        FaultPlan::drawn(seed, count, window, sites, class, |rng, site| {
+            matches!(class, FaultClass::StuckAt { .. })
                 && FaultSite::SECDED_WORDS.contains(&site)
-                && rng.next_u64().is_multiple_of(3);
-            events.push(FaultEvent {
-                cycle,
-                site,
-                index,
-                bit,
-                class,
-            });
-            if double {
-                let bit2 = ((bit as u64 + 1 + rng.next_u64() % 63) % 64) as u8;
-                events.push(FaultEvent {
-                    cycle,
-                    site,
-                    index,
-                    bit: bit2,
-                    class,
-                });
-            }
-        }
-        FaultPlan { events }
+                && rng.next_u64().is_multiple_of(3)
+        })
     }
 
     /// A double-bit burst: `count` upsets drawn from `sites`, each flipping
@@ -363,32 +327,40 @@ impl FaultPlan {
         window: (u64, u64),
         sites: &[FaultSite],
     ) -> FaultPlan {
+        FaultPlan::drawn(seed, count, window, sites, FaultClass::Transient, |_, _| {
+            true
+        })
+    }
+
+    /// `count` upsets of `class` drawn from `sites` with cycles uniform in
+    /// `window.0..window.1`, fully determined by `seed`. After each upset's
+    /// draws, `burst` decides (and may draw to decide) whether a second,
+    /// distinct bit of the same word flips in the same cycle.
+    fn drawn(
+        seed: u64,
+        count: usize,
+        window: (u64, u64),
+        sites: &[FaultSite],
+        class: FaultClass,
+        burst: impl Fn(&mut XorShift, FaultSite) -> bool,
+    ) -> FaultPlan {
         assert!(!sites.is_empty(), "fault plan needs at least one site");
         let mut rng = XorShift::new(seed);
         let span = window.1.saturating_sub(window.0).max(1);
-        let mut events = Vec::with_capacity(count * 2);
+        let mut events = Vec::with_capacity(count);
         for _ in 0..count {
-            let cycle = window.0 + rng.next_u64() % span;
-            let site = sites[(rng.next_u64() % sites.len() as u64) as usize];
-            let index = rng.next_u64();
-            let bit = (rng.next_u64() % 64) as u8;
-            // Second flip in the same word, guaranteed distinct so the two
-            // cannot XOR-cancel into a no-op.
-            let bit2 = ((bit as u64 + 1 + rng.next_u64() % 63) % 64) as u8;
-            events.push(FaultEvent {
-                cycle,
-                site,
-                index,
-                bit,
-                class: FaultClass::Transient,
-            });
-            events.push(FaultEvent {
-                cycle,
-                site,
-                index,
-                bit: bit2,
-                class: FaultClass::Transient,
-            });
+            let ev = FaultEvent {
+                cycle: window.0 + rng.next_u64() % span,
+                site: sites[(rng.next_u64() % sites.len() as u64) as usize],
+                index: rng.next_u64(),
+                bit: (rng.next_u64() % 64) as u8,
+                class,
+            };
+            events.push(ev);
+            if burst(&mut rng, ev.site) {
+                let bit = second_bit(&mut rng, ev.bit);
+                events.push(FaultEvent { bit, ..ev });
+            }
         }
         FaultPlan { events }
     }
@@ -863,6 +835,12 @@ pub fn run_campaign_with(
         records,
         clean_cycles: clean.cycles,
     }
+}
+
+/// A second flip in the same word as `bit`, guaranteed distinct so the two
+/// cannot XOR-cancel into a no-op.
+pub(crate) fn second_bit(rng: &mut XorShift, bit: u8) -> u8 {
+    ((bit as u64 + 1 + rng.next_u64() % 63) % 64) as u8
 }
 
 /// Maps a generic (site, index, bit) event onto the engine's fault hooks.

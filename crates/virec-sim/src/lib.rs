@@ -45,6 +45,7 @@ mod machine;
 pub mod offload;
 pub mod ras;
 pub mod report;
+mod router;
 pub mod runner;
 pub mod serve;
 pub mod system;

@@ -7,19 +7,20 @@
 //! every active core, checks the structural and NoC hazards, lets the
 //! driver route what the cycle produced (faults, settlement), advances the
 //! clock, applies the forward-progress watchdog and the cycle budget, and
-//! then takes the skip step.
+//! then takes the skip step. The gate, the watchdog and the budget are one
+//! [`RunLimits`], which the serve dispatcher also gives each attempt.
 //!
 //! The skip step is the only place the clock jumps. On a productive cycle
 //! some core's next event is the very next cycle and the step bails before
 //! scanning anything else. Otherwise the clock moves to the minimum of one
 //! wakeup list — every active core's next event, the driver's scheduled
-//! actions, the fabric's next event, the watchdog's firing tick and the
-//! last budgeted cycle — and the skipped span is credited to the cores'
-//! stall counters (and to the driver, through [`Driver::skipped`]) exactly
-//! as the dense loop would have accrued it. With the skip step switched
-//! off the same loop is the dense differential reference.
+//! actions, the fabric's next event and [`RunLimits::wake`] — and the
+//! skipped span is credited to the cores' stall counters (and to the
+//! driver, through [`Driver::skipped`]) exactly as the dense loop would
+//! have accrued it. With the skip step switched off the same loop is the
+//! dense differential reference.
 
-use crate::cancel::RunGate;
+use crate::cancel::{GateTrip, RunGate};
 use crate::error::{RunDiagnostics, SimError};
 use crate::watchdog::Watchdog;
 use virec_core::Core;
@@ -47,39 +48,114 @@ impl CoreSlot for Core {
 }
 
 /// Everything the step loop advances: the core slots, the shared fabric and
-/// functional memory, the clock, the gate-poll schedule, one watchdog over
-/// the summed commits of every core, and the cycle budget.
+/// functional memory, the clock, and the limits of the whole run (one
+/// watchdog over the summed commits of every core).
 pub(crate) struct Machine<S> {
     pub slots: Vec<S>,
     pub fabric: Fabric,
     pub mem: FlatMem,
     pub now: u64,
-    /// Next cycle the wall-clock gate is consulted.
-    pub next_poll: u64,
-    pub watchdog: Watchdog,
-    /// The run fails once the clock reaches this cycle.
-    pub budget: u64,
+    pub limits: RunLimits,
 }
 
 impl<S: CoreSlot> Machine<S> {
-    /// A machine at cycle 0 with a `livelock_cycles` watchdog (0 disables
-    /// it) and a cycle budget.
-    pub fn new(
-        slots: Vec<S>,
-        fabric: Fabric,
-        mem: FlatMem,
-        livelock_cycles: u64,
-        budget: u64,
-    ) -> Machine<S> {
+    /// A machine at cycle 0 held to `limits`.
+    pub fn new(slots: Vec<S>, fabric: Fabric, mem: FlatMem, limits: RunLimits) -> Machine<S> {
         Machine {
             slots,
             fabric,
             mem,
             now: 0,
+            limits,
+        }
+    }
+}
+
+/// Which limit a run crossed.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum LimitTrip {
+    /// No commit for `stalled` cycles.
+    Livelock { stalled: u64 },
+    /// The clock reached the `budget`-th cycle of the run.
+    Budget { budget: u64 },
+}
+
+/// The limits one run — a whole machine, or one serve attempt on it — is
+/// held to, all counted in cycles since `origin`, the cycle it started:
+/// the wall-clock gate, polled on a schedule so a skipped span cannot
+/// starve it; a forward-progress watchdog; and a cycle budget. A driver
+/// polls before a tick, observes after it, and lets no skip jump past
+/// [`RunLimits::wake`].
+#[derive(Clone, Debug)]
+pub(crate) struct RunLimits {
+    origin: u64,
+    gate: RunGate,
+    /// Next local cycle the gate is consulted.
+    next_poll: u64,
+    watchdog: Watchdog,
+    budget: u64,
+}
+
+impl RunLimits {
+    /// Limits for a run starting at cycle `origin`: `gate`, a
+    /// `livelock_cycles` watchdog (0 disables it) and a `budget` of cycles.
+    pub fn new(origin: u64, gate: RunGate, livelock_cycles: u64, budget: u64) -> RunLimits {
+        RunLimits {
+            origin,
+            gate,
             next_poll: 0,
             watchdog: Watchdog::new(livelock_cycles),
             budget,
         }
+    }
+
+    /// The cycle budget.
+    pub fn budget(&self) -> u64 {
+        self.budget
+    }
+
+    /// Replaces the wall-clock gate (a run handed its gate after the
+    /// machine was built).
+    pub fn set_gate(&mut self, gate: RunGate) {
+        self.gate = gate;
+    }
+
+    /// The gate check before the tick of cycle `now`.
+    pub fn poll(&mut self, now: u64) -> Option<GateTrip> {
+        self.gate.poll_due(now - self.origin, &mut self.next_poll)
+    }
+
+    /// The watchdog and the budget after a tick, with the clock advanced to
+    /// `now` and `committed` instructions retired in total.
+    pub fn observe(&mut self, now: u64, committed: u64) -> Result<(), LimitTrip> {
+        let (local, budget) = (now - self.origin, self.budget);
+        self.watchdog
+            .observe(local, committed)
+            .map_err(|stalled| LimitTrip::Livelock { stalled })?;
+        if local >= budget {
+            return Err(LimitTrip::Budget { budget });
+        }
+        Ok(())
+    }
+
+    /// The last cycle a skip may land on. The watchdog cap stops one tick
+    /// short of its firing observation, so that observation reports exactly
+    /// the threshold, and the budget cap lands on the last budgeted cycle,
+    /// as the dense loop does.
+    pub fn wake(&self) -> u64 {
+        let fire = self
+            .watchdog
+            .deadline()
+            .map_or(u64::MAX, |deadline| self.origin + deadline - 1);
+        fire.min(self.origin.saturating_add(self.budget).saturating_sub(1))
+    }
+
+    /// Restarts the watchdog and rewinds the poll schedule to `now`: a
+    /// checkpoint restore moved the clock back, and the replay window must
+    /// stay responsive to cancellation.
+    pub fn rewind(&mut self, now: u64) {
+        self.watchdog.restart();
+        self.next_poll = now - self.origin;
     }
 }
 
@@ -147,11 +223,11 @@ pub(crate) trait Driver {
 
 /// Steps `d` until [`Driver::running`] turns false or a hook stops the run.
 /// `dense` forces the dense loop (see [`dense_requested`]).
-pub(crate) fn run<D: Driver>(d: &mut D, gate: &RunGate, dense: bool) -> Result<(), SimError> {
+pub(crate) fn run<D: Driver>(d: &mut D, dense: bool) -> Result<(), SimError> {
     let skip = !dense_requested(dense);
     while d.running() {
         let m = d.machine();
-        if let Some(trip) = gate.poll_due(m.now, &mut m.next_poll) {
+        if let Some(trip) = m.limits.poll(m.now) {
             return Err(SimError::Deadline {
                 elapsed_ms: trip.elapsed_ms,
                 limit_ms: trip.limit_ms,
@@ -202,17 +278,17 @@ pub(crate) fn run<D: Driver>(d: &mut D, gate: &RunGate, dense: bool) -> Result<(
             .filter_map(CoreSlot::core)
             .map(|c| c.stats().instructions)
             .sum();
-        if let Err(stalled) = m.watchdog.observe(m.now, committed) {
-            return Err(SimError::Livelock {
-                stalled_cycles: stalled,
-                dump: d.dump(),
-                diag: d.diag(),
-            });
-        }
-        if m.now >= m.budget {
-            return Err(SimError::CycleBudgetExceeded {
-                budget: m.budget,
-                diag: d.diag(),
+        if let Err(trip) = m.limits.observe(m.now, committed) {
+            return Err(match trip {
+                LimitTrip::Livelock { stalled } => SimError::Livelock {
+                    stalled_cycles: stalled,
+                    dump: d.dump(),
+                    diag: d.diag(),
+                },
+                LimitTrip::Budget { budget } => SimError::CycleBudgetExceeded {
+                    budget,
+                    diag: d.diag(),
+                },
             });
         }
         if skip {
@@ -225,9 +301,7 @@ pub(crate) fn run<D: Driver>(d: &mut D, gate: &RunGate, dense: bool) -> Result<(
 
 /// The skip step: if nothing on the wakeup list can happen before `wake`,
 /// every tick in `[now, wake)` is a provable no-op, so the clock jumps there
-/// and the span is credited. The watchdog cap stops one tick short of its
-/// deadline so the firing observation reports exactly the threshold, and
-/// the budget cap lands on the last budgeted cycle, as the dense loop does.
+/// and the span is credited.
 fn skip_ahead<D: Driver>(d: &mut D) {
     let m = d.machine();
     let now = m.now;
@@ -258,10 +332,7 @@ fn skip_ahead<D: Driver>(d: &mut D) {
     if let Some(t) = m.fabric.next_event(ticked) {
         wake = wake.min(t);
     }
-    if let Some(deadline) = m.watchdog.deadline() {
-        wake = wake.min(deadline - 1);
-    }
-    wake = wake.min(m.budget - 1);
+    wake = wake.min(m.limits.wake());
     if wake <= now {
         return;
     }

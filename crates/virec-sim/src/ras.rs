@@ -24,9 +24,10 @@
 //!   taken out of service with no replacement — and the machine keeps
 //!   running with less capacity instead of dying.
 //!
-//! The runner owns the per-run [`RasStats`] and the retirement log
-//! ([`RetiredRegion`]); both live *outside* the checkpoint ring, because a
-//! physical repair survives an architectural rollback.
+//! The fault router every driver shares owns the per-run [`RasStats`] and
+//! the retirement log ([`RetiredRegion`]); both live *outside* the
+//! checkpoint ring, because a physical repair survives an architectural
+//! rollback.
 
 use std::collections::HashMap;
 
@@ -93,10 +94,10 @@ impl RasStats {
     }
 }
 
-/// One physical repair, recorded so the runner can re-apply it after a
+/// One physical repair, recorded so it can be re-applied after a
 /// checkpoint restore (the rollback rewinds architectural state, not the
 /// remap table or the way mask — but restores clone the *machine*, so the
-/// runner replays the log onto the restored clone).
+/// fault router replays the log onto the restored clone).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RetiredRegion {
     /// A VRMU tag-store way was masked (`spared`: a spare way was

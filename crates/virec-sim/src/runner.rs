@@ -9,19 +9,20 @@
 //! binaries use.
 
 use crate::cancel::RunGate;
-use crate::ecc::{protect_word, EccStats, ProtectionConfig, ProtectionLevel, WordVerdict};
+use crate::ecc::{EccStats, ProtectionConfig};
 use crate::error::{DivergenceSite, RunDiagnostics, SimError};
-use crate::fault::{engine_fault_of, FaultEvent, FaultPlan, FaultSite};
-use crate::machine::{self, Driver, Machine, Step};
+use crate::fault::FaultPlan;
+use crate::machine::{self, Driver, Machine, RunLimits, Step};
 use crate::offload::offload;
-use crate::ras::{CeRegion, CeTracker, RasConfig, RasStats, RetiredRegion, Scrubber};
-use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
-use std::collections::{HashMap, VecDeque};
+use crate::ras::{RasConfig, RasStats, Scrubber};
+use crate::router::{Detected, FaultRouter, Rewindable, Scope};
+use crate::watchdog::DEFAULT_LIVELOCK_CYCLES;
+use std::collections::VecDeque;
 use virec_core::engines::ROLLBACK_DEPTH;
 use virec_core::{Core, CoreConfig, CoreStats, EngineKind, OracleSchedule, QuantumTrace};
 use virec_isa::{Chunk, ExecOutcome, FlatMem, Interpreter, Reg, ThreadCtx};
-use virec_mem::{Fabric, FabricConfig, FabricStats, LinkRetireOutcome, RetireOutcome};
-use virec_workloads::{layout, Workload};
+use virec_mem::{Fabric, FabricConfig, FabricStats};
+use virec_workloads::{layout, Layout, Workload};
 
 /// Default architectural-checkpoint spacing: the rollback depth (the
 /// backend's in-flight window, §5.1) times a nominal 256-cycle scheduling
@@ -201,39 +202,33 @@ fn try_run_single_impl(
     if let Some(rc) = &opts.ras {
         fabric.provision_spare_rows(rc.spare_rows);
     }
+    let scrubber = opts.ras.and_then(|rc| {
+        (rc.scrub_interval > 0).then(|| {
+            Scrubber::new(vec![
+                (region.base, region.size()),
+                (workload.layout.data_base, workload.layout.data_size),
+            ])
+        })
+    });
     let mut run = Single {
         m: Machine::new(
             vec![core],
             fabric,
             mem,
-            opts.livelock_cycles,
-            cfg.max_cycles,
+            RunLimits::new(0, opts.gate.clone(), opts.livelock_cycles, cfg.max_cycles),
         ),
         opts,
         workload,
-        pending: opts.faults.events.clone(),
-        faults_applied: Vec::new(),
-        ecc: EccStats::default(),
+        router: FaultRouter::new(
+            opts.faults.events.clone(),
+            opts.protection,
+            opts.ras,
+            scrubber,
+        ),
         checkpoints: VecDeque::new(),
         checkpoint_clone_ns: 0,
-        ras: RasStats::default(),
-        tracker: CeTracker::new(
-            opts.ras.map_or(1, |rc| rc.ce_threshold),
-            opts.ras.map_or(0, |rc| rc.ce_leak_interval),
-        ),
-        scrubber: opts.ras.and_then(|rc| {
-            (rc.scrub_interval > 0).then(|| {
-                Scrubber::new(vec![
-                    (region.base, region.size()),
-                    (workload.layout.data_base, workload.layout.data_size),
-                ])
-            })
-        }),
-        retired_log: Vec::new(),
-        retired_families: Vec::new(),
-        due_restores: HashMap::new(),
     };
-    let outcome = machine::run(&mut run, &opts.gate, opts.dense_loop).and_then(|()| {
+    let outcome = machine::run(&mut run, opts.dense_loop).and_then(|()| {
         let m = &mut run.m;
         let core = &mut m.slots[0];
         core.finalize_stats();
@@ -243,14 +238,15 @@ fn try_run_single_impl(
         }
         Ok(())
     });
+    let faults = run.router.rewindable;
     if let Err(e) = outcome {
         // Any failure after a fault landed is attributed to the faults.
-        return Err(if run.faults_applied.is_empty() {
+        return Err(if faults.narrative.is_empty() {
             e
         } else {
             SimError::FaultDetected {
                 diag: Box::new(e.diagnostics().clone()),
-                faults: run.faults_applied,
+                faults: faults.narrative,
                 cause: Box::new(e),
             }
         });
@@ -268,53 +264,50 @@ fn try_run_single_impl(
             stats: *core.stats(),
             arch_digest: arch_digest(core, &run.m.mem, workload, cfg.nthreads),
             oracle,
-            faults_applied: run.faults_applied,
-            ecc: run.ecc,
+            faults_applied: faults.narrative,
+            ecc: faults.ecc,
             checkpoint_clone_ns: run.checkpoint_clone_ns,
-            ras: run.ras,
+            ras: run.router.ras_stats,
             fabric: *run.m.fabric.stats(),
         },
         trace,
     ))
 }
 
+/// The [`Scope`] the router acts on in a single-core run: its one core.
+fn scope<'a>(m: &'a mut Machine<Core>, layout: &'a Layout) -> Scope<'a> {
+    Scope {
+        core: &mut m.slots[0],
+        fabric: &mut m.fabric,
+        mem: &mut m.mem,
+        layout,
+    }
+}
+
 /// One entry of the in-memory checkpoint ring: a deep copy of the machine
-/// (core, fabric, functional memory) plus the injection bookkeeping needed
-/// to replay deterministically from this cycle. The memory copy costs only
-/// the pages the run has written, and shares none of them with the live
-/// image.
+/// (core, fabric, functional memory) plus the router's rewindable state,
+/// which is what replaying deterministically from this cycle needs. The
+/// memory copy costs only the pages the run has written, and shares none
+/// of them with the live image.
 struct Checkpoint {
     cycle: u64,
     core: Core,
     fabric: Fabric,
     mem: FlatMem,
-    pending: Vec<FaultEvent>,
-    faults_applied: Vec<String>,
-    ecc: EccStats,
+    faults: Rewindable,
 }
 
 /// The single-core runner as a [`Driver`] of the shared step loop: the
-/// checkpoint ring, the patrol scrubber and fault/ECC/RAS routing hook in
-/// around the ticks, and their schedules join the skip step's wakeups.
+/// checkpoint ring and the [`FaultRouter`] (fault, ECC and RAS routing,
+/// patrol scrubs) hook in around the ticks, and their schedules join the
+/// skip step's wakeups.
 struct Single<'a> {
     m: Machine<Core>,
     opts: &'a RunOptions,
     workload: &'a Workload,
-    pending: Vec<FaultEvent>,
-    faults_applied: Vec<String>,
-    ecc: EccStats,
+    router: FaultRouter,
     checkpoints: VecDeque<Checkpoint>,
     checkpoint_clone_ns: u64,
-    // RAS state lives *outside* the checkpoint ring: a physical repair
-    // (a masked way, a remapped row) survives an architectural rollback.
-    // Restores clone the machine from the ring, so the retirement log is
-    // replayed onto every restored clone.
-    ras: RasStats,
-    tracker: CeTracker,
-    scrubber: Option<Scrubber>,
-    retired_log: Vec<RetiredRegion>,
-    retired_families: Vec<(FaultSite, u64)>,
-    due_restores: HashMap<(FaultSite, u64), u32>,
 }
 
 impl Driver for Single<'_> {
@@ -342,36 +335,37 @@ impl Driver for Single<'_> {
         if interval > 0 && now.is_multiple_of(interval) {
             self.checkpoint();
         }
-        if let (Some(rc), Some(_)) = (&self.opts.ras, &self.scrubber) {
-            if now.is_multiple_of(rc.scrub_interval) {
-                self.scrub();
-            }
+        if self
+            .router
+            .scrub_interval()
+            .is_some_and(|i| now.is_multiple_of(i))
+        {
+            let layout = &self.workload.layout;
+            self.router.scrub(now, &mut scope(&mut self.m, layout));
         }
         Ok(Step::Tick)
     }
 
+    /// Routes the faults due this cycle; `Ok(true)` when a
+    /// detected-uncorrectable group rewound the machine to a checkpoint.
     fn end_tick(&mut self) -> Result<bool, SimError> {
-        if self.pending.is_empty() {
+        if self.router.rewindable.pending.is_empty() {
             return Ok(false);
         }
-        self.inject()
+        let (now, layout) = (self.m.now, &self.workload.layout);
+        match self.router.inject(now, &mut scope(&mut self.m, layout)) {
+            Some(detected) => self.recover(detected).map(|()| true),
+            None => Ok(false),
+        }
     }
 
     /// Pending faults, the checkpoint grid and the scrub grid: the clock
     /// must land on each of them exactly as the dense loop does.
     fn wakeup(&self) -> u64 {
         let now = self.m.now;
-        let mut wake = self
-            .pending
-            .iter()
-            .map(|ev| ev.cycle)
-            .min()
-            .unwrap_or(u64::MAX);
+        let mut wake = self.router.wakeup(now);
         if self.opts.checkpoint_interval > 0 {
             wake = wake.min(now.next_multiple_of(self.opts.checkpoint_interval));
-        }
-        if let (Some(rc), Some(_)) = (&self.opts.ras, &self.scrubber) {
-            wake = wake.min(now.next_multiple_of(rc.scrub_interval));
         }
         wake
     }
@@ -379,7 +373,8 @@ impl Driver for Single<'_> {
 
 impl Single<'_> {
     /// Snapshots the machine into the checkpoint ring. Cold, like
-    /// [`Single::scrub`], so the per-step hook that calls it stays small.
+    /// [`FaultRouter::scrub`], so the per-step hook that calls it stays
+    /// small.
     #[cold]
     fn checkpoint(&mut self) {
         let snap_start = std::time::Instant::now();
@@ -392,589 +387,49 @@ impl Single<'_> {
             core: self.m.slots[0].clone(),
             fabric: self.m.fabric.clone(),
             mem: self.m.mem.clone(),
-            pending: self.pending.clone(),
-            faults_applied: self.faults_applied.clone(),
-            ecc: self.ecc,
+            faults: self.router.rewindable.clone(),
         });
         self.checkpoint_clone_ns += snap_start.elapsed().as_nanos() as u64;
-        self.ecc.checkpoints_taken += 1;
-    }
-
-    /// Patrol read: a real fabric request that occupies the target bank
-    /// like demand traffic — scrubbing is not free bandwidth. A persistent
-    /// defect whose cells sit in the line just scrubbed registers a
-    /// correctable error with the CE tracker before demand traffic trips
-    /// over it.
-    #[cold]
-    fn scrub(&mut self) {
-        let Some(addr) = self.scrubber.as_mut().and_then(Scrubber::next_line) else {
-            return;
-        };
-        self.m.fabric.submit_scrub(self.m.now, addr);
-        self.ras.scrub_reads += 1;
-        let line = addr & !(virec_mem::LINE_BYTES - 1);
-        let mut hits: Vec<(FaultEvent, u64)> = Vec::new();
-        for ev in &self.pending {
-            if ev.class.is_persistent()
-                && matches!(ev.site, FaultSite::BackingReg | FaultSite::DramLine)
-            {
-                if let Some((waddr, _)) = self.word_target(ev) {
-                    if waddr & !(virec_mem::LINE_BYTES - 1) == line {
-                        hits.push((*ev, waddr));
-                    }
-                }
-            }
-        }
-        let mut seen: Vec<(FaultSite, u64)> = Vec::new();
-        for (ev, waddr) in hits {
-            let fam = ev.family();
-            if seen.contains(&fam) || self.retired_families.contains(&fam) {
-                continue;
-            }
-            seen.push(fam);
-            if self.charge(CeRegion::Row(self.m.fabric.row_key(waddr))) {
-                self.retire_family(&ev, Some(waddr));
-                self.pending.retain(|e| e.family() != fam);
-            }
-        }
-    }
-
-    /// Feeds one correctable error to the CE tracker; `true` when the
-    /// region crossed the threshold and is retired predictively.
-    fn charge(&mut self, region: CeRegion) -> bool {
-        self.ras.ce_observations += 1;
-        let retire = self.tracker.charge(region, self.m.now);
-        if retire {
-            self.ras.predictive_retirements += 1;
-        }
-        retire
-    }
-
-    /// Applies the fault events due this cycle; `Ok(true)` when a
-    /// detected-uncorrectable group rewound the machine to a checkpoint.
-    fn inject(&mut self) -> Result<bool, SimError> {
-        let now = self.m.now;
-        // Collect every event due this cycle, then group the ones that
-        // hit the same word of the same site — that is a multi-bit
-        // upset, and the protection model must see it whole (a
-        // double-bit flip is one DUE, not two correctable singles).
-        let mut due: Vec<FaultEvent> = Vec::new();
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].cycle <= now {
-                let ev = self.pending.swap_remove(i);
-                if self.retired_families.contains(&ev.family()) {
-                    // The region is out of service — its cells are no
-                    // longer wired to anything. The assertion is
-                    // dropped and the family is not re-armed.
-                    self.ras.suppressed_assertions += 1;
-                    continue;
-                }
-                // Persistent classes re-assert: schedule the next
-                // firing up front so the skip step's wakeups cover it
-                // like any scheduled event.
-                if let Some((period, next)) = ev.class.rearm() {
-                    self.pending.push(FaultEvent {
-                        cycle: now + period,
-                        class: next,
-                        ..ev
-                    });
-                }
-                due.push(ev);
-            } else {
-                i += 1;
-            }
-        }
-        let mut groups: Vec<Vec<FaultEvent>> = Vec::new();
-        for ev in due {
-            match groups
-                .iter_mut()
-                .find(|g| g[0].site == ev.site && g[0].index == ev.index)
-            {
-                Some(g) => g.push(ev),
-                None => groups.push(vec![ev]),
-            }
-        }
-        let mut suppress: Vec<FaultEvent> = Vec::new();
-        let mut detected_desc = String::new();
-        for group in &groups {
-            if group[0].site == FaultSite::NocLink {
-                for ev in group {
-                    self.link_upset(ev);
-                }
-                continue;
-            }
-            let corrected_before = self.ecc.corrected;
-            if let Some(desc) = self.protect(group) {
-                suppress.extend_from_slice(group);
-                detected_desc = desc;
-            }
-            // Predictive sparing: every *corrected* assertion of a
-            // persistent defect charges the region's leaky bucket; at
-            // the threshold the region is retired before a second cell
-            // failure can turn correctable into uncorrectable.
-            let ev = group[0];
-            let fam = ev.family();
-            if self.opts.ras.is_some()
-                && self.ecc.corrected > corrected_before
-                && ev.class.is_persistent()
-                && !self.retired_families.contains(&fam)
-            {
-                let waddr = self.word_target(&ev).map(|(a, _)| a);
-                let region = match waddr {
-                    Some(a) => CeRegion::Row(self.m.fabric.row_key(a)),
-                    None => CeRegion::Site(ev.index),
-                };
-                if self.charge(region) {
-                    self.retire_family(&ev, waddr);
-                    self.pending.retain(|e| e.family() != fam);
-                }
-            }
-        }
-        if suppress.is_empty() {
-            return Ok(false);
-        }
-        self.recover(&suppress, detected_desc)?;
-        Ok(true)
-    }
-
-    /// Link upsets never reach the word-protection model: the per-hop CRC
-    /// detects the corrupted flit in transit and the nack/retransmit
-    /// protocol delivers a clean copy, so the upset is corrected at the
-    /// link layer. Persistent defects charge the link's CE leaky bucket
-    /// toward predictive retirement (route-around) or, when no route would
-    /// survive, degraded fencing.
-    fn link_upset(&mut self, ev: &FaultEvent) {
-        let now = self.m.now;
-        let Some(link) = self.m.fabric.inject_link_fault(ev.index) else {
-            // Crossbar topology, or the link is already out of service:
-            // nothing left to corrupt.
-            return;
-        };
-        self.ecc.corrected += 1;
-        self.faults_applied.push(format!(
-            "cycle {now}: noc link {link} upset (crc caught, retransmitted)"
-        ));
-        let fam = ev.family();
-        if self.opts.ras.is_none()
-            || !ev.class.is_persistent()
-            || self.retired_families.contains(&fam)
-            || !self.charge(CeRegion::Link(link))
-        {
-            return;
-        }
-        match self
-            .m
-            .fabric
-            .retire_link(link)
-            .expect("mesh confirmed by inject_link_fault")
-        {
-            LinkRetireOutcome::Rerouted => {
-                self.faults_applied.push(format!(
-                    "cycle {now}: ras retired noc link {link} (rerouted)"
-                ));
-            }
-            LinkRetireOutcome::Fenced => {
-                self.ras.degraded_regions += 1;
-                self.faults_applied.push(format!(
-                    "cycle {now}: ras fenced noc link {link} \
-                     (half bandwidth, no surviving route)"
-                ));
-            }
-        }
-        self.retired_log.push(RetiredRegion::Link { link });
-        self.retired_families.push(fam);
-        self.pending.retain(|e| e.family() != fam);
+        self.router.rewindable.ecc.checkpoints_taken += 1;
     }
 
     /// Recovery from a detected-uncorrectable group: rewinds to the newest
     /// checkpoint (snapshotted before this cycle's injection) and replays
-    /// with the detected fault suppressed, or fails typed.
-    fn recover(&mut self, suppress: &[FaultEvent], detected_desc: String) -> Result<(), SimError> {
+    /// with the detected fault suppressed, or fails typed. Cold, like
+    /// [`Single::checkpoint`].
+    #[cold]
+    fn recover(&mut self, detected: Detected) -> Result<(), SimError> {
         let detect_cycle = self.m.now;
-        // Persistent faults cannot be outlived by replay alone — the cells
-        // stay broken. Without the RAS layer the runner bounds the retry
-        // loop: a defect family that trips a second detected-uncorrectable
-        // after a restore fails the run with a typed error instead of
-        // replaying forever.
-        if self.opts.ras.is_none() {
-            for fam in suppress
-                .iter()
-                .filter(|e| e.class.is_persistent())
-                .map(FaultEvent::family)
-            {
-                let c = self.due_restores.entry(fam).or_insert(0);
-                *c += 1;
-                if *c >= 2 {
-                    return Err(SimError::Uncorrectable {
-                        site: fam.0.to_string(),
-                        detail: format!(
-                            "persistent fault at {} index {} re-asserted after a \
-                             checkpoint replay; no RAS layer to retire the region",
-                            fam.0, fam.1
-                        ),
-                        diag: self.diag(),
-                    });
-                }
-            }
+        // Without the RAS layer a defect family that trips a second
+        // detected-uncorrectable after a restore fails the run with a
+        // typed error instead of replaying forever.
+        if let Some((site, index)) = self.router.unrecoverable(&detected) {
+            return Err(SimError::Uncorrectable {
+                site: site.to_string(),
+                detail: format!(
+                    "persistent fault at {site} index {index} re-asserted after a \
+                     checkpoint replay; no RAS layer to retire the region"
+                ),
+                diag: self.diag(),
+            });
         }
         let Some(ck) = self.checkpoints.back() else {
             return Err(SimError::Uncorrectable {
-                site: suppress[0].site.to_string(),
-                detail: detected_desc,
+                site: detected.events[0].site.to_string(),
+                detail: detected.desc,
                 diag: self.diag(),
             });
         };
-        let (ck_cycle, ck_ecc) = (ck.cycle, ck.ecc);
+        let (cycle, faults) = (ck.cycle, ck.faults.clone());
         self.m.slots[0] = ck.core.clone();
         self.m.fabric = ck.fabric.clone();
         self.m.mem = ck.mem.clone();
-        self.pending = ck.pending.clone();
-        self.faults_applied = ck.faults_applied.clone();
-        self.m.now = ck_cycle;
-        // Transient members of the detected group are suppressed for the
-        // replay; persistent members stay armed — only a retirement (below)
-        // or the bounded-restore tripwire above removes them.
-        self.pending
-            .retain(|e| !suppress.contains(e) || e.class.is_persistent());
-        // Physical repairs survive the rollback: replay the retirement log
-        // onto the restored clone. Stats are not recounted, and spare
-        // numbering re-applies in log order, hence deterministically.
-        let Machine {
-            slots, fabric, mem, ..
-        } = &mut self.m;
-        for r in &self.retired_log {
-            match *r {
-                RetiredRegion::Way { idx, spared } => {
-                    slots[0].remask_way(idx, spared, fabric, mem);
-                }
-                RetiredRegion::Row { addr, .. } => {
-                    fabric.retire_row(addr);
-                }
-                RetiredRegion::Link { link } => {
-                    // Re-decides rerouted-vs-fenced on the restored fabric;
-                    // log order makes the outcome deterministic.
-                    let _ = fabric.retire_link(link);
-                }
-            }
-        }
-        // Demand retirement: with RAS on, a detected uncorrectable in a
-        // persistent region retires it on the restored machine, so the
-        // replay cannot trip over the same defect again.
-        if self.opts.ras.is_some() {
-            let mut fams: Vec<FaultEvent> = Vec::new();
-            for ev in suppress.iter().filter(|e| e.class.is_persistent()) {
-                if !self.retired_families.contains(&ev.family())
-                    && !fams.iter().any(|f| f.family() == ev.family())
-                {
-                    fams.push(*ev);
-                }
-            }
-            for ev in fams {
-                let waddr = self.word_target(&ev).map(|(a, _)| a);
-                self.ras.demand_retirements += 1;
-                self.retire_family(&ev, waddr);
-            }
-            let retired = &self.retired_families;
-            self.pending.retain(|e| !retired.contains(&e.family()));
-        }
-        // Correction/escape counters rewind with the state (re-fired
-        // events in the replay window re-count); the cumulative recovery
-        // counters carry forward.
-        let ecc = &mut self.ecc;
-        let (taken, restores, replay) = (ecc.checkpoints_taken, ecc.restores, ecc.replay_cycles);
-        *ecc = ck_ecc;
-        ecc.checkpoints_taken = taken;
-        ecc.detected_uncorrectable += 1;
-        ecc.restores = restores + 1;
-        ecc.replay_cycles = replay + (detect_cycle - ck_cycle);
-        self.faults_applied.push(format!(
-            "{detected_desc}; restored checkpoint @ cycle {ck_cycle} (replaying {} cycles)",
-            detect_cycle - ck_cycle
-        ));
-        // The watchdog restarts, and the poll schedule rewinds with the
-        // clock so the replay window stays responsive to cancellation.
-        self.m.watchdog = Watchdog::new(self.opts.livelock_cycles);
-        self.m.next_poll = ck_cycle;
+        self.m.now = cycle;
+        let scope = &mut scope(&mut self.m, &self.workload.layout);
+        self.router
+            .rewind(faults, &detected, cycle, detect_cycle, scope);
+        self.m.limits.rewind(cycle);
         Ok(())
-    }
-
-    /// Takes the physical region behind one persistent fault family out of
-    /// service: masks a VRMU way (activating a spare when provisioned) or
-    /// retires a DRAM row through the remap table (consuming a spare row or
-    /// fencing onto the shared remnant row). Regions without retirable
-    /// cells — control state, transport, a banked engine's register cells —
-    /// are fenced logically: the family is dropped and the loss is
-    /// accounted as degraded capacity. Migration of a retired row's data is
-    /// modeled as real scrub-read traffic through the fabric.
-    fn retire_family(&mut self, ev: &FaultEvent, word_addr: Option<u64>) {
-        let now = self.m.now;
-        let Machine {
-            slots, fabric, mem, ..
-        } = &mut self.m;
-        let (ras, applied) = (&mut self.ras, &mut self.faults_applied);
-        match (ev.site, word_addr) {
-            (FaultSite::TagValue, _) => {
-                match slots[0].retire_value_way(ev.index, true, fabric, mem) {
-                    Some(w) => {
-                        if !w.spared {
-                            ras.degraded_regions += 1;
-                        }
-                        applied.push(format!("cycle {now}: ras {}", w.desc));
-                        self.retired_log.push(RetiredRegion::Way {
-                            idx: w.idx,
-                            spared: w.spared,
-                        });
-                    }
-                    None => {
-                        // No maskable way (banked engine) or the store is at
-                        // its in-flight floor: fence the family logically and
-                        // run on with the capacity loss.
-                        ras.degraded_regions += 1;
-                        applied.push(format!(
-                            "cycle {now}: ras fenced unmaskable way family index {}",
-                            ev.index
-                        ));
-                    }
-                }
-            }
-            (
-                FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse,
-                Some(addr),
-            ) => {
-                let outcome = fabric.retire_row(addr);
-                let spared = matches!(outcome, RetireOutcome::Spared { .. });
-                if !spared {
-                    ras.degraded_regions += 1;
-                }
-                // Data migration: the row's live lines are copied to the
-                // replacement row through the fabric — repair bandwidth is
-                // real bandwidth, so it contends with demand traffic.
-                let lines = fabric.config().dram.lines_per_row.min(32);
-                let base = addr & !(virec_mem::LINE_BYTES - 1);
-                for i in 0..lines {
-                    fabric.submit_scrub(now, base + i * virec_mem::LINE_BYTES);
-                }
-                ras.migrated_lines += lines;
-                applied.push(format!(
-                    "cycle {now}: ras retired row behind {addr:#x} ({})",
-                    if spared { "spared" } else { "fenced" }
-                ));
-                self.retired_log.push(RetiredRegion::Row { addr, spared });
-            }
-            _ => {
-                ras.degraded_regions += 1;
-                applied.push(format!(
-                    "cycle {now}: ras fenced non-retirable site {} index {}",
-                    ev.site, ev.index
-                ));
-            }
-        }
-        self.retired_families.push(ev.family());
-    }
-
-    /// Routes one fault group (same cycle, same site, same word) through the
-    /// coverage map and applies whatever the modeled hardware lets through.
-    /// Returns the description of a detected-uncorrectable group: the
-    /// machine was *not* corrupted (the detection is precise), and the
-    /// runner must either restore a checkpoint or fail with
-    /// [`SimError::Uncorrectable`]. `None` when the group was absorbed
-    /// (corrected, not applicable) or applied (pass-through, parity escape).
-    fn protect(&mut self, group: &[FaultEvent]) -> Option<String> {
-        let now = self.m.now;
-        let protection = &self.opts.protection;
-        let site = group[0].site;
-        let level = protection.level(site);
-        if level == ProtectionLevel::None {
-            for ev in group {
-                if let Some(desc) = self.apply_fault(ev) {
-                    if !protection.is_none() {
-                        self.ecc.unprotected += 1;
-                    }
-                    self.faults_applied.push(format!("cycle {now}: {desc}"));
-                }
-            }
-            return None;
-        }
-        let (ecc, applied) = (&mut self.ecc, &mut self.faults_applied);
-        let core = &mut self.m.slots[0];
-        match site {
-            FaultSite::TagValue | FaultSite::RollbackSlot => {
-                // Probe applicability on a deep copy so detected or corrected
-                // flips never touch the real machine — the check bits caught
-                // them before any consumer read the entry.
-                let mut probe = core.clone();
-                let landed: Vec<String> = group
-                    .iter()
-                    .filter_map(engine_fault_of)
-                    .filter_map(|f| probe.inject_fault(f))
-                    .collect();
-                let n = landed.len();
-                if n == 0 {
-                    return None; // structure empty: nothing to protect
-                }
-                match level {
-                    ProtectionLevel::Parity if n % 2 == 1 => {
-                        ecc.detected_uncorrectable += 1;
-                        let desc = format!(
-                            "cycle {now}: parity detected {} ({})",
-                            site,
-                            landed.join("; ")
-                        );
-                        applied.push(desc.clone());
-                        Some(desc)
-                    }
-                    ProtectionLevel::Parity => {
-                        // Even-weight flip: the parity bit is blind to it. The
-                        // corruption goes through for real and the differential
-                        // checker is the only remaining net.
-                        for f in group.iter().filter_map(engine_fault_of) {
-                            core.inject_fault(f);
-                        }
-                        ecc.parity_escapes += 1;
-                        applied.push(format!(
-                            "cycle {now}: parity escape {} ({})",
-                            site,
-                            landed.join("; ")
-                        ));
-                        None
-                    }
-                    ProtectionLevel::SecDed if n == 1 => {
-                        ecc.corrected += 1;
-                        applied.push(format!(
-                            "cycle {now}: secded corrected {} ({})",
-                            site, landed[0]
-                        ));
-                        None
-                    }
-                    ProtectionLevel::SecDed if n == 2 => {
-                        ecc.detected_uncorrectable += 1;
-                        let desc = format!(
-                            "cycle {now}: secded detected double-bit {} ({})",
-                            site,
-                            landed.join("; ")
-                        );
-                        applied.push(desc.clone());
-                        Some(desc)
-                    }
-                    _ => {
-                        // ≥ 3 simultaneous flips: beyond the SEC-DED guarantee;
-                        // modeled as raw pass-through.
-                        for f in group.iter().filter_map(engine_fault_of) {
-                            core.inject_fault(f);
-                        }
-                        ecc.unprotected += n as u64;
-                        applied.push(format!("cycle {now}: {} flips passed {}", n, site));
-                        None
-                    }
-                }
-            }
-            FaultSite::StuckFill => unreachable!("stuck-fill is never protected"),
-            FaultSite::NocLink => unreachable!("link upsets are handled at the link layer"),
-            FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
-                // `None`: target out of range / no in-flight request.
-                let (addr, base) = self.word_target(&group[0])?;
-                let mask: u64 = group.iter().fold(0, |m, ev| m ^ (1u64 << (ev.bit % 64)));
-                if mask == 0 {
-                    return None; // flips cancelled each other
-                }
-                let word = self.m.mem.read_u64(addr);
-                let verdict = protect_word(level, word, mask);
-                if verdict == WordVerdict::Landed {
-                    self.m.mem.write_u64(addr, word ^ mask);
-                }
-                let (ecc, applied) = (&mut self.ecc, &mut self.faults_applied);
-                let parity = level == ProtectionLevel::Parity;
-                match verdict {
-                    WordVerdict::Corrected => {
-                        ecc.corrected += 1;
-                        applied.push(format!(
-                            "cycle {now}: secded corrected {base} bit {}",
-                            mask.trailing_zeros()
-                        ));
-                        None
-                    }
-                    WordVerdict::Detected => {
-                        ecc.detected_uncorrectable += 1;
-                        let double = if parity { "" } else { "double-bit " };
-                        let desc =
-                            format!("cycle {now}: {level} detected {double}{base} mask {mask:#x}");
-                        applied.push(desc.clone());
-                        Some(desc)
-                    }
-                    WordVerdict::Landed if parity => {
-                        ecc.parity_escapes += 1;
-                        applied.push(format!("cycle {now}: parity escape {base} mask {mask:#x}"));
-                        None
-                    }
-                    WordVerdict::Landed => {
-                        ecc.unprotected += group.len() as u64;
-                        applied.push(format!(
-                            "cycle {now}: {} flips passed {base} mask {mask:#x}",
-                            mask.count_ones()
-                        ));
-                        None
-                    }
-                }
-            }
-        }
-    }
-
-    /// Resolves a word-site fault event to the memory word it targets.
-    /// Returns `(address, description)` or `None` when the target is out of
-    /// range (or, for `FabricResponse`, when no request is in flight).
-    fn word_target(&self, event: &FaultEvent) -> Option<(u64, String)> {
-        let mem_end = self.m.mem.size() as u64;
-        let layout = &self.workload.layout;
-        match event.site {
-            FaultSite::BackingReg => {
-                let core = &self.m.slots[0];
-                let nthreads = core.config().nthreads as u64;
-                let t = (event.index % nthreads) as usize;
-                let r = Reg::new(((event.index / nthreads) % 31) as u8);
-                let addr = core.region().reg_addr(t, r);
-                (addr + 8 <= mem_end).then(|| (addr, format!("backing-store t{t} {r}")))
-            }
-            FaultSite::DramLine => {
-                let words = (layout.data_size / 8).max(1);
-                let addr = layout.data_base + (event.index % words) * 8;
-                (addr + 8 <= mem_end).then(|| (addr, format!("dram word {addr:#x}")))
-            }
-            FaultSite::FabricResponse => {
-                let addr = self.m.fabric.inflight_addr(event.index as usize)?;
-                let line = addr & !63;
-                let word = line + (event.bit as u64 % 8) * 8;
-                (word + 8 <= mem_end).then(|| {
-                    (
-                        word,
-                        format!("fabric response line {line:#x} word {}", event.bit % 8),
-                    )
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// Applies one fault event to the live machine with no protection in
-    /// the way. Returns a description when the fault landed, `None` when
-    /// the targeted structure had nothing to corrupt (e.g. a VRMU site on a
-    /// banked engine, or no in-flight request).
-    fn apply_fault(&mut self, event: &FaultEvent) -> Option<String> {
-        match event.site {
-            FaultSite::TagValue | FaultSite::RollbackSlot | FaultSite::StuckFill => {
-                self.m.slots[0].inject_fault(engine_fault_of(event)?)
-            }
-            FaultSite::BackingReg | FaultSite::DramLine | FaultSite::FabricResponse => {
-                let (addr, base) = self.word_target(event)?;
-                let v = self.m.mem.read_u64(addr);
-                self.m.mem.write_u64(addr, v ^ (1u64 << (event.bit % 64)));
-                Some(format!("{base} bit {}", event.bit % 64))
-            }
-            // Link upsets are consumed by the CRC/retransmission path in
-            // the run loop, never applied raw (the flit payload is
-            // timing-only).
-            FaultSite::NocLink => None,
-        }
     }
 }
 

@@ -25,10 +25,15 @@
 //!   [`TaskOutcome`]: `completed + rejected + failed == submitted`, always.
 //! * **Fault campaign** — [`ServeFaultPlan`] injects seeded word upsets
 //!   into the data image of running tasks (single-bit transients and
-//!   double-bit bursts on "sticky" bad cores), routed through the PR-5
-//!   SEC-DED/parity protection model before they corrupt anything. An
-//!   independent golden-digest cross-check counts silent corruptions on
-//!   completed tasks even when verification is off.
+//!   double-bit bursts on "sticky" bad cores) and wears out mesh NoC
+//!   links. Both go through the fault router the single-core runner uses:
+//!   each attempt carries a router holding its upset as `DramLine` events,
+//!   routed through the SEC-DED/parity protection model before they
+//!   corrupt anything (a detected-uncorrectable ends the attempt), and one
+//!   service-wide router takes the link upsets down its CRC/retransmission
+//!   and link-retirement path. An independent golden-digest cross-check
+//!   counts silent corruptions on completed tasks even when verification
+//!   is off.
 //! * **Repair & degraded mode (PR-8)** — [`ServeFaultPlan::stuck_cores`]
 //!   cores develop *permanent* defects that never heal. With
 //!   [`ServeConfig::ras`] set, the first uncorrectable burst on such a
@@ -45,18 +50,19 @@
 //! traffic.
 
 use crate::cancel::{CancelToken, RunGate};
-use crate::ecc::{protect_word, ProtectionConfig, ProtectionLevel, WordVerdict};
+use crate::ecc::ProtectionConfig;
 use crate::error::{RunDiagnostics, SimError};
 use crate::experiment::{CellData, RetryPolicy};
-use crate::fault::FaultSite;
-use crate::machine::{self, CoreSlot, Driver, Machine, Step};
+use crate::fault::{second_bit, FaultClass, FaultEvent, FaultSite};
+use crate::machine::{self, CoreSlot, Driver, LimitTrip, Machine, RunLimits, Step};
 use crate::offload::offload;
-use crate::ras::{CeRegion, CeTracker, RasConfig};
+use crate::ras::RasConfig;
+use crate::router::{FaultRouter, Scope};
 use crate::runner::{
     arch_digest, engine_label, golden_arch_digest, golden_step_cap, try_verify_against_golden,
 };
 use crate::system::SystemConfigError;
-use crate::watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};
+use crate::watchdog::DEFAULT_LIVELOCK_CYCLES;
 use std::collections::{HashMap, HashSet, VecDeque};
 use virec_core::policy::XorShift;
 use virec_core::{Core, CoreConfig};
@@ -114,6 +120,7 @@ pub enum TaskOutcome {
 /// without changing the timing run. Routed through the per-site protection
 /// model first: under SEC-DED a single-bit transient corrects in place and
 /// a sticky double-bit burst raises detected-uncorrectable mid-attempt.
+/// Corrected link upsets count as injected but not as corrected faults.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeFaultPlan {
     /// Number of distinct tasks (seeded choice) whose *first* attempt
@@ -135,6 +142,8 @@ pub struct ServeFaultPlan {
     /// after onset, hammering one link to the RAS CE threshold before
     /// moving to the next). Only lands when the shared fabric is a mesh
     /// ([`virec_mem::FabricTopology::Mesh`]); ignored on the crossbar.
+    /// Retiring a worn link is a RAS action: without [`ServeConfig::ras`]
+    /// every upset is retransmitted and the one target link never retires.
     pub link_faults: usize,
 }
 
@@ -227,8 +236,9 @@ pub struct ServeConfig {
     /// repaired from the spare pool (slot offline for
     /// [`RasConfig::repair_cycles`] while data migrates) or, with the pool
     /// dry, fenced to reduced capacity — instead of being quarantined
-    /// outright. `None` (the default) keeps the PR-6 behavior: a stuck
-    /// core fails repeatedly until the health tracker quarantines it.
+    /// outright — and retires worn mesh links. `None` (the default) keeps
+    /// the PR-6 behavior: a stuck core fails repeatedly until the health
+    /// tracker quarantines it, and no link is ever retired.
     pub ras: Option<RasConfig>,
     /// Task mix: each arrival picks one `(ctor, n)` spec (seeded).
     pub mix: Vec<(WorkloadCtor, u64)>,
@@ -497,61 +507,40 @@ impl ServeReport {
     /// machine-readable `results/<name>.json` provenance format.
     pub fn metrics(&self) -> CellData {
         let mut m = vec![
-            ("submitted".to_string(), self.submitted as f64),
-            ("completed".to_string(), self.completed as f64),
-            (
-                "rejected_queue_full".to_string(),
-                self.rejected_queue_full as f64,
-            ),
-            (
-                "rejected_quarantined".to_string(),
-                self.rejected_quarantined as f64,
-            ),
-            ("failed".to_string(), self.failed as f64),
-            ("lost".to_string(), self.lost as f64),
-            ("duplicated".to_string(), self.duplicated as f64),
-            ("retries".to_string(), self.retries as f64),
-            ("failovers".to_string(), self.failovers as f64),
-            (
-                "quarantined_cores".to_string(),
-                self.quarantined_cores as f64,
-            ),
-            ("repairs".to_string(), self.repairs as f64),
-            ("fenced_cores".to_string(), self.fenced_cores as f64),
-            ("spares_consumed".to_string(), self.spares_consumed as f64),
-            ("faults_injected".to_string(), self.faults_injected as f64),
-            ("faults_corrected".to_string(), self.faults_corrected as f64),
-            (
-                "faults_uncorrectable".to_string(),
-                self.faults_uncorrectable as f64,
-            ),
-            (
-                "silent_corruptions".to_string(),
-                self.silent_corruptions as f64,
-            ),
-            ("cycles".to_string(), self.cycles as f64),
-            ("tasks_per_sec".to_string(), self.tasks_per_sec()),
-            ("p50_cycles".to_string(), self.p50() as f64),
-            ("p99_cycles".to_string(), self.p99() as f64),
-            ("p999_cycles".to_string(), self.p999() as f64),
-            ("availability".to_string(), self.availability()),
-            ("goodput".to_string(), self.goodput()),
+            ("submitted", self.submitted as f64),
+            ("completed", self.completed as f64),
+            ("rejected_queue_full", self.rejected_queue_full as f64),
+            ("rejected_quarantined", self.rejected_quarantined as f64),
+            ("failed", self.failed as f64),
+            ("lost", self.lost as f64),
+            ("duplicated", self.duplicated as f64),
+            ("retries", self.retries as f64),
+            ("failovers", self.failovers as f64),
+            ("quarantined_cores", self.quarantined_cores as f64),
+            ("repairs", self.repairs as f64),
+            ("fenced_cores", self.fenced_cores as f64),
+            ("spares_consumed", self.spares_consumed as f64),
+            ("faults_injected", self.faults_injected as f64),
+            ("faults_corrected", self.faults_corrected as f64),
+            ("faults_uncorrectable", self.faults_uncorrectable as f64),
+            ("silent_corruptions", self.silent_corruptions as f64),
+            ("cycles", self.cycles as f64),
+            ("tasks_per_sec", self.tasks_per_sec()),
+            ("p50_cycles", self.p50() as f64),
+            ("p99_cycles", self.p99() as f64),
+            ("p999_cycles", self.p999() as f64),
+            ("availability", self.availability()),
+            ("goodput", self.goodput()),
         ];
         if self.fabric.noc_hops > 0 {
             m.push((
-                "noc_retransmissions".to_string(),
+                "noc_retransmissions",
                 self.fabric.noc_retransmissions as f64,
             ));
-            m.push((
-                "noc_links_retired".to_string(),
-                self.fabric.noc_links_retired as f64,
-            ));
-            m.push((
-                "noc_links_fenced".to_string(),
-                self.fabric.noc_links_fenced as f64,
-            ));
+            m.push(("noc_links_retired", self.fabric.noc_links_retired as f64));
+            m.push(("noc_links_fenced", self.fabric.noc_links_fenced as f64));
         }
-        CellData::Metrics(m)
+        CellData::Metrics(m.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 }
 
@@ -566,27 +555,13 @@ struct Task {
     scale: u64,
 }
 
-/// A word upset scheduled against one attempt, applied `at` cycles after
-/// dispatch.
-#[derive(Clone, Copy, Debug)]
-struct AttemptFault {
-    at: u64,
-    addr: u64,
-    mask: u64,
-}
-
 pub(crate) struct InFlight {
     task: Task,
     core: Core,
-    watchdog: Watchdog,
-    dispatched_at: u64,
-    budget: u64,
-    gate: RunGate,
-    /// Next local cycle the wall-clock gate is consulted (event-driven
-    /// loops fast-forward the clock, so the gate runs on a schedule
-    /// instead of a cycle mask).
-    next_poll: u64,
-    fault: Option<AttemptFault>,
+    /// The attempt's gate, watchdog and budget, counted from its dispatch.
+    limits: RunLimits,
+    /// The attempt's scheduled word upset, if the campaign gave it one.
+    faults: FaultRouter,
     /// Set when the attempt ended before (or, for a structural hazard,
     /// during) this cycle's tick; the machine no longer ticks it.
     end: Option<AttemptEnd>,
@@ -624,6 +599,9 @@ pub struct TaskService {
     /// The service's cores, shared fabric and memory; the machine's own
     /// watchdog and budget are off, as every attempt carries its own.
     m: Machine<Slot>,
+    /// Routes the link-wear campaign's upsets: CRC retransmission, and
+    /// with the RAS layer on, predictive link retirement.
+    links: FaultRouter,
     /// The bounded admission queue.
     queue: VecDeque<Task>,
     /// Index of the next arrival still to be admitted.
@@ -641,8 +619,6 @@ pub struct TaskService {
     fenced: Vec<bool>,
     /// Spare regions left in the service-wide RAS pool.
     spares_left: u32,
-    /// Leaky-bucket CE counters over mesh NoC links.
-    link_tracker: CeTracker,
     /// Remaining link upsets the campaign may inject.
     link_faults_left: usize,
     /// Current link-injection target (an opaque index the fabric reduces
@@ -687,24 +663,16 @@ impl TaskService {
                 transient_tasks.insert((plan_rng.next_u64() % cfg.tasks as u64) as usize);
             }
         }
-        let mut sticky = vec![false; cfg.ncores];
-        let mut picked = 0;
-        while picked < cfg.faults.sticky_cores.min(cfg.ncores) {
-            let c = (plan_rng.next_u64() % cfg.ncores as u64) as usize;
-            if !sticky[c] {
-                sticky[c] = true;
-                picked += 1;
+        // `count` distinct cores, seeded.
+        let mut pick = |count: usize| {
+            let mut picked = vec![false; cfg.ncores];
+            while picked.iter().filter(|&&p| p).count() < count.min(cfg.ncores) {
+                picked[(plan_rng.next_u64() % cfg.ncores as u64) as usize] = true;
             }
-        }
-        let mut stuck = vec![false; cfg.ncores];
-        let mut picked = 0;
-        while picked < cfg.faults.stuck_cores.min(cfg.ncores) {
-            let c = (plan_rng.next_u64() % cfg.ncores as u64) as usize;
-            if !stuck[c] {
-                stuck[c] = true;
-                picked += 1;
-            }
-        }
+            picked
+        };
+        let sticky = pick(cfg.faults.sticky_cores);
+        let stuck = pick(cfg.faults.stuck_cores);
 
         let workloads: Vec<Vec<Workload>> = (0..cfg.ncores)
             .map(|slot| {
@@ -726,9 +694,9 @@ impl TaskService {
                 (0..cfg.ncores).map(|_| Slot::Idle).collect(),
                 Fabric::new(cfg.fabric),
                 FlatMem::new(0, layout::mem_size(cfg.ncores)),
-                0,
-                u64::MAX,
+                RunLimits::new(0, RunGate::unbounded(), 0, u64::MAX),
             ),
+            links: FaultRouter::new(Vec::new(), ProtectionConfig::none(), cfg.ras, None),
             queue: VecDeque::new(),
             next_arrival: 0,
             next_epoch: cfg.epoch_cycles,
@@ -739,10 +707,6 @@ impl TaskService {
             stuck,
             fenced: vec![false; cfg.ncores],
             spares_left: cfg.ras.map_or(0, |rc| rc.spare_rows),
-            link_tracker: {
-                let rc = cfg.ras.unwrap_or_default();
-                CeTracker::new(rc.ce_threshold, rc.ce_leak_interval)
-            },
             link_faults_left: cfg.faults.link_faults,
             link_target: cfg.seed | 1,
             transient_tasks,
@@ -768,8 +732,9 @@ impl TaskService {
     /// cancellation stops the service and all in-flight attempts.
     pub fn run_gated(&mut self, gate: &RunGate) -> Result<ServeReport, SimError> {
         self.token = gate.token().clone();
+        self.m.limits.set_gate(gate.clone());
         let dense = self.cfg.dense_loop;
-        machine::run(self, gate, dense)?;
+        machine::run(self, dense)?;
         if self.cfg.epoch_cycles > 0 {
             self.push_epoch();
         }
@@ -866,7 +831,7 @@ impl TaskService {
         self.dispatches += 1;
         self.inject_link_upset(now);
         self.scrub(slot);
-        let fault = self.plan_attempt_fault(slot, &task);
+        let events = self.plan_attempt_fault(slot, &task, now);
         let w = &self.workloads[slot][task.spec];
         let region = offload(&mut self.m.mem, w, self.cfg.core.nthreads);
         let core = Core::new(
@@ -877,30 +842,30 @@ impl TaskService {
             (2 * slot, 2 * slot + 1),
         );
         let budget = self.cfg.core.max_cycles.saturating_mul(task.scale);
+        let gate = RunGate::new(self.token.clone(), self.cfg.task_deadline_ms);
         self.m.slots[slot] = Slot::Busy(Box::new(InFlight {
             task,
             core,
-            watchdog: Watchdog::new(DEFAULT_LIVELOCK_CYCLES),
-            dispatched_at: now,
-            budget,
-            gate: RunGate::new(self.token.clone(), self.cfg.task_deadline_ms),
-            next_poll: 0,
-            fault,
+            limits: RunLimits::new(now, gate, DEFAULT_LIVELOCK_CYCLES, budget),
+            faults: FaultRouter::new(events, self.cfg.protection, None, None),
             end: None,
         }));
     }
 
     /// Realizes one scheduled NoC link upset (dispatch-clocked, so both
-    /// step loops inject on exactly the same cycles): the target link's
-    /// next flit will arrive CRC-dirty and retransmit, and the service's
-    /// CE tracker retires the link — route-around or half-bandwidth fence
-    /// — once it crosses the RAS threshold. Crossbar fabrics have no
-    /// links; the campaign is inert there.
+    /// step loops inject on exactly the same cycles) through the link
+    /// router: the target link's next flit will arrive CRC-dirty and
+    /// retransmit, and with the RAS layer on the link is retired —
+    /// route-around or half-bandwidth fence — once it crosses the CE
+    /// threshold. Crossbar fabrics have no links; the campaign is inert
+    /// there.
     fn inject_link_upset(&mut self, now: u64) {
         if self.link_faults_left == 0 || self.dispatches <= self.cfg.faults.sticky_after {
             return;
         }
-        let Some(link) = self.m.fabric.inject_link_fault(self.link_target) else {
+        // A worn link is a permanent defect: every upset charges its bucket.
+        let fabric = &mut self.m.fabric;
+        let Some(retired) = self.links.link_upset(now, fabric, self.link_target, true) else {
             // Crossbar, or the target already out of service: move on (the
             // next dispatch attacks the advanced target).
             if self.m.fabric.link_health().is_some() {
@@ -910,70 +875,41 @@ impl TaskService {
         };
         self.link_faults_left -= 1;
         self.report.faults_injected += 1;
-        if self.link_tracker.charge(CeRegion::Link(link), now) {
-            let _ = self.m.fabric.retire_link(link);
+        if retired {
             self.link_target = advance_link_target(self.link_target);
         }
     }
 
-    /// Realizes the campaign for one attempt: sticky and stuck cores burst
-    /// two bits of one word, transient tasks flip one bit on their first
-    /// attempt.
-    fn plan_attempt_fault(&mut self, slot: usize, task: &Task) -> Option<AttemptFault> {
+    /// Realizes the campaign for one attempt dispatched at `now`: sticky
+    /// and stuck cores burst two bits of one word, transient tasks flip one
+    /// bit on their first attempt. The upset is one or two `DramLine`
+    /// events on the same word at the same cycle, so the router sees a
+    /// burst whole.
+    fn plan_attempt_fault(&mut self, slot: usize, task: &Task, now: u64) -> Vec<FaultEvent> {
         let onset = self.dispatches > self.cfg.faults.sticky_after;
         let sticky = self.sticky[slot] && onset;
         let stuck = self.stuck[slot] && onset;
         let transient = task.attempts == 1 && self.transient_tasks.contains(&task.id);
         if !sticky && !stuck && !transient {
-            return None;
+            return Vec::new();
         }
         let w = &self.workloads[slot][task.spec];
         // Tail of the data segment: bytes no kernel touches, so the flip
         // perturbs the compared image without changing execution.
-        let addr = w.layout.data_base + w.layout.data_size - 64 + 8 * (self.rng.next_u64() % 8);
+        let word = w.layout.data_size / 8 - 8 + self.rng.next_u64() % 8;
         let b1 = (self.rng.next_u64() % 64) as u8;
-        let mask = if sticky || stuck {
-            let b2 = (b1 as u64 + 1 + self.rng.next_u64() % 63) % 64;
-            (1u64 << b1) | (1u64 << b2)
-        } else {
-            1u64 << b1
-        };
-        Some(AttemptFault {
-            at: 16 + self.rng.next_u64() % 240,
-            addr,
-            mask,
-        })
-    }
-
-    /// Routes one scheduled word upset through the protection model.
-    /// Returns the failure description when the upset was detected but
-    /// uncorrectable (the attempt must abort).
-    fn apply_fault(&mut self, fault: AttemptFault) -> Option<String> {
-        self.report.faults_injected += 1;
-        let level = self.cfg.protection.level(FaultSite::DramLine);
-        let (addr, mask) = (fault.addr, fault.mask);
-        let word = self.m.mem.read_u64(addr);
-        match protect_word(level, word, mask) {
-            WordVerdict::Landed => {
-                self.m.mem.write_u64(addr, word ^ mask);
-                None
-            }
-            WordVerdict::Corrected => {
-                self.report.faults_corrected += 1;
-                None
-            }
-            WordVerdict::Detected => {
-                self.report.faults_uncorrectable += 1;
-                let double = if level == ProtectionLevel::Parity {
-                    ""
-                } else {
-                    "double-bit "
-                };
-                Some(format!(
-                    "{level} detected {double}upset at {addr:#x} mask {mask:#x}"
-                ))
-            }
-        }
+        let b2 = (sticky || stuck).then(|| second_bit(&mut self.rng, b1));
+        let cycle = now + 16 + self.rng.next_u64() % 240;
+        std::iter::once(b1)
+            .chain(b2)
+            .map(|bit| FaultEvent {
+                cycle,
+                site: FaultSite::DramLine,
+                index: word,
+                bit,
+                class: FaultClass::Transient,
+            })
+            .collect()
     }
 
     /// Per-attempt work before the cycle's tick. Due upsets come first: an
@@ -983,23 +919,40 @@ impl TaskService {
     fn pre_tick(&mut self) {
         let now = self.m.now;
         for i in 0..self.m.slots.len() {
-            let Slot::Busy(inf) = &mut self.m.slots[i] else {
+            let Machine {
+                slots, fabric, mem, ..
+            } = &mut self.m;
+            let Slot::Busy(inf) = &mut slots[i] else {
                 continue;
             };
-            let Some(f) = inf.fault.filter(|f| now - inf.dispatched_at >= f.at) else {
+            let InFlight {
+                task, core, faults, ..
+            } = &mut **inf;
+            if faults.wakeup(now) > now {
                 continue;
+            }
+            let mut scope = Scope {
+                core,
+                fabric,
+                mem,
+                layout: &self.workloads[i][task.spec].layout,
             };
-            inf.fault = None;
-            if let Some(detail) = self.apply_fault(f) {
+            // The attempt's one upset fires whole at one cycle, so the
+            // router's counters are this upset's.
+            let detected = faults.inject(now, &mut scope);
+            self.report.faults_injected += 1;
+            self.report.faults_corrected += faults.rewindable.ecc.corrected as usize;
+            if let Some(detected) = detected {
+                self.report.faults_uncorrectable += 1;
                 let kind = "uncorrectable";
+                let detail = detected.desc;
                 self.settle(i, AttemptEnd::Fail { kind, detail });
             }
         }
         let deadline = self.cfg.deadline_cycles;
         for slot in &mut self.m.slots {
             let Slot::Busy(inf) = slot else { continue };
-            let local = now - inf.dispatched_at;
-            let detail = if let Some(trip) = inf.gate.poll_due(local, &mut inf.next_poll) {
+            let detail = if let Some(trip) = inf.limits.poll(now) {
                 format!(
                     "wall-clock gate tripped after {} ms (limit {} ms)",
                     trip.elapsed_ms, trip.limit_ms
@@ -1314,26 +1267,22 @@ impl Driver for TaskService {
         let mut ended: Vec<(usize, AttemptEnd)> = Vec::new();
         for (i, slot) in self.m.slots.iter_mut().enumerate() {
             let Slot::Busy(inf) = slot else { continue };
-            let local = now - inf.dispatched_at;
             let end = if let Some(end) = inf.end.take() {
                 end
             } else if inf.core.done() {
                 AttemptEnd::Done
-            } else if let Err(stalled) = inf
-                .watchdog
-                .observe(local + 1, inf.core.stats().instructions)
-            {
-                AttemptEnd::Fail {
-                    kind: "livelock",
-                    detail: format!("no commit for {stalled} cycles"),
-                }
-            } else if local + 1 >= inf.budget {
-                AttemptEnd::Fail {
-                    kind: "cycle_budget",
-                    detail: format!("attempt exceeded {} cycles", inf.budget),
-                }
             } else {
-                continue;
+                match inf.limits.observe(now + 1, inf.core.stats().instructions) {
+                    Ok(()) => continue,
+                    Err(LimitTrip::Livelock { stalled }) => AttemptEnd::Fail {
+                        kind: "livelock",
+                        detail: format!("no commit for {stalled} cycles"),
+                    },
+                    Err(LimitTrip::Budget { budget }) => AttemptEnd::Fail {
+                        kind: "cycle_budget",
+                        detail: format!("attempt exceeded {budget} cycles"),
+                    },
+                }
             };
             ended.push((i, end));
         }
@@ -1357,18 +1306,10 @@ impl Driver for TaskService {
         let mut wake = u64::MAX;
         for slot in &self.m.slots {
             let Slot::Busy(inf) = slot else { continue };
-            if let Some(f) = inf.fault {
-                wake = wake.min(inf.dispatched_at + f.at);
-            }
+            wake = wake.min(inf.faults.wakeup(now)).min(inf.limits.wake());
             if deadline > 0 {
                 wake = wake.min(inf.task.arrival + deadline);
             }
-            if let Some(fire) = inf.watchdog.deadline() {
-                // `fire` is a local observation cycle (observe runs at
-                // local+1), so the tick that fires it is one earlier.
-                wake = wake.min(inf.dispatched_at + fire - 1);
-            }
-            wake = wake.min((inf.dispatched_at + inf.budget).saturating_sub(1));
         }
         if let Some(until) = self.earliest_repair() {
             wake = wake.min(until);
@@ -1509,10 +1450,7 @@ mod tests {
         let mut cfg = quick_cfg(1, 6);
         cfg.faults = ServeFaultPlan {
             transient: 6,
-            sticky_cores: 0,
-            stuck_cores: 0,
-            sticky_after: 0,
-            link_faults: 0,
+            ..ServeFaultPlan::none()
         };
         cfg.quarantine_after = 0; // isolate the retry path
         let r = run_service(cfg).unwrap();
@@ -1528,10 +1466,7 @@ mod tests {
         let mut cfg = quick_cfg(1, 6);
         cfg.faults = ServeFaultPlan {
             transient: 6,
-            sticky_cores: 0,
-            stuck_cores: 0,
-            sticky_after: 0,
-            link_faults: 0,
+            ..ServeFaultPlan::none()
         };
         cfg.protection = ProtectionConfig::secded();
         let r = run_service(cfg).unwrap();
@@ -1544,11 +1479,9 @@ mod tests {
     fn sticky_core_quarantines_and_fails_over() {
         let mut cfg = quick_cfg(2, 20);
         cfg.faults = ServeFaultPlan {
-            transient: 0,
             sticky_cores: 1,
-            stuck_cores: 0,
             sticky_after: 2,
-            link_faults: 0,
+            ..ServeFaultPlan::none()
         };
         cfg.protection = ProtectionConfig::secded();
         cfg.quarantine_after = 2;
@@ -1568,11 +1501,8 @@ mod tests {
     fn fully_quarantined_service_drains_with_rejections() {
         let mut cfg = quick_cfg(1, 15);
         cfg.faults = ServeFaultPlan {
-            transient: 0,
             sticky_cores: 1,
-            stuck_cores: 0,
-            sticky_after: 0,
-            link_faults: 0,
+            ..ServeFaultPlan::none()
         };
         cfg.protection = ProtectionConfig::secded();
         cfg.quarantine_after = 1;

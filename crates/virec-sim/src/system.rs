@@ -4,7 +4,7 @@
 
 use crate::cancel::RunGate;
 use crate::error::{RunDiagnostics, SimError};
-use crate::machine::{self, Driver, Machine};
+use crate::machine::{self, Driver, Machine, RunLimits};
 use crate::offload::offload;
 use crate::runner::try_verify_against_golden;
 use crate::watchdog::DEFAULT_LIVELOCK_CYCLES;
@@ -245,8 +245,7 @@ impl System {
                 cores,
                 Fabric::new(cfg.fabric),
                 mem,
-                DEFAULT_LIVELOCK_CYCLES,
-                budget,
+                RunLimits::new(0, RunGate::unbounded(), DEFAULT_LIVELOCK_CYCLES, budget),
             ),
             workloads,
             cfg,
@@ -275,7 +274,7 @@ impl System {
     /// The system cycle budget: the most generous per-core budget, since
     /// the slowest core bounds completion under shared-fabric contention.
     pub fn cycle_budget(&self) -> u64 {
-        self.m.budget
+        self.m.limits.budget()
     }
 
     /// Fallible system run: executes to completion and verifies every core
@@ -289,8 +288,9 @@ impl System {
     /// `gate` and degrades to a typed [`SimError::Deadline`] when the
     /// per-cell wall-clock deadline expires or cancellation is requested.
     pub fn try_run_gated(&mut self, gate: &RunGate) -> Result<SystemResult, SimError> {
+        self.m.limits.set_gate(gate.clone());
         let dense = self.dense_loop;
-        machine::run(self, gate, dense)?;
+        machine::run(self, dense)?;
         let m = &mut self.m;
         for core in &mut m.slots {
             core.finalize_stats();

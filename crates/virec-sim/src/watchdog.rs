@@ -50,6 +50,11 @@ impl Watchdog {
         (self.threshold > 0).then(|| self.last_progress_cycle + self.threshold)
     }
 
+    /// Forgets all progress seen so far, as if freshly built.
+    pub(crate) fn restart(&mut self) {
+        *self = Watchdog::new(self.threshold);
+    }
+
     /// Feeds one cycle's progress. `committed` is the monotonically
     /// non-decreasing total of committed instructions. Returns
     /// `Err(stalled_cycles)` once the commit drought reaches the threshold.

@@ -156,6 +156,10 @@ POLICIES: lrc (default) | mrt-plru | plru | lru | mrt-lru | fifo | random
 SWEEP ENGINES: banked | software | virec<pct> | nsf<pct> | pf_full | pf_exact
     (e.g. virec80; the first engine is the normalization baseline)
 
+serve turns on the RAS layer (spare pool sized by --spare-rows) when
+--stuck-cores or --link-faults is nonzero: a stuck core is repaired or
+fenced, and a worn mesh link is retired once it crosses the CE threshold.
+
 Sweeps journal completed cells to <json-dir>/<name>.journal.jsonl. An
 interrupted sweep (Ctrl-C, or a cell hitting --deadline is just a FAILED
 row) exits 130; re-run the same command with --resume to replay journaled
@@ -743,8 +747,9 @@ fn cmd_serve(f: &Flags) -> Result<ExitCode, CliError> {
         spare_rows: f.num("spare-rows", d.spare_rows)?,
         ..d
     };
-    if cfg.faults.stuck_cores > 0 {
-        // Stuck-at defects are only survivable with the RAS layer on.
+    if cfg.faults.stuck_cores > 0 || cfg.faults.link_faults > 0 {
+        // Stuck-at defects are only survivable with the RAS layer on, and
+        // retiring a worn link is a RAS action.
         cfg.ras = Some(rc);
     }
     serve_accounting(&run_service(cfg)?)

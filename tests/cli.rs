@@ -163,3 +163,24 @@ fn sweep_runs_interrupts_and_resumes() {
     let _ = std::fs::remove_dir_all(&clean);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn serve_link_campaign_runs_under_ras() {
+    // `--link-faults` turns on the RAS layer, which retires the worn links;
+    // the report is the one the service printed before link wear moved
+    // onto the shared fault router.
+    let o = cli("serve --topology mesh2x2 --link-faults 9");
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    assert_eq!(
+        stdout(&o),
+        "serve[virec]: submitted=128 completed=128 rejected_queue_full=0 \
+         rejected_quarantined=0 failed=0 lost=0 duplicated=0\n\
+         serve[virec]: faults injected=6 corrected=0 uncorrectable=0 silent_corruptions=0 \
+         retries=0 failovers=0 quarantined_cores=0\n\
+         serve[virec]: p50=1574 p99=2382 p999=2388 cycles, tasks_per_sec=484634, \
+         availability=76.7%, goodput=100.0%\n\
+         serve[virec]: ras repairs=0 fenced_cores=0 spares_consumed=0\n\
+         serve[virec]: noc hops=11460 crc_detected=3 retransmissions=3 links_retired=2 \
+         links_fenced=0\n"
+    );
+}

@@ -256,29 +256,36 @@ fn system_run_byte_identical() {
 
 #[test]
 fn serve_run_byte_identical() {
-    // A faulty, protected, deadline-bearing service run: arrivals, SLO
-    // shedding, quarantine, failover, epochs, and latency percentiles all
-    // ride on the shared clock the skip loop fast-forwards.
-    let run = |dense: bool| {
-        let mut cfg = ServeConfig::streaming(3, CoreConfig::virec(2, 16), 48, 0xD1FF_5EED);
-        cfg.mix = default_mix(32);
-        cfg.mean_interarrival = 512;
-        cfg.faults = ServeFaultPlan::campaign(8, 1);
-        cfg.protection = ProtectionConfig::secded();
-        cfg.deadline_cycles = 400_000;
-        cfg.dense_loop = dense;
-        run_service(cfg).expect("serve run completes")
-    };
-    let skip = run(false);
-    let dense = run(true);
-    // ServeReport has no wall-clock fields: the debug rendering covers
-    // every counter, latency sample, and epoch snapshot.
-    assert_eq!(
-        format!("{dense:?}"),
-        format!("{skip:?}"),
-        "serve reports diverged"
-    );
-    assert!(skip.completed > 0, "serve run must do real work");
+    // A faulty, deadline-bearing service run: arrivals, SLO shedding,
+    // quarantine, failover, epochs, and latency percentiles all ride on
+    // the shared clock the skip loop fast-forwards. The word upsets go
+    // through the fault router's SEC-DED, parity and pass-through branches.
+    for protection in [
+        ProtectionConfig::secded(),
+        ProtectionConfig::parity(),
+        ProtectionConfig::none(),
+    ] {
+        let run = |dense: bool| {
+            let mut cfg = ServeConfig::streaming(3, CoreConfig::virec(2, 16), 48, 0xD1FF_5EED);
+            cfg.mix = default_mix(32);
+            cfg.mean_interarrival = 512;
+            cfg.faults = ServeFaultPlan::campaign(8, 1);
+            cfg.protection = protection;
+            cfg.deadline_cycles = 400_000;
+            cfg.dense_loop = dense;
+            run_service(cfg).expect("serve run completes")
+        };
+        let skip = run(false);
+        let dense = run(true);
+        // ServeReport has no wall-clock fields: the debug rendering covers
+        // every counter, latency sample, and epoch snapshot.
+        assert_eq!(
+            format!("{dense:?}"),
+            format!("{skip:?}"),
+            "serve reports diverged under {protection:?}"
+        );
+        assert!(skip.completed > 0, "serve run must do real work");
+    }
 }
 
 /// Serve with permanent (stuck-at) cores and the RAS layer live: repair
