@@ -93,18 +93,24 @@ impl Bsi {
         }
     }
 
-    /// Queues a fill of `(tid, reg)` from backing-store address `addr`.
+    /// Queues a fill of `(tid, reg)` from backing-store address `addr`,
+    /// behind the other demand fills and ahead of every queued prefetch:
+    /// the queue always holds its demand fills first, in arrival order.
     ///
     /// For dummy fills the caller has already made the RF entry usable; the
     /// transaction is bookkeeping only.
     pub fn enqueue_fill(&mut self, tid: u8, reg: Reg, addr: u64, dummy: bool) {
-        self.fills.push_back(FillReq {
-            tid,
-            reg,
-            addr,
-            dummy,
-            prefetch: false,
-        });
+        let prefetches = self.fills.iter().rev().take_while(|f| f.prefetch).count();
+        self.fills.insert(
+            self.fills.len() - prefetches,
+            FillReq {
+                tid,
+                reg,
+                addr,
+                dummy,
+                prefetch: false,
+            },
+        );
     }
 
     /// Queues a speculative prefetch fill (future-work extension): issued
@@ -216,10 +222,7 @@ impl Bsi {
         }
 
         // Fills have priority over spills (§5.3); within fills, demand
-        // before prefetch.
-        self.fills
-            .make_contiguous()
-            .sort_by_key(|f| f.prefetch as u8);
+        // before prefetch (the queue's order).
         while let Some(f) = self.fills.front().copied() {
             match dcache.access(now, f.addr, self.fill_kind(), fabric) {
                 AccessResult::Hit { ready_at } => {

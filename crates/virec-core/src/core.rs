@@ -658,20 +658,16 @@ impl Core {
     // ---- scheduling ----------------------------------------------------
 
     fn poll_blocked_threads(&mut self, now: u64) {
-        let mut woke: Vec<u8> = Vec::new();
-        for (i, t) in self.threads.iter_mut().enumerate() {
-            if let ThreadStatus::Blocked(mshr) = t.status {
+        for tid in 0..self.threads.len() {
+            if let ThreadStatus::Blocked(mshr) = self.threads[tid].status {
                 if self.dcache.mshr_ready(mshr, now) {
                     if let Err(e) = self.dcache.mshr_retire(mshr) {
                         note_structural(&mut self.structural_fault, e);
                     }
-                    t.status = ThreadStatus::Ready;
-                    woke.push(i as u8);
+                    self.threads[tid].status = ThreadStatus::Ready;
+                    self.emit(now, TraceEvent::Wakeup { tid: tid as u8 });
                 }
             }
-        }
-        for tid in woke {
-            self.emit(now, TraceEvent::Wakeup { tid });
         }
     }
 

@@ -23,7 +23,7 @@ pub const ROLLBACK_DEPTH: usize = 4;
 struct PendingAcquire {
     tid: u8,
     /// Registers still waiting for a free/evictable physical entry.
-    unallocated: Vec<Reg>,
+    unallocated: RegList,
     /// All registers the instruction needs (for the final residency check).
     needed: RegList,
     /// Destination-only registers (dummy-fill candidates).
@@ -42,8 +42,10 @@ pub struct VirecEngine {
     /// Prefetch the incoming thread's last context on switches
     /// (future-work prefetch + caching hybrid).
     switch_prefetch: bool,
-    /// Resident register set of each thread at its last suspension.
-    last_ctx: Vec<Vec<virec_isa::Reg>>,
+    /// Resident register set of each thread at its last suspension, in
+    /// entry order (kept only with `switch_prefetch`, its one reader; each
+    /// list reuses its buffer).
+    last_ctx: Vec<Vec<Reg>>,
     pending: Option<PendingAcquire>,
 }
 
@@ -96,12 +98,7 @@ impl VirecEngine {
     /// Allocates and queues a speculative prefetch fill for `(tid, reg)`.
     /// Unlike demand fills, this never performs group evictions and never
     /// blocks the CSL.
-    fn try_allocate_prefetch(
-        &mut self,
-        tid: u8,
-        reg: virec_isa::Reg,
-        env: &mut EngineEnv<'_>,
-    ) -> bool {
+    fn try_allocate_prefetch(&mut self, tid: u8, reg: Reg, env: &mut EngineEnv<'_>) -> bool {
         let outcome = self.tags.allocate(tid, reg);
         let idx = match outcome {
             AllocOutcome::NoVictim => return false,
@@ -123,13 +120,20 @@ impl VirecEngine {
         true
     }
 
-    /// Tries to allocate a physical register for `(tid, reg)`; on success
-    /// also queues the fill (real or dummy).
+    /// Tries to allocate a physical register for `(tid, reg)` on behalf of
+    /// an acquiring instruction; on success locks it for that instruction
+    /// and queues the fill (real or dummy).
+    ///
+    /// The lock comes before any group eviction, so the extra victims are
+    /// never the register just allocated.
     fn try_allocate(&mut self, tid: u8, reg: Reg, dummy: bool, env: &mut EngineEnv<'_>) -> bool {
         let outcome = self.tags.allocate(tid, reg);
         let idx = match outcome {
             AllocOutcome::NoVictim => return false,
-            AllocOutcome::Free { idx } => idx,
+            AllocOutcome::Free { idx } => {
+                self.tags.lock(idx);
+                idx
+            }
             AllocOutcome::Evicted {
                 idx,
                 victim_tid,
@@ -137,6 +141,7 @@ impl VirecEngine {
                 victim_value,
                 victim_dirty,
             } => {
+                self.tags.lock(idx);
                 self.spill_victim(victim_tid, victim_reg, victim_value, victim_dirty, env);
                 // Future-work extension: group evictions free additional
                 // entries in the same event, amortizing the spill burst.
@@ -162,6 +167,23 @@ impl VirecEngine {
             self.bsi.enqueue_fill(tid, reg, addr, false);
         }
         true
+    }
+
+    /// Entry indices of every register `p` needs, in list order, once all
+    /// are allocated and none waits for its fill; `None` before that.
+    fn ready_indices(&self, p: &PendingAcquire) -> Option<([usize; RegList::CAPACITY], usize)> {
+        if !p.unallocated.is_empty() {
+            return None;
+        }
+        let mut idxs = [0; RegList::CAPACITY];
+        for (slot, r) in idxs.iter_mut().zip(p.needed.iter()) {
+            let idx = self.tags.lookup(p.tid, r)?;
+            if self.tags.entry(idx).fill_pending {
+                return None;
+            }
+            *slot = idx;
+        }
+        Some((idxs, p.needed.len()))
     }
 
     /// Masks physical way `idx`, making room for its occupant by evicting
@@ -195,75 +217,61 @@ impl ContextEngine for VirecEngine {
         instr: &Instr,
         env: &mut EngineEnv<'_>,
     ) -> AcquireOutcome {
-        if self.pending.is_none() {
-            // First attempt: classify hits and misses, count stats, lock
-            // resident registers, allocate missing ones.
-            let needed = instr.regs();
-            let dst_only = if self.dummy_opt {
-                Self::dst_only_regs(instr)
-            } else {
-                RegList::new()
-            };
-            let mut unallocated = Vec::new();
-            for r in needed.iter() {
-                if let Some(idx) = self.tags.lookup(tid, r) {
-                    env.stats.rf_hits += 1;
-                    self.tags.lock(idx);
+        let mut p = match self.pending.take() {
+            Some(p) => p,
+            None => {
+                // First attempt: classify hits and misses, count stats, lock
+                // resident registers, allocate missing ones.
+                let needed = instr.regs();
+                let dst_only = if self.dummy_opt {
+                    Self::dst_only_regs(instr)
                 } else {
-                    env.stats.rf_misses += 1;
-                    let dummy = dst_only.contains(r);
-                    if self.try_allocate(tid, r, dummy, env) {
-                        let idx = self.tags.lookup(tid, r).expect("just allocated");
+                    RegList::new()
+                };
+                let mut unallocated = RegList::new();
+                for r in needed.iter() {
+                    if let Some(idx) = self.tags.lookup(tid, r) {
+                        env.stats.rf_hits += 1;
                         self.tags.lock(idx);
                     } else {
-                        unallocated.push(r);
+                        env.stats.rf_misses += 1;
+                        if !self.try_allocate(tid, r, dst_only.contains(r), env) {
+                            unallocated.push(r);
+                        }
                     }
                 }
+                self.rollback.push(RollbackEntry {
+                    regs: needed,
+                    is_mem: instr.is_mem(),
+                });
+                PendingAcquire {
+                    tid,
+                    unallocated,
+                    needed,
+                    dst_only,
+                }
             }
-            self.rollback.push(RollbackEntry {
-                regs: needed,
-                is_mem: instr.is_mem(),
-            });
-            self.pending = Some(PendingAcquire {
-                tid,
-                unallocated,
-                needed,
-                dst_only,
-            });
-        }
+        };
 
         // Progress check: allocate leftovers, then wait for fills.
-        let mut p = self.pending.take().expect("pending set above");
         debug_assert_eq!(p.tid, tid, "interleaved acquires are impossible");
-        let dst_only = p.dst_only;
-        p.unallocated.retain(|&r| {
-            let dummy = dst_only.contains(r);
-            if self.try_allocate(tid, r, dummy, env) {
-                let idx = self.tags.lookup(tid, r).expect("just allocated");
-                self.tags.lock(idx);
-                false
-            } else {
-                true
-            }
-        });
+        p.unallocated = p
+            .unallocated
+            .iter()
+            .filter(|&r| !self.try_allocate(tid, r, p.dst_only.contains(r), env))
+            .collect();
 
-        let all_resident = p.unallocated.is_empty()
-            && p.needed.iter().all(|r| {
-                self.tags
-                    .lookup(tid, r)
-                    .is_some_and(|idx| !self.tags.entry(idx).fill_pending)
-            });
-
-        if all_resident {
-            for r in p.needed.iter() {
-                let idx = self.tags.lookup(tid, r).expect("resident");
-                self.tags.touch(idx);
+        match self.ready_indices(&p) {
+            Some((idxs, n)) => {
+                for &idx in &idxs[..n] {
+                    self.tags.touch(idx);
+                }
+                AcquireOutcome::Ready
             }
-            self.pending = None;
-            AcquireOutcome::Ready
-        } else {
-            self.pending = Some(p);
-            AcquireOutcome::Pending
+            None => {
+                self.pending = Some(p);
+                AcquireOutcome::Pending
+            }
         }
     }
 
@@ -321,26 +329,25 @@ impl ContextEngine for VirecEngine {
 
     fn flush_all_inflight(&mut self, tid: u8) {
         self.pending = None;
-        // Unlock per instruction, then clear the commit bits of the union
-        // (the 1-hot compaction of §5.1).
-        let mut union: Vec<Reg> = Vec::new();
+        // Unlock per instruction and clear the commit bit of every flushed
+        // register (the 1-hot compaction of §5.1: clearing a bit twice is
+        // clearing it once, so no union is needed).
         while let Some(entry) = self.rollback.pop_commit() {
             for r in entry.regs.iter() {
                 if let Some(idx) = self.tags.lookup(tid, r) {
                     self.tags.unlock(idx);
-                }
-                if !union.contains(&r) {
-                    union.push(r);
+                    self.tags.entry_mut(idx).meta.c_bit = false;
                 }
             }
-        }
-        for r in union {
-            self.tags.clear_commit(tid, r);
         }
     }
 
     fn on_switch(&mut self, _now: u64, out_tid: u8, in_tid: u8, env: &mut EngineEnv<'_>) {
-        self.last_ctx[out_tid as usize] = self.tags.resident_regs(out_tid);
+        if self.switch_prefetch {
+            let ctx = &mut self.last_ctx[out_tid as usize];
+            ctx.clear();
+            ctx.extend(self.tags.resident_regs(out_tid));
+        }
         self.tags.on_context_switch(out_tid, in_tid);
         if self.switch_prefetch {
             // Prefetch + caching hybrid (paper future work): warm the
@@ -348,13 +355,13 @@ impl ContextEngine for VirecEngine {
             // refill window. Bounded, and abandoned if the RF has no free
             // victims.
             const MAX_PREFETCH: usize = 4;
-            let want: Vec<virec_isa::Reg> = self.last_ctx[in_tid as usize]
+            let want: RegList = self.last_ctx[in_tid as usize]
                 .iter()
                 .copied()
                 .filter(|&r| self.tags.lookup(in_tid, r).is_none())
                 .take(MAX_PREFETCH)
                 .collect();
-            for r in want {
+            for r in want.iter() {
                 if !self.try_allocate_prefetch(in_tid, r, env) {
                     break;
                 }

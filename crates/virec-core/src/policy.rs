@@ -37,12 +37,16 @@ pub struct EntryMeta {
     /// Entry holds a live register.
     pub valid: bool,
     /// Entry may not be evicted (in-flight instruction or pending fill).
+    /// Read by [`select_victim`]; the tag store derives it from an entry's
+    /// lock count and pending fill instead.
     pub locked: bool,
     /// 3-bit thread-recency field (0 = current thread).
     pub t_bits: u8,
     /// Commit bit (true = last accessing instruction committed).
     pub c_bit: bool,
-    /// 3-bit pseudo-LRU age.
+    /// 3-bit pseudo-LRU age. In a tag-store entry this is the age when the
+    /// entry was last touched or allocated; `TagStore::age` gives the age
+    /// now.
     pub a_bits: u8,
     /// Exact last-access stamp for the perfect-LRU variants.
     pub last_access: u64,
@@ -82,6 +86,10 @@ impl XorShift {
 /// among entries whose saturated ages are indistinguishable — the reuse
 /// "fuzzing" of §4.2 that the LRC commit bit repairs. Callers advance the
 /// pointer per eviction. Everything stays deterministic.
+///
+/// The tag store makes the same pick in one pass over its own entries,
+/// without copying their metadata; this function is the reference the
+/// tests hold it to.
 pub fn select_victim(
     policy: PolicyKind,
     entries: &[EntryMeta],
@@ -103,25 +111,30 @@ pub fn select_victim(
         return Some(candidates[(rng.next_u64() % candidates.len() as u64) as usize]);
     }
 
-    let best = evictable().map(|(_, e)| priority(policy, e)).max()?;
+    let best = evictable()
+        .map(|(_, e)| priority(policy, e, e.a_bits))
+        .max()?;
     let ties: Vec<usize> = evictable()
-        .filter(|(_, e)| priority(policy, e) == best)
+        .filter(|(_, e)| priority(policy, e, e.a_bits) == best)
         .map(|(i, _)| i)
         .collect();
     Some(ties[(rotate % ties.len() as u64) as usize])
 }
 
-/// Eviction priority: the entry with the highest value is evicted first.
-fn priority(policy: PolicyKind, e: &EntryMeta) -> u128 {
+/// Eviction priority of an entry whose current age is `age` (the tag store
+/// derives it lazily, so it may differ from `e.a_bits`): the entry with the
+/// highest value is evicted first.
+pub(crate) fn priority(policy: PolicyKind, e: &EntryMeta, age: u8) -> u128 {
     // Perfect-LRU stamp inverted so that *older* entries rank higher.
     let oldness = (u64::MAX - e.last_access) as u128;
     let fifo_oldness = (u64::MAX - e.fill_seq) as u128;
+    let age = age as u128;
     match policy {
-        PolicyKind::Plru => e.a_bits as u128,
+        PolicyKind::Plru => age,
         PolicyKind::Lru => oldness,
-        PolicyKind::MrtPlru => ((e.t_bits as u128) << 3) | e.a_bits as u128,
+        PolicyKind::MrtPlru => ((e.t_bits as u128) << 3) | age,
         PolicyKind::MrtLru => ((e.t_bits as u128) << 64) | oldness,
-        PolicyKind::Lrc => ((e.t_bits as u128) << 4) | ((e.c_bit as u128) << 3) | e.a_bits as u128,
+        PolicyKind::Lrc => ((e.t_bits as u128) << 4) | ((e.c_bit as u128) << 3) | age,
         PolicyKind::Fifo => fifo_oldness,
         PolicyKind::Random => 0,
         PolicyKind::Srrip => e.rrpv as u128,

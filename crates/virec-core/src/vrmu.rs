@@ -17,7 +17,7 @@
 //! golden interpreter validate the whole machinery.
 
 use crate::config::PolicyKind;
-use crate::policy::{select_victim, EntryMeta, XorShift, AGE_MAX, RRPV_INSERT, RRPV_MAX};
+use crate::policy::{priority, EntryMeta, XorShift, AGE_MAX, RRPV_INSERT, RRPV_MAX};
 use std::collections::VecDeque;
 use virec_isa::{Reg, RegList};
 
@@ -36,7 +36,12 @@ pub struct TagEntry {
     pub fill_pending: bool,
     /// How many in-flight instructions reference this entry (eviction lock).
     pub lock_count: u8,
-    /// Replacement metadata.
+    /// The tag store's touch count when `meta.a_bits` was last set (touch
+    /// or allocate): every touch since then has aged this entry by one.
+    /// Never above the store's count, which only this module advances.
+    age_mark: u64,
+    /// Replacement metadata. `meta.a_bits` is the age at `age_mark`; the
+    /// current age is [`TagStore::age`].
     pub meta: EntryMeta,
 }
 
@@ -48,6 +53,7 @@ impl TagEntry {
         dirty: false,
         fill_pending: false,
         lock_count: 0,
+        age_mark: 0,
         meta: EntryMeta {
             valid: false,
             locked: false,
@@ -117,9 +123,15 @@ pub struct TagStore {
     retired: Vec<u64>,
     policy: PolicyKind,
     stamp: u64,
+    /// Register accesses so far: the clock of the lazy A-bit ageing.
+    touches: u64,
     fill_seq: u64,
     rotate: u64,
     rng: XorShift,
+    /// Scratch bitset of the entries tied for eviction, one bit per way
+    /// like `valid`; reused by every victim pick so a pick allocates
+    /// nothing.
+    ties: Vec<u64>,
 }
 
 /// Floor on in-service ways: masking must never leave fewer active ways
@@ -148,9 +160,11 @@ impl TagStore {
             retired: vec![0; words],
             policy,
             stamp: 0,
+            touches: 0,
             fill_seq: 0,
             rotate: 0,
             rng: XorShift::new(0x5EED_CAFE),
+            ties: vec![0; words],
         };
         for idx in phys_regs..total {
             ts.masked[idx / 64] |= 1u64 << (idx % 64);
@@ -257,75 +271,145 @@ impl TagStore {
     /// Records an access to entry `idx`: resets its age, ages everyone else,
     /// speculatively sets the commit bit (§5.1), and stamps perfect-LRU
     /// metadata.
+    ///
+    /// The hardware ages every other entry in parallel; here that is one
+    /// tick of the touch clock, which [`TagStore::age`] reads back.
     pub fn touch(&mut self, idx: usize) {
         self.stamp += 1;
+        self.touches += 1;
+        let e = &mut self.entries[idx];
+        e.age_mark = self.touches;
+        e.meta.a_bits = 0;
+        e.meta.c_bit = true;
+        e.meta.last_access = self.stamp;
+        e.meta.rrpv = 0; // SRRIP hit promotion
+    }
+
+    /// Current 3-bit age of entry `idx`: its age when last set plus one per
+    /// touch of another entry since, saturating at [`AGE_MAX`].
+    pub fn age(&self, idx: usize) -> u8 {
+        self.age_of(&self.entries[idx])
+    }
+
+    #[inline]
+    fn age_of(&self, e: &TagEntry) -> u8 {
+        let aged = e.meta.a_bits as u64 + (self.touches - e.age_mark);
+        aged.min(AGE_MAX as u64) as u8
+    }
+
+    /// Whether an entry may be evicted: not referenced by an in-flight
+    /// instruction and not waiting for its fill.
+    #[inline]
+    fn evictable(e: &TagEntry) -> bool {
+        e.lock_count == 0 && !e.fill_pending
+    }
+
+    /// SRRIP aging: increment every valid entry's RRPV until an evictable
+    /// one saturates (bounded by the 2-bit range). The increment is
+    /// `RRPV_MAX` minus the largest evictable RRPV, applied in one pass.
+    fn srrip_age(&mut self) {
+        if self.policy != PolicyKind::Srrip {
+            return;
+        }
+        let top = self
+            .valid_indices()
+            .map(|i| &self.entries[i])
+            .filter(|e| Self::evictable(e))
+            .map(|e| e.meta.rrpv)
+            .max()
+            .unwrap_or(0);
+        let step = RRPV_MAX.saturating_sub(top);
+        if step == 0 {
+            return;
+        }
         for w in 0..self.valid.len() {
             let mut bits = self.valid[w];
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let e = &mut self.entries[i];
-                if i == idx {
-                    e.meta.a_bits = 0;
-                    e.meta.c_bit = true;
-                    e.meta.last_access = self.stamp;
-                    e.meta.rrpv = 0; // SRRIP hit promotion
-                } else {
-                    e.meta.a_bits = (e.meta.a_bits + 1).min(AGE_MAX);
-                }
+                e.meta.rrpv = (e.meta.rrpv + step).min(RRPV_MAX);
             }
         }
     }
 
-    /// SRRIP aging: increment every evictable entry's RRPV until one
-    /// saturates (bounded by the 2-bit range).
-    fn srrip_age(&mut self) {
-        if self.policy != PolicyKind::Srrip {
-            return;
-        }
-        for _ in 0..RRPV_MAX {
-            let any_max = self.valid_indices().any(|i| {
-                let e = &self.entries[i];
-                e.lock_count == 0 && !e.fill_pending && e.meta.rrpv >= RRPV_MAX
-            });
-            if any_max {
-                return;
-            }
-            for w in 0..self.valid.len() {
-                let mut bits = self.valid[w];
-                while bits != 0 {
-                    let i = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let e = &mut self.entries[i];
-                    e.meta.rrpv = (e.meta.rrpv + 1).min(RRPV_MAX);
+    /// Picks the eviction victim among the evictable entries, or `None`
+    /// when there is none. One pass over the valid entries keeps the best
+    /// priority and the bitset of entries tied at it. Ties are broken by
+    /// the rotating pointer, advanced once per pick: the pick is the
+    /// `rotate`-th tie in ascending index order. `Random` ties every
+    /// candidate and draws one value over their count.
+    fn pick_victim(&mut self) -> Option<usize> {
+        self.rotate = self.rotate.wrapping_add(1);
+        let random = self.policy == PolicyKind::Random;
+        let mut best = 0u128;
+        let mut count = 0u64;
+        // Words below `first` hold ties of a beaten priority; they are
+        // never read again, so a new best need not clear them.
+        let mut first = 0;
+        for w in 0..self.valid.len() {
+            let mut bits = self.valid[w];
+            let mut tied = 0u64;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let e = &self.entries[w * 64 + b as usize];
+                if !Self::evictable(e) {
+                    continue;
+                }
+                let p = if random {
+                    0
+                } else {
+                    priority(self.policy, &e.meta, self.age_of(e))
+                };
+                if count == 0 || p > best {
+                    best = p;
+                    count = 0;
+                    first = w;
+                    tied = 0;
+                }
+                if p == best {
+                    tied |= 1u64 << b;
+                    count += 1;
                 }
             }
+            self.ties[w] = tied;
         }
+        if count == 0 {
+            return None;
+        }
+        let mut nth = if random {
+            self.rng.next_u64() % count
+        } else {
+            self.rotate % count
+        };
+        self.ties[first..]
+            .iter()
+            .enumerate()
+            .find_map(|(w, &word)| {
+                let ones = word.count_ones() as u64;
+                if nth >= ones {
+                    nth -= ones;
+                    return None;
+                }
+                let mut bits = word;
+                for _ in 0..nth {
+                    bits &= bits - 1;
+                }
+                Some((first + w) * 64 + bits.trailing_zeros() as usize)
+            })
     }
 
     /// Allocates a physical register for `(tid, reg)`, evicting if needed.
     /// The new entry starts invalid-valued (`fill_pending` decided by the
-    /// caller) and locked by one reference.
+    /// caller) and unlocked.
     pub fn allocate(&mut self, tid: u8, reg: Reg) -> AllocOutcome {
         debug_assert!(self.lookup(tid, reg).is_none(), "allocating resident reg");
         let idx_and_victim = if let Some(idx) = self.first_free() {
             Some((idx, None))
         } else {
             self.srrip_age();
-            let metas: Vec<EntryMeta> = self
-                .entries
-                .iter()
-                .map(|e| {
-                    let mut m = e.meta;
-                    m.locked = e.lock_count > 0 || e.fill_pending;
-                    m
-                })
-                .collect();
-            self.rotate = self.rotate.wrapping_add(1);
-            select_victim(self.policy, &metas, self.rotate, &mut self.rng).map(|idx| {
-                let v = self.entries[idx];
-                (idx, Some(v))
-            })
+            self.pick_victim().map(|idx| (idx, Some(self.entries[idx])))
         };
 
         let Some((idx, victim)) = idx_and_victim else {
@@ -348,6 +432,7 @@ impl TagStore {
             dirty: false,
             fill_pending: false,
             lock_count: 0,
+            age_mark: self.touches,
             meta: EntryMeta {
                 valid: true,
                 locked: false,
@@ -376,17 +461,7 @@ impl TagStore {
     /// evictions — paper future work). Returns the victim's identity and
     /// value, or `None` if no evictable entry exists.
     pub fn evict_one(&mut self) -> Option<(u8, Reg, u64, bool)> {
-        let metas: Vec<EntryMeta> = self
-            .entries
-            .iter()
-            .map(|e| {
-                let mut m = e.meta;
-                m.locked = e.lock_count > 0 || e.fill_pending;
-                m
-            })
-            .collect();
-        self.rotate = self.rotate.wrapping_add(1);
-        let idx = select_victim(self.policy, &metas, self.rotate, &mut self.rng)?;
+        let idx = self.pick_victim()?;
         let v = self.entries[idx];
         self.entries[idx] = TagEntry::EMPTY;
         self.clear_valid(idx);
@@ -394,13 +469,11 @@ impl TagStore {
         Some((v.tid, v.reg, v.value, v.dirty))
     }
 
-    /// Registers currently resident for thread `tid`.
-    pub fn resident_regs(&self, tid: u8) -> Vec<Reg> {
-        self.valid_indices()
-            .map(|i| &self.entries[i])
-            .filter(|e| e.tid == tid)
+    /// Registers currently resident for thread `tid`, in entry order.
+    pub fn resident_regs(&self, tid: u8) -> impl Iterator<Item = Reg> + '_ {
+        self.valid_entries()
+            .filter(move |e| e.tid == tid)
             .map(|e| e.reg)
-            .collect()
     }
 
     /// Context-switch metadata update (§5.1): registers of the suspended
@@ -824,9 +897,9 @@ mod tests {
         };
         ts.entry_mut(i1).meta.c_bit = false;
         ts.touch(i1);
-        assert_eq!(ts.entry(i1).meta.a_bits, 0);
+        assert_eq!(ts.age(i1), 0);
         assert!(ts.entry(i1).meta.c_bit, "touch speculatively sets C");
-        assert!(ts.entry(i2).meta.a_bits > 0, "others age");
+        assert!(ts.age(i2) > 0, "others age");
     }
 
     #[test]
@@ -841,7 +914,7 @@ mod tests {
         for _ in 0..20 {
             ts.touch(i1);
         }
-        assert_eq!(ts.entry(i2).meta.a_bits, AGE_MAX);
+        assert_eq!(ts.age(i2), AGE_MAX);
     }
 
     #[test]

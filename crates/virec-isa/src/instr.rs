@@ -114,7 +114,7 @@ pub enum MemOffset {
 /// destinations of an instruction without heap allocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegList {
-    regs: [Reg; 4],
+    regs: [Reg; RegList::CAPACITY],
     len: u8,
 }
 
@@ -125,10 +125,14 @@ impl Default for RegList {
 }
 
 impl RegList {
+    /// Most registers one list holds (an instruction's sources and
+    /// destinations together).
+    pub const CAPACITY: usize = 4;
+
     /// The empty list.
     pub const fn new() -> RegList {
         RegList {
-            regs: [Reg::XZR; 4],
+            regs: [Reg::XZR; RegList::CAPACITY],
             len: 0,
         }
     }
