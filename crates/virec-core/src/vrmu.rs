@@ -767,22 +767,6 @@ impl RollbackQueue {
         self.entries.front().map(|e| e.is_mem)
     }
 
-    /// Compacts the queue on a pipeline flush: returns the union of all
-    /// in-flight registers (the 1-hot vector of §5.1) and empties the queue.
-    pub fn flush(&mut self) -> Vec<Reg> {
-        let mut seen = [false; 32];
-        let mut out = Vec::new();
-        for e in self.entries.drain(..) {
-            for r in e.regs.iter() {
-                if !seen[r.index()] {
-                    seen[r.index()] = true;
-                    out.push(r);
-                }
-            }
-        }
-        out
-    }
-
     /// Number of in-flight instructions tracked.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -977,7 +961,14 @@ mod tests {
                 is_mem: false,
             });
         }
-        let mut flushed = rq.flush();
+        let mut flushed = Vec::new();
+        while let Some(e) = rq.pop_commit() {
+            for r in e.regs.iter() {
+                if !flushed.contains(&r) {
+                    flushed.push(r);
+                }
+            }
+        }
         flushed.sort();
         assert_eq!(flushed, vec![X1, X2, X3]);
         assert!(rq.is_empty());

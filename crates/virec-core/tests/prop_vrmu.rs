@@ -146,8 +146,8 @@ proptest! {
         }
     }
 
-    /// The rollback queue is FIFO and its flush returns exactly the union
-    /// of in-flight registers.
+    /// The rollback queue is FIFO, and draining it with `pop_commit`
+    /// yields exactly the union of in-flight registers and empties it.
     #[test]
     fn rollback_queue_model(entries in prop::collection::vec(
         (prop::collection::vec(0u8..16, 0..4), any::<bool>()), 0..4
@@ -180,7 +180,14 @@ proptest! {
                 }
             }
         }
-        let mut flushed: Vec<u8> = rq.flush().iter().map(|r| r.index() as u8).collect();
+        let mut flushed: Vec<u8> = Vec::new();
+        while let Some(e) = rq.pop_commit() {
+            for r in e.regs.iter().map(|r| r.index() as u8) {
+                if !flushed.contains(&r) {
+                    flushed.push(r);
+                }
+            }
+        }
         flushed.sort_unstable();
         expected_union.sort_unstable();
         prop_assert_eq!(flushed, expected_union);
