@@ -1,8 +1,8 @@
 //! The one step loop every driver runs on.
 //!
-//! The single-core runner, the multi-core [`crate::System`] and the serve
-//! dispatcher are thin [`Driver`]s over [`run`]. One iteration polls the
-//! wall-clock gate, lets the driver act before the cycle (checkpoints,
+//! The runner (a single core, or a [`crate::System`]'s N cores) and the
+//! serve dispatcher are thin [`Driver`]s over [`run`]. One iteration polls
+//! the wall-clock gate, lets the driver act before the cycle (checkpoints,
 //! patrol scrubs, admission and dispatch), ticks the shared fabric and
 //! every active core, checks the structural and NoC hazards, lets the
 //! driver route what the cycle produced (faults, settlement), advances the
@@ -107,11 +107,6 @@ impl RunLimits {
             watchdog: Watchdog::new(livelock_cycles),
             budget,
         }
-    }
-
-    /// The cycle budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
     }
 
     /// Replaces the wall-clock gate (a run handed its gate after the

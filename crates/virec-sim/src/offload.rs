@@ -8,7 +8,7 @@
 //! the region; the timing cost on the near-memory side (the fills) is
 //! modelled by the context engines.
 
-use virec_core::RegRegion;
+use virec_core::{Core, CoreConfig, OracleSchedule, RegRegion};
 use virec_isa::FlatMem;
 use virec_workloads::Workload;
 
@@ -23,6 +23,29 @@ pub fn offload(mem: &mut FlatMem, workload: &Workload, nthreads: usize) -> RegRe
         }
     }
     region
+}
+
+/// Offloads `workload` into `mem` and builds the core that runs it in
+/// machine slot `slot`. Every driver loads its cores here, so the slot
+/// rule is stated once: the core's icache and dcache are fabric ports
+/// `2 * slot` and `2 * slot + 1`, and its contexts sit in the region the
+/// workload's layout places for that slot.
+pub(crate) fn load_core(
+    mem: &mut FlatMem,
+    slot: usize,
+    cfg: CoreConfig,
+    workload: &Workload,
+    oracle: OracleSchedule,
+) -> Core {
+    let region = offload(mem, workload, cfg.nthreads);
+    Core::with_oracle(
+        cfg,
+        workload.program().clone(),
+        region,
+        workload.layout.code_base,
+        (2 * slot, 2 * slot + 1),
+        oracle,
+    )
 }
 
 #[cfg(test)]

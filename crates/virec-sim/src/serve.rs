@@ -5,8 +5,9 @@
 //! per core to completion. [`TaskService`] is the host-side serving layer
 //! on top of that machinery: a seeded, reproducible arrival process of
 //! offload tasks flows through a bounded admission queue onto idle cores
-//! (fresh [`offload`] image per dispatch), and the service keeps its
-//! throughput and accounting invariants under faults, hangs, and overload:
+//! (a fresh [`offload`](crate::offload::offload) image per dispatch), and
+//! the service keeps its throughput and accounting invariants under
+//! faults, hangs, and overload:
 //!
 //! * **Admission control** — arrivals beyond [`ServeConfig::queue_depth`]
 //!   are shed with a typed [`RejectReason::QueueFull`]; once every core is
@@ -55,7 +56,7 @@ use crate::error::{RunDiagnostics, SimError};
 use crate::experiment::{CellData, RetryPolicy};
 use crate::fault::{second_bit, FaultClass, FaultEvent, FaultSite};
 use crate::machine::{self, CoreSlot, Driver, LimitTrip, Machine, RunLimits, Step};
-use crate::offload::offload;
+use crate::offload::load_core;
 use crate::ras::RasConfig;
 use crate::router::{FaultRouter, Scope};
 use crate::runner::{
@@ -593,7 +594,8 @@ enum AttemptEnd {
 }
 
 /// The host-side streaming dispatcher: admission queue, per-core dispatch
-/// through [`offload`], retry/quarantine/failover, and SLO accounting.
+/// through [`offload`](crate::offload::offload), retry/quarantine/failover,
+/// and SLO accounting.
 pub struct TaskService {
     cfg: ServeConfig,
     /// The service's cores, shared fabric and memory; the machine's own
@@ -833,14 +835,7 @@ impl TaskService {
         self.scrub(slot);
         let events = self.plan_attempt_fault(slot, &task, now);
         let w = &self.workloads[slot][task.spec];
-        let region = offload(&mut self.m.mem, w, self.cfg.core.nthreads);
-        let core = Core::new(
-            self.cfg.core,
-            w.program().clone(),
-            region,
-            w.layout.code_base,
-            (2 * slot, 2 * slot + 1),
-        );
+        let core = load_core(&mut self.m.mem, slot, self.cfg.core, w, Default::default());
         let budget = self.cfg.core.max_cycles.saturating_mul(task.scale);
         let gate = RunGate::new(self.token.clone(), self.cfg.task_deadline_ms);
         self.m.slots[slot] = Slot::Busy(Box::new(InFlight {

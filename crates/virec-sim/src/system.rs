@@ -1,17 +1,15 @@
 //! Multi-core near-memory systems (Figure 11): several processors share the
 //! crossbar and DRAM, so memory latency observed by each core grows with
-//! system activity.
+//! system activity. A [`System`] checks its shape and holds its per-core
+//! configurations and workloads; running it is a run of the runner
+//! ([`crate::runner`]) over one slot per core.
 
 use crate::cancel::RunGate;
 use crate::error::{RunDiagnostics, SimError};
-use crate::machine::{self, Driver, Machine, RunLimits};
-use crate::offload::offload;
-use crate::runner::try_verify_against_golden;
-use crate::watchdog::DEFAULT_LIVELOCK_CYCLES;
-use virec_core::{Core, CoreConfig, CoreStats};
-use virec_isa::FlatMem;
-use virec_mem::{Fabric, FabricConfig, FabricStats};
-use virec_workloads::{layout, Layout, Workload, WorkloadCtor};
+use crate::runner::{RunOptions, Runner};
+use virec_core::{CoreConfig, CoreStats};
+use virec_mem::{FabricConfig, FabricStats};
+use virec_workloads::{Layout, Workload, WorkloadCtor};
 
 /// Configuration of a multi-core system. Every core runs the same core
 /// configuration and its own instance of the same workload on a private
@@ -131,17 +129,17 @@ impl SystemResult {
     }
 }
 
-/// A system of near-memory cores sharing one fabric: an N-core machine
-/// stepped by the shared loop, with one watchdog over the summed commits
-/// and [`System::cycle_budget`] as its budget.
+/// A system of near-memory cores sharing one fabric. Running it is a run
+/// of the runner over one slot per core, held to one watchdog over the
+/// summed commits and the most generous per-core `max_cycles` as its
+/// budget, since the slowest core bounds completion under shared-fabric
+/// contention.
 pub struct System {
-    m: Machine<Core>,
+    cores: Vec<CoreConfig>,
     workloads: Vec<Workload>,
-    cfg: SystemConfig,
-    /// Force the dense per-cycle step loop (see
-    /// [`crate::runner::RunOptions::dense_loop`]); the event-driven loop is
-    /// byte-identical, so this is a debugging escape hatch only.
-    dense_loop: bool,
+    /// The default run options over the system's fabric, plus
+    /// [`System::set_dense_loop`]'s choice.
+    opts: RunOptions,
 }
 
 impl System {
@@ -162,33 +160,12 @@ impl System {
         n: u64,
     ) -> Result<System, SystemConfigError> {
         let specs = vec![(ctor, n); cfg.ncores];
-        Self::try_new_mixed(cfg, &specs)
-    }
-
-    /// Builds a heterogeneous system: core `i` runs `specs[i]` — a
-    /// multi-programmed near-memory node, each processor offloaded a
-    /// different kernel.
-    ///
-    /// # Panics
-    /// Panics if `specs.len() != cfg.ncores`; see
-    /// [`System::try_new_mixed`].
-    pub fn new_mixed(cfg: SystemConfig, specs: &[(WorkloadCtor, u64)]) -> System {
-        Self::try_new_mixed(cfg, specs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`System::new_mixed`], returning a typed
-    /// [`SystemConfigError`] on any invalid shape.
-    pub fn try_new_mixed(
-        cfg: SystemConfig,
-        specs: &[(WorkloadCtor, u64)],
-    ) -> Result<System, SystemConfigError> {
-        let cores = vec![cfg.core; specs.len()];
-        Self::try_new_heterogeneous(cfg, &cores, specs)
+        Self::try_new_heterogeneous(cfg, &vec![cfg.core; cfg.ncores], &specs)
     }
 
     /// Fully heterogeneous construction: per-core configurations *and*
     /// per-core workloads — e.g. banked and ViReC processors contending on
-    /// the same crossbar.
+    /// the same crossbar, each offloaded a different kernel.
     ///
     /// # Panics
     /// Panics if the slice lengths disagree with `cfg.ncores`; see
@@ -224,32 +201,19 @@ impl System {
                 got: core_cfgs.len(),
             });
         }
-        let mut mem = FlatMem::new(0, layout::mem_size(cfg.ncores));
-        let mut cores = Vec::with_capacity(cfg.ncores);
-        let mut workloads = Vec::with_capacity(cfg.ncores);
-        for (c, (&(ctor, n), core_cfg)) in specs.iter().zip(core_cfgs).enumerate() {
-            let w = ctor(n, Layout::for_core(c));
-            let region = offload(&mut mem, &w, core_cfg.nthreads);
-            cores.push(Core::new(
-                *core_cfg,
-                w.program().clone(),
-                region,
-                w.layout.code_base,
-                (2 * c, 2 * c + 1),
-            ));
-            workloads.push(w);
-        }
-        let budget = core_cfgs.iter().map(|c| c.max_cycles).max().unwrap_or(0);
+        let workloads = specs
+            .iter()
+            .enumerate()
+            .map(|(c, &(ctor, n))| ctor(n, Layout::for_core(c)))
+            .collect();
+        let opts = RunOptions {
+            fabric: cfg.fabric,
+            ..RunOptions::default()
+        };
         Ok(System {
-            m: Machine::new(
-                cores,
-                Fabric::new(cfg.fabric),
-                mem,
-                RunLimits::new(0, RunGate::unbounded(), DEFAULT_LIVELOCK_CYCLES, budget),
-            ),
+            cores: core_cfgs.to_vec(),
             workloads,
-            cfg,
-            dense_loop: false,
+            opts,
         })
     }
 
@@ -258,23 +222,7 @@ impl System {
     /// the same effect globally). Both loops produce byte-identical
     /// results, so this is a debugging/differential-testing knob.
     pub fn set_dense_loop(&mut self, dense: bool) {
-        self.dense_loop = dense;
-    }
-
-    /// Per-core statistics access while the system is alive (post-run).
-    pub fn core(&self, i: usize) -> &Core {
-        &self.m.slots[i]
-    }
-
-    /// The configuration the system was built with.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
-    /// The system cycle budget: the most generous per-core budget, since
-    /// the slowest core bounds completion under shared-fabric contention.
-    pub fn cycle_budget(&self) -> u64 {
-        self.m.limits.budget()
+        self.opts.dense_loop = dense;
     }
 
     /// Fallible system run: executes to completion and verifies every core
@@ -288,17 +236,11 @@ impl System {
     /// `gate` and degrades to a typed [`SimError::Deadline`] when the
     /// per-cell wall-clock deadline expires or cancellation is requested.
     pub fn try_run_gated(&mut self, gate: &RunGate) -> Result<SystemResult, SimError> {
-        self.m.limits.set_gate(gate.clone());
-        let dense = self.dense_loop;
-        machine::run(self, dense)?;
-        let m = &mut self.m;
-        for core in &mut m.slots {
-            core.finalize_stats();
-            core.drain(&mut m.mem);
-        }
-        for (core, w) in m.slots.iter().zip(&self.workloads) {
-            try_verify_against_golden(w, core.config().nthreads, core, &m.mem, m.now)?;
-        }
+        let opts = RunOptions {
+            gate: gate.clone(),
+            ..self.opts.clone()
+        };
+        let m = Runner::run(&self.cores, &self.workloads, &opts, false)?.m;
         Ok(SystemResult {
             cycles: m.now,
             per_core: m.slots.iter().map(|c| *c.stats()).collect(),
@@ -314,44 +256,6 @@ impl System {
     /// [`System::try_run`] to handle failures structurally.
     pub fn run(&mut self) -> SystemResult {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-impl Driver for System {
-    type Slot = Core;
-
-    fn machine(&mut self) -> &mut Machine<Core> {
-        &mut self.m
-    }
-
-    fn running(&self) -> bool {
-        !self.m.slots.iter().all(|c| c.done())
-    }
-
-    /// Diagnostics for the most-stuck core: the first core that has not
-    /// finished (or core 0 if all finished), labelled with its workload.
-    fn diag(&self) -> Box<RunDiagnostics> {
-        let cores = &self.m.slots;
-        let i = cores.iter().position(|c| !c.done()).unwrap_or_default();
-        RunDiagnostics::capture(self.workloads[i].name, &cores[i], self.m.now)
-    }
-
-    /// Concatenated per-core pipeline dumps for every unfinished core.
-    fn dump(&self) -> String {
-        let mut s = String::new();
-        for (i, core) in self.m.slots.iter().enumerate() {
-            if !core.done() {
-                s.push_str(&format!(
-                    "--- core {i} ({}) ---\n{}",
-                    self.workloads[i].name,
-                    core.debug_dump()
-                ));
-            }
-        }
-        if s.is_empty() {
-            s.push_str("(all cores report done)");
-        }
-        s
     }
 }
 
@@ -385,7 +289,7 @@ mod tests {
             (kernels::stream::stream_triad, 256),
             (kernels::sparse::spmv, 64),
         ];
-        let mut sys = System::new_mixed(cfg, &specs);
+        let mut sys = System::new_heterogeneous(cfg, &[cfg.core; 3], &specs);
         let r = sys.run();
         assert_eq!(r.per_core.len(), 3);
         // All three kernels committed work.
@@ -399,14 +303,16 @@ mod tests {
     fn mixed_arity_checked() {
         let cfg = sys_cfg(2, CoreConfig::banked(2));
         let specs: Vec<(virec_workloads::WorkloadCtor, u64)> = vec![(kernels::spatter::gather, 64)];
-        let _ = System::new_mixed(cfg, &specs);
+        let _ = System::new_heterogeneous(cfg, &[cfg.core; 2], &specs);
     }
 
     #[test]
     fn mixed_arity_is_a_typed_error() {
         let cfg = sys_cfg(2, CoreConfig::banked(2));
         let specs: Vec<(virec_workloads::WorkloadCtor, u64)> = vec![(kernels::spatter::gather, 64)];
-        let err = System::try_new_mixed(cfg, &specs).err().expect("must fail");
+        let err = System::try_new_heterogeneous(cfg, &[cfg.core; 2], &specs)
+            .err()
+            .expect("must fail");
         assert_eq!(
             err,
             SystemConfigError::WorkloadArity {
@@ -492,7 +398,6 @@ mod tests {
         core.max_cycles = 3_000; // far too small for 512 elements
         let cfg = sys_cfg(2, core);
         let mut sys = System::new(cfg, kernels::spatter::gather, 512);
-        assert_eq!(sys.cycle_budget(), 3_000);
         let err = sys.try_run().unwrap_err();
         match &err {
             SimError::CycleBudgetExceeded { budget, diag } => {
@@ -505,17 +410,21 @@ mod tests {
 
     #[test]
     fn heterogeneous_budget_takes_the_max() {
-        let mut small = CoreConfig::banked(2);
-        small.max_cycles = 1_000;
+        let (mut tiny, mut small) = (CoreConfig::banked(2), CoreConfig::banked(2));
+        tiny.max_cycles = 100;
+        small.max_cycles = 200;
         let big = CoreConfig::virec(4, 32); // preset budget 200M
         let cfg = sys_cfg(2, small);
-        let specs: Vec<(virec_workloads::WorkloadCtor, u64)> = vec![
-            (kernels::spatter::gather, 64),
-            (kernels::spatter::gather, 64),
-        ];
-        let mut sys = System::new_heterogeneous(cfg, &[small, big], &specs);
-        assert_eq!(sys.cycle_budget(), big.max_cycles);
+        let specs = [(kernels::spatter::gather as WorkloadCtor, 64); 2];
+        // Two budgets too small to finish in: the run is held to the larger.
+        let mut sys = System::new_heterogeneous(cfg, &[tiny, small], &specs);
+        let err = sys.try_run().expect_err("both budgets are too small");
+        assert!(
+            matches!(err, SimError::CycleBudgetExceeded { budget: 200, .. }),
+            "{err}"
+        );
         // The generous budget lets both cores finish despite `small`'s cap.
+        let mut sys = System::new_heterogeneous(cfg, &[small, big], &specs);
         let r = sys.try_run().expect("system completes under max budget");
         assert!(r.cycles > 0);
     }
