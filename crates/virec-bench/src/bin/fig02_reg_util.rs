@@ -15,10 +15,10 @@
 //! analysis happens at render time. A failed recording degrades to `-`.
 
 use virec_bench::harness::*;
-use virec_core::CoreConfig;
+use virec_core::{CoreConfig, OracleSchedule};
 use virec_sim::experiment::{builder, CellData, ExperimentSpec};
 use virec_sim::report::{pct, Table};
-use virec_sim::runner::{try_run_single, RunOptions};
+use virec_sim::runner::{try_run_single_traced, RunOptions};
 use virec_verify::StaticOracle;
 use virec_workloads::{suite, SUITE};
 
@@ -30,17 +30,15 @@ fn main() {
     for (name, ctor) in SUITE {
         let build = builder(*ctor, n, layout0());
         // Dynamic: mean registers touched per scheduling quantum on a
-        // 4-thread banked core, from an oracle-recording run.
+        // 4-thread banked core, from the oracle a traced run records.
         spec.custom(name.to_string(), move |_| {
             let w = build();
             let opts = RunOptions {
                 verify: false,
-                record_oracle: true,
                 ..RunOptions::default()
             };
-            let r = try_run_single(CoreConfig::banked(4), &w, &opts)?;
-            let (sum, count) = r
-                .oracle
+            let (_, trace) = try_run_single_traced(CoreConfig::banked(4), &w, &opts)?;
+            let (sum, count) = OracleSchedule::from_trace(&trace, 4)
                 .sets
                 .iter()
                 .flatten()

@@ -66,12 +66,11 @@ fn main() {
                 CoreConfig::prefetch_full(threads, w.active_context_size()),
                 &opts,
             );
-            spec.prefetch_exact(
+            spec.single(
                 format!("{name}/{threads}t/pf_exact"),
                 build.clone(),
-                threads,
-                w.active_context_size(),
-                Default::default(),
+                CoreConfig::prefetch_exact(threads, w.active_context_size()),
+                &opts,
             );
         }
     }

@@ -339,8 +339,9 @@ impl EngineSel {
         }
     }
 
-    /// The core configuration for this selector on `w` (not used by
-    /// [`EngineSel::PrefetchExact`], which runs through the oracle path).
+    /// The core configuration for this selector on `w`. An
+    /// [`EngineSel::PrefetchExact`] core runs like any other: the runner
+    /// records its oracle.
     pub fn cfg(&self, w: &Workload, threads: usize) -> CoreConfig {
         match self {
             EngineSel::Banked => CoreConfig::banked(threads),
@@ -422,21 +423,12 @@ impl SuiteSweep {
                     self.n,
                     layout0(),
                 );
-                match engine {
-                    EngineSel::PrefetchExact => spec.prefetch_exact(
-                        key,
-                        build,
-                        self.threads,
-                        w.active_context_size(),
-                        Default::default(),
-                    ),
-                    _ => spec.single(
-                        key,
-                        build,
-                        engine.cfg(&w, self.threads),
-                        &RunOptions::default(),
-                    ),
-                }
+                spec.single(
+                    key,
+                    build,
+                    engine.cfg(&w, self.threads),
+                    &RunOptions::default(),
+                );
             }
         }
         spec

@@ -37,10 +37,9 @@ use std::sync::{Arc, Mutex};
 use crate::cancel::{CancelToken, RunGate};
 use crate::error::SimError;
 use crate::journal::{self, JournalConfig};
-use crate::runner::{try_run_prefetch_exact_gated, try_run_single, RunOptions, RunResult};
+use crate::runner::{try_run_single, RunOptions, RunResult};
 use crate::system::{System, SystemConfig, SystemResult};
 use virec_core::CoreConfig;
-use virec_mem::FabricConfig;
 use virec_workloads::{Layout, Workload, WorkloadCtor};
 
 /// A shareable workload constructor: each worker calls it to build its own
@@ -62,7 +61,7 @@ pub fn builder(ctor: WorkloadCtor, n: u64, layout: Layout) -> WorkloadBuilder {
 /// The defaults reproduce the historical sweep behaviour: one retry with a
 /// 4× relaxed `max_cycles`. Retries apply to [`Job::Single`] and
 /// [`Job::System`] cells (the kinds whose budget the executor can scale);
-/// prefetch-exact and custom cells fail on their first budget error.
+/// custom cells fail on their first budget error.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Maximum number of relaxed re-runs after cycle-budget failures.
@@ -117,18 +116,6 @@ pub enum Job {
         cfg: CoreConfig,
         /// Run options (fabric, verification, faults, …).
         opts: RunOptions,
-    },
-    /// Oracle recording plus an exact-context prefetching run
-    /// ([`try_run_prefetch_exact`]).
-    PrefetchExact {
-        /// Builds the worker-local workload instance.
-        build: WorkloadBuilder,
-        /// Hardware thread count.
-        nthreads: usize,
-        /// Physical registers per thread for the prefetch core.
-        regs_per_thread: usize,
-        /// Fabric configuration shared by recording and replay.
-        fabric: FabricConfig,
     },
     /// A multi-core system run ([`System::try_run`]); every core runs
     /// `ctor(n, Layout::for_core(i))`.
@@ -264,26 +251,6 @@ impl ExperimentSpec {
                 build,
                 cfg,
                 opts: opts.clone(),
-            },
-        );
-    }
-
-    /// Declares an exact-context prefetching cell.
-    pub fn prefetch_exact(
-        &mut self,
-        key: impl Into<String>,
-        build: WorkloadBuilder,
-        nthreads: usize,
-        regs_per_thread: usize,
-        fabric: FabricConfig,
-    ) {
-        self.push(
-            key,
-            Job::PrefetchExact {
-                build,
-                nthreads,
-                regs_per_thread,
-                fabric,
             },
         );
     }
@@ -868,8 +835,8 @@ impl Executor {
                 };
                 let cell = &spec.cells[i];
                 // One gate per cell: the deadline clock spans every retry
-                // and (for prefetch cells) both the record and replay
-                // phases.
+                // and (for an exact-context prefetching core) both the
+                // oracle recording and the run that replays it.
                 let gate = RunGate::new(self.abort.clone(), self.deadline_ms);
                 let (outcome, journalable) = execute_cell(cell, spec.retry, &gate, self.gated);
                 if journalable {
@@ -961,16 +928,6 @@ fn execute_cell(
                 }
                 try_run_single(cfg, &w, &opts).map(|r| CellData::Run(Box::new(r)))
             }
-            Job::PrefetchExact {
-                build,
-                nthreads,
-                regs_per_thread,
-                fabric,
-            } => {
-                let w = build();
-                try_run_prefetch_exact_gated(*nthreads, *regs_per_thread, &w, *fabric, gate)
-                    .map(|r| CellData::Run(Box::new(r)))
-            }
             Job::System { cfg, ctor, n } => {
                 let mut cfg = *cfg;
                 cfg.core.max_cycles = cfg.core.max_cycles.saturating_mul(scale);
@@ -989,16 +946,15 @@ fn execute_cell(
     let mut retried = false;
     let mut retries_left = if scalable { retry.max_retries } else { 0 };
     loop {
-        match catch_unwind(AssertUnwindSafe(|| attempt(scale))) {
-            Ok(Ok(data)) => return (CellOutcome::Ok(data), true),
-            Ok(Err(SimError::CycleBudgetExceeded { .. }))
-                if retries_left > 0 && retry.next_scale(scale).is_some() =>
-            {
+        let next = retry.next_scale(scale).filter(|_| retries_left > 0);
+        match (catch_unwind(AssertUnwindSafe(|| attempt(scale))), next) {
+            (Ok(Ok(data)), _) => return (CellOutcome::Ok(data), true),
+            (Ok(Err(SimError::CycleBudgetExceeded { .. })), Some(next)) => {
                 retries_left -= 1;
                 retried = true;
-                scale = retry.next_scale(scale).expect("checked in the guard");
+                scale = next;
             }
-            Ok(Err(e)) => {
+            (Ok(Err(e)), _) => {
                 let journalable =
                     !matches!(e.root_cause(), SimError::Deadline { .. }) || e.deadline_expired();
                 return (
@@ -1010,7 +966,7 @@ fn execute_cell(
                     journalable,
                 );
             }
-            Err(payload) => {
+            (Err(payload), _) => {
                 let msg = payload
                     .downcast_ref::<String>()
                     .map(String::as_str)

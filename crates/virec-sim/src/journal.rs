@@ -39,7 +39,7 @@ use crate::experiment::{json_string, CellData, CellOutcome};
 use crate::ras::RasStats;
 use crate::runner::RunResult;
 use crate::system::SystemResult;
-use virec_core::{CoreStats, OracleSchedule};
+use virec_core::CoreStats;
 use virec_mem::{CacheStats, FabricStats, MAX_STAT_PORTS};
 
 /// Journal location for experiment `name` under `dir`.
@@ -461,9 +461,6 @@ fn dec_data(v: &Json) -> Option<CellData> {
         "run" => Some(CellData::Run(Box::new(RunResult {
             cycles: v.get("cycles")?.u64()?,
             stats: dec_core_stats(v.get("stats")?)?,
-            // The oracle is never rendered into tables or JSON; replayed
-            // cells carry an empty one.
-            oracle: OracleSchedule::default(),
             faults_applied: v
                 .get("faults_applied")?
                 .arr()?
@@ -861,7 +858,6 @@ mod tests {
                     ..Default::default()
                 },
             },
-            oracle: OracleSchedule::default(),
             faults_applied: vec!["cycle 9: dram word 0x40 bit 3".into()],
             arch_digest: u64::MAX - 1,
             ecc: EccStats {

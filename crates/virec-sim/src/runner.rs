@@ -44,10 +44,10 @@ pub struct RunOptions {
     /// Check final architectural state against the golden interpreter
     /// (cheap insurance; on by default).
     pub verify: bool,
-    /// Record per-quantum register sets for the prefetch oracle (read off
-    /// the quantum trace by [`OracleSchedule::from_trace`]).
-    pub record_oracle: bool,
-    /// Oracle to feed an exact-context prefetching core.
+    /// Oracle to feed an exact-context prefetching core. Empty (the
+    /// default) records one: each such core replays the schedule of a
+    /// traced pre-run of its workload on a banked core with the same
+    /// thread count, fabric, gate and loop (§6.1's recording substrate).
     pub oracle: OracleSchedule,
     /// Watchdog threshold: cycles without a commit before the run is
     /// declared livelocked (0 disables the watchdog).
@@ -87,7 +87,6 @@ impl Default for RunOptions {
         RunOptions {
             fabric: FabricConfig::default(),
             verify: true,
-            record_oracle: false,
             oracle: OracleSchedule::default(),
             livelock_cycles: DEFAULT_LIVELOCK_CYCLES,
             faults: FaultPlan::empty(),
@@ -108,8 +107,6 @@ pub struct RunResult {
     pub cycles: u64,
     /// Core statistics (caches folded in).
     pub stats: CoreStats,
-    /// Recorded oracle (empty unless requested).
-    pub oracle: OracleSchedule,
     /// Descriptions of the injected faults that actually landed.
     pub faults_applied: Vec<String>,
     /// FNV digest of the final architectural state (all thread registers
@@ -175,22 +172,15 @@ fn try_run_single_impl(
     opts: &RunOptions,
     want_trace: bool,
 ) -> Result<(RunResult, QuantumTrace), SimError> {
-    let trace = opts.record_oracle || want_trace;
-    let run = Runner::run(&[cfg], std::slice::from_ref(workload), opts, trace)?;
+    let run = Runner::run(&[cfg], std::slice::from_ref(workload), opts, want_trace)?;
     let (mut m, faults) = (run.m, run.router.rewindable);
     let core = &mut m.slots[0];
     let trace = core.take_quantum_trace();
-    let oracle = if opts.record_oracle {
-        OracleSchedule::from_trace(&trace, cfg.nthreads)
-    } else {
-        OracleSchedule::default()
-    };
     Ok((
         RunResult {
             cycles: m.now,
             stats: *core.stats(),
             arch_digest: arch_digest(core, &m.mem, workload, cfg.nthreads),
-            oracle,
             faults_applied: faults.narrative,
             ecc: faults.ecc,
             checkpoint_clone_ns: run.checkpoint_clone_ns,
@@ -207,6 +197,27 @@ fn mem_size(workloads: &[Workload]) -> usize {
     let data_end = |w: &Workload| (w.layout.data_base + w.layout.data_size) as usize;
     let spans = layout::mem_size(workloads.len());
     workloads.iter().map(data_end).fold(spans, usize::max)
+}
+
+/// The oracle schedule of a traced pre-run of `workload` on a banked core
+/// with `nthreads` threads, under `opts`'s fabric, gate and loop, so one
+/// deadline spans the recording and the run that replays it.
+fn recorded_oracle(
+    workload: &Workload,
+    nthreads: usize,
+    opts: &RunOptions,
+) -> Result<OracleSchedule, SimError> {
+    let rec = RunOptions {
+        fabric: opts.fabric,
+        verify: false,
+        gate: opts.gate.clone(),
+        dense_loop: opts.dense_loop,
+        ..RunOptions::default()
+    };
+    let cfgs = [CoreConfig::banked(nthreads)];
+    let mut run = Runner::run(&cfgs, std::slice::from_ref(workload), &rec, true)?;
+    let trace = run.m.slots[0].take_quantum_trace();
+    Ok(OracleSchedule::from_trace(&trace, nthreads))
 }
 
 /// The [`Scope`] the router (fault routing, patrol scrubs, recovery) acts
@@ -252,7 +263,9 @@ impl<'a> Runner<'a> {
     /// Builds the machine — slot `i` runs `workloads[i]` on `cfgs[i]` —
     /// steps it until every core halts, then finalizes and drains every
     /// core and (with [`RunOptions::verify`]) checks each against the
-    /// golden interpreter. `trace` turns on every core's quantum trace.
+    /// golden interpreter. `trace` turns on every core's quantum trace. An
+    /// exact-context prefetching core replays [`RunOptions::oracle`], or
+    /// when that is empty the schedule [`recorded_oracle`] records.
     pub(crate) fn run(
         cfgs: &[CoreConfig],
         workloads: &'a [Workload],
@@ -268,7 +281,12 @@ impl<'a> Runner<'a> {
             if let Some(rc) = opts.ras.filter(|_| cfg.engine == EngineKind::ViReC) {
                 cfg.spare_ways = rc.spare_ways as usize;
             }
-            let mut core = load_core(&mut mem, slot, cfg, w, opts.oracle.clone());
+            let oracle = if cfg.engine == EngineKind::PrefetchExact && opts.oracle.sets.is_empty() {
+                recorded_oracle(w, cfg.nthreads, opts)?
+            } else {
+                opts.oracle.clone()
+            };
+            let mut core = load_core(&mut mem, slot, cfg, w, oracle);
             if trace {
                 core.enable_quantum_trace();
             }
@@ -678,88 +696,6 @@ pub fn verify_against_golden(workload: &Workload, nthreads: usize, core: &Core, 
         .unwrap_or_else(|e| panic!("{e}"));
 }
 
-/// Fallible oracle recording: runs the workload on a banked core with the
-/// same thread count under `gate`, returning the recorded schedule.
-pub fn try_record_oracle(
-    workload: &Workload,
-    nthreads: usize,
-    fabric: FabricConfig,
-    gate: &RunGate,
-) -> Result<OracleSchedule, SimError> {
-    let cfg = CoreConfig::banked(nthreads);
-    let opts = RunOptions {
-        fabric,
-        verify: false,
-        record_oracle: true,
-        gate: gate.clone(),
-        ..RunOptions::default()
-    };
-    try_run_single(cfg, workload, &opts).map(|r| r.oracle)
-}
-
-/// Records the per-quantum oracle by running the workload on a banked core
-/// with the same thread count (the recording substrate for §6.1's exact
-/// prefetching comparison).
-pub fn record_oracle(workload: &Workload, nthreads: usize, fabric: FabricConfig) -> OracleSchedule {
-    try_record_oracle(workload, nthreads, fabric, &RunGate::unbounded())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Convenience: run an exact-context prefetching core, recording the oracle
-/// first.
-pub fn run_prefetch_exact(
-    nthreads: usize,
-    regs_per_thread: usize,
-    workload: &Workload,
-    fabric: FabricConfig,
-) -> RunResult {
-    let oracle = record_oracle(workload, nthreads, fabric);
-    let cfg = CoreConfig::prefetch_exact(nthreads, regs_per_thread);
-    let opts = RunOptions {
-        fabric,
-        oracle,
-        ..RunOptions::default()
-    };
-    run_single(cfg, workload, &opts)
-}
-
-/// Fallible form of [`run_prefetch_exact`].
-pub fn try_run_prefetch_exact(
-    nthreads: usize,
-    regs_per_thread: usize,
-    workload: &Workload,
-    fabric: FabricConfig,
-) -> Result<RunResult, SimError> {
-    try_run_prefetch_exact_gated(
-        nthreads,
-        regs_per_thread,
-        workload,
-        fabric,
-        &RunGate::unbounded(),
-    )
-}
-
-/// [`try_run_prefetch_exact`] under a cancellation gate. The same gate —
-/// and therefore the same wall-clock deadline — spans both the oracle
-/// recording and the replay phase, so the cell's total time is bounded.
-pub fn try_run_prefetch_exact_gated(
-    nthreads: usize,
-    regs_per_thread: usize,
-    workload: &Workload,
-    fabric: FabricConfig,
-    gate: &RunGate,
-) -> Result<RunResult, SimError> {
-    let oracle = try_record_oracle(workload, nthreads, fabric, gate)?;
-    let cfg = CoreConfig::prefetch_exact(nthreads, regs_per_thread);
-    let opts = RunOptions {
-        fabric,
-        oracle,
-        gate: gate.clone(),
-        ..RunOptions::default()
-    };
-    try_run_single(cfg, workload, &opts)
-}
-
 /// Sanity marker so downstream code can assert which engine a config is.
 pub fn engine_label(cfg: &CoreConfig) -> &'static str {
     match cfg.engine {
@@ -792,20 +728,21 @@ mod tests {
     }
 
     #[test]
-    fn oracle_recording_produces_quanta() {
+    fn oracle_recording_produces_quanta() -> Result<(), SimError> {
         let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let o = record_oracle(&w, 4, FabricConfig::default());
+        let o = recorded_oracle(&w, 4, &RunOptions::default())?;
         assert_eq!(o.sets.len(), 4);
         assert!(
             o.sets.iter().any(|s| s.len() > 1),
             "multiple quanta expected"
         );
+        Ok(())
     }
 
     #[test]
     fn prefetch_exact_runs_with_recorded_oracle() {
         let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let r = run_prefetch_exact(4, 8, &w, FabricConfig::default());
+        let r = run_single(CoreConfig::prefetch_exact(4, 8), &w, &RunOptions::default());
         assert!(r.cycles > 0);
     }
 

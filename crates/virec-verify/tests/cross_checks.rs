@@ -10,7 +10,7 @@
 //! * a purely liveness-derived oracle schedule can drive a prefetch-exact
 //!   core to a correct (golden-verified) run.
 
-use virec_core::CoreConfig;
+use virec_core::{CoreConfig, OracleSchedule};
 use virec_isa::dataflow::ALL_REGS;
 use virec_sim::{try_run_single, try_run_single_traced, RunOptions};
 use virec_verify::{check_liveness_on_golden_trace, check_lrc, StaticOracle};
@@ -23,14 +23,12 @@ const NTHREADS: usize = 4;
 fn recorded_oracle_matches_trace_and_demand_is_live() {
     for w in suite(N, Layout::for_core(0)) {
         let oracle = StaticOracle::build(w.program(), ALL_REGS).expect(w.name);
-        let opts = RunOptions {
-            record_oracle: true,
-            ..RunOptions::default()
-        };
-        let (result, trace) =
-            try_run_single_traced(CoreConfig::banked(NTHREADS), &w, &opts).expect(w.name);
+        let (_, trace) =
+            try_run_single_traced(CoreConfig::banked(NTHREADS), &w, &RunOptions::default())
+                .expect(w.name);
+        let recorded = OracleSchedule::from_trace(&trace, NTHREADS);
         let check = oracle
-            .cross_check(&trace, Some(&result.oracle))
+            .cross_check(&trace, Some(&recorded))
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert!(check.quanta > 0, "{}: no quanta traced", w.name);
     }

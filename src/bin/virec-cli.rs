@@ -20,11 +20,11 @@ use virec::area::AreaModel;
 use virec::bench::harness::{self, EngineSel, SuiteSweep, SweepControl};
 use virec::bench::tune::{pareto_front, pick_for_area, tune_sweep, TuneConfig};
 use virec::cc::{regalloc, AllocStrategy};
-use virec::core::{CoreConfig, EngineKind, PolicyKind};
+use virec::core::{CoreConfig, PolicyKind};
 use virec::mem::{FabricConfig, FabricTopology};
 use virec::sim::experiment::RetryPolicy;
 use virec::sim::runner::default_checkpoint_interval;
-use virec::sim::runner::{try_run_prefetch_exact, try_run_single, RunOptions};
+use virec::sim::runner::{try_run_single, RunOptions};
 use virec::sim::{
     parse_sites, run_campaign_with, run_service, CampaignOptions, FaultClass, FaultPlan, FaultSite,
     InjectionOutcome, ProtectionConfig, RasConfig, ServeConfig, ServeFaultPlan, ServeReport,
@@ -449,11 +449,7 @@ fn cmd_run(f: &Flags) -> Result<ExitCode, CliError> {
         ..RunOptions::default()
     };
 
-    let result = if cfg.engine == EngineKind::PrefetchExact {
-        try_run_prefetch_exact(threads, w.active_context_size(), &w, opts.fabric)
-    } else {
-        try_run_single(cfg, &w, &opts)
-    }?;
+    let result = try_run_single(cfg, &w, &opts)?;
     println!("workload          : {} (n={n})", w.name);
     println!(
         "engine            : {}, {threads} threads, {} regs, policy {:?}",

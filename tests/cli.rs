@@ -55,11 +55,74 @@ fn bad_flag_values_name_the_flag() {
     rejects("run --workload gather --n", "--n");
 }
 
+/// Every command in the usage text with its declared flags, each paired
+/// with whether it takes a value: `[--n <elems>]` does, `[--resume]` does
+/// not.
+fn usage_commands() -> Vec<(String, Vec<(String, bool)>)> {
+    let usage = stderr(&cli(""));
+    let mut cmds: Vec<(String, Vec<(String, bool)>)> = Vec::new();
+    for line in usage
+        .lines()
+        .skip_while(|l| !l.starts_with("USAGE:"))
+        .skip(1)
+    {
+        let mut words = line.split_whitespace().peekable();
+        match words.peek() {
+            None => break,
+            Some(&"virec-cli") => {
+                words.next();
+                let name = words.next().expect("command name");
+                cmds.push((name.to_string(), Vec::new()));
+            }
+            Some(_) => {}
+        }
+        let flags = &mut cmds.last_mut().expect("a command line first").1;
+        while let Some(word) = words.next() {
+            let flag = word.trim_start_matches('[').trim_end_matches(']');
+            let takes_value = !word.ends_with(']')
+                && words
+                    .peek()
+                    .is_some_and(|next| !next.starts_with('[') && !next.starts_with("--"));
+            flags.push((flag.to_string(), takes_value));
+            if takes_value {
+                words.next();
+            }
+        }
+    }
+    cmds
+}
+
+/// Every command rejects every flag that only other commands declare; and
+/// after each flag it does declare (given the value `1` if it takes one),
+/// it fails on a trailing undeclared `--zz`, not on the flag itself.
+/// Parsing stops at the first bad flag, so no simulation starts.
 #[test]
 fn unknown_and_misplaced_flags_are_rejected() {
-    rejects("run --workload gather --treads 4", "--treads");
-    rejects("run --workload gather --resume", "--resume");
-    rejects("area --seed 1", "--seed");
+    let cmds = usage_commands();
+    assert!(cmds.len() > 5, "usage lists the commands: {cmds:?}");
+    let mut all: Vec<&str> = cmds
+        .iter()
+        .flat_map(|(_, flags)| flags.iter().map(|(f, _)| f.as_str()))
+        .collect();
+    all.sort_unstable();
+    all.dedup();
+    for (cmd, flags) in &cmds {
+        let declared = |f: &str| flags.iter().any(|(d, _)| d == f);
+        for flag in all.iter().filter(|f| !declared(f)) {
+            let args = format!("{cmd} {flag}");
+            let o = cli(&args);
+            assert_eq!(o.status.code(), Some(2), "`{args}` should exit 2");
+            let want = format!("error: unknown flag {flag} for {cmd}\n");
+            assert_eq!(stderr(&o), want, "`{args}`");
+        }
+        for (flag, takes_value) in flags {
+            let args = format!("{cmd} {flag}{} --zz", if *takes_value { " 1" } else { "" });
+            let o = cli(&args);
+            assert_eq!(o.status.code(), Some(2), "`{args}` should exit 2");
+            let want = format!("error: unknown flag --zz for {cmd}\n");
+            assert_eq!(stderr(&o), want, "`{args}`");
+        }
+    }
 }
 
 #[test]
@@ -113,16 +176,19 @@ fn ci_gate_diagnostics_are_stable() {
     assert!(stdout(&o).contains("[tv:spill-slot-mismatch]"));
 }
 
+/// Every `--engine` spelling `run` accepts.
+const ENGINES: [&str; 6] = [
+    "virec",
+    "banked",
+    "software",
+    "prefetch_full",
+    "prefetch_exact",
+    "nsf",
+];
+
 #[test]
 fn run_accepts_every_engine_spelling() {
-    for engine in [
-        "virec",
-        "banked",
-        "software",
-        "prefetch_full",
-        "prefetch_exact",
-        "nsf",
-    ] {
+    for engine in ENGINES {
         let o = cli(&format!("run --workload gather --n 256 --engine {engine}"));
         assert_eq!(o.status.code(), Some(0), "{engine}: {}", stderr(&o));
         assert!(stdout(&o).contains(&format!("engine            : {engine},")));
@@ -131,13 +197,17 @@ fn run_accepts_every_engine_spelling() {
 
 #[test]
 fn run_reports_a_blown_cycle_budget() {
-    let o = cli("run --workload gather --n 256 --max-cycles 1000");
-    assert_eq!(o.status.code(), Some(1));
-    assert!(
-        stderr(&o).starts_with("error[cycle_budget]: "),
-        "{}",
-        stderr(&o)
-    );
+    for engine in ENGINES {
+        let o = cli(&format!(
+            "run --workload gather --n 256 --engine {engine} --max-cycles 1000"
+        ));
+        assert_eq!(o.status.code(), Some(1), "{engine}");
+        assert!(
+            stderr(&o).starts_with("error[cycle_budget]: "),
+            "{engine}: {}",
+            stderr(&o)
+        );
+    }
 }
 
 #[test]

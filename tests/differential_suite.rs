@@ -5,7 +5,7 @@
 //! BSI, pinning, and the CSL end to end.
 
 use virec::core::{CoreConfig, PolicyKind};
-use virec::sim::runner::{run_prefetch_exact, run_single, RunOptions};
+use virec::sim::runner::{run_single, RunOptions};
 use virec::workloads::{suite, Layout};
 
 const N: u64 = 256;
@@ -77,7 +77,8 @@ fn all_workloads_prefetch_full() {
 #[test]
 fn all_workloads_prefetch_exact() {
     for w in suite(N, Layout::for_core(0)) {
-        run_prefetch_exact(4, w.active_context_size(), &w, Default::default());
+        let cfg = CoreConfig::prefetch_exact(4, w.active_context_size());
+        run_single(cfg, &w, &opts());
     }
 }
 

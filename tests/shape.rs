@@ -5,7 +5,7 @@
 
 use virec::area::AreaModel;
 use virec::core::{CoreConfig, PolicyKind};
-use virec::sim::runner::{run_prefetch_exact, run_single, RunOptions};
+use virec::sim::runner::{run_single, RunOptions};
 use virec::workloads::{kernels, Layout};
 
 fn opts() -> RunOptions {
@@ -122,7 +122,7 @@ fn exact_prefetch_beats_small_but_loses_to_large_virec() {
     // Figure 9: exact prefetch wins under high contention (vs 40% context)
     // but loses once ViReC can retain 80% of the contexts.
     let w = gather(4096);
-    let pe = run_prefetch_exact(8, 8, &w, Default::default()).cycles;
+    let pe = run_single(CoreConfig::prefetch_exact(8, 8), &w, &opts()).cycles;
     let virec40 = run_single(CoreConfig::virec(8, 26), &w, &opts()).cycles;
     let virec80 = run_single(CoreConfig::virec(8, 52), &w, &opts()).cycles;
     assert!(
