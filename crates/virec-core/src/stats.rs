@@ -49,6 +49,29 @@ pub struct CoreStats {
 }
 
 impl CoreStats {
+    /// The scalar counters, each with its journal key, in journal order.
+    /// `dcache` and `icache` are blocks of their own
+    /// ([`CacheStats::counters_mut`]).
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 15] {
+        [
+            ("cycles", &mut self.cycles),
+            ("instructions", &mut self.instructions),
+            ("context_switches", &mut self.context_switches),
+            ("switches_masked", &mut self.switches_masked),
+            ("rf_hits", &mut self.rf_hits),
+            ("rf_misses", &mut self.rf_misses),
+            ("rf_dummy_fills", &mut self.rf_dummy_fills),
+            ("rf_spills", &mut self.rf_spills),
+            ("stall_reg_fill", &mut self.stall_reg_fill),
+            ("stall_mem", &mut self.stall_mem),
+            ("stall_idle", &mut self.stall_idle),
+            ("stall_fetch", &mut self.stall_fetch),
+            ("stall_sq_full", &mut self.stall_sq_full),
+            ("stall_ctx_software", &mut self.stall_ctx_software),
+            ("branch_mispredicts", &mut self.branch_mispredicts),
+        ]
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

@@ -25,6 +25,21 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Every counter with its journal key, in journal order.
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 9] {
+        [
+            ("hits", &mut self.hits),
+            ("misses", &mut self.misses),
+            ("mshr_stalls", &mut self.mshr_stalls),
+            ("port_stalls", &mut self.port_stalls),
+            ("evictions", &mut self.evictions),
+            ("writebacks", &mut self.writebacks),
+            ("pinned_bypasses", &mut self.pinned_bypasses),
+            ("reg_hits", &mut self.reg_hits),
+            ("reg_misses", &mut self.reg_misses),
+        ]
+    }
+
     /// Demand accesses = hits + misses.
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
@@ -46,19 +61,6 @@ impl CacheStats {
         } else {
             self.misses as f64 / self.accesses() as f64
         }
-    }
-
-    /// Accumulates another stats block into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.mshr_stalls += other.mshr_stalls;
-        self.port_stalls += other.port_stalls;
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.pinned_bypasses += other.pinned_bypasses;
-        self.reg_hits += other.reg_hits;
-        self.reg_misses += other.reg_misses;
     }
 }
 
@@ -83,25 +85,5 @@ mod tests {
         let s = CacheStats::default();
         assert_eq!(s.hit_rate(), 0.0);
         assert_eq!(s.miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = CacheStats {
-            hits: 1,
-            misses: 2,
-            writebacks: 3,
-            ..Default::default()
-        };
-        let b = CacheStats {
-            hits: 10,
-            misses: 20,
-            writebacks: 30,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.hits, 11);
-        assert_eq!(a.misses, 22);
-        assert_eq!(a.writebacks, 33);
     }
 }

@@ -320,6 +320,19 @@ pub struct EccStats {
 }
 
 impl EccStats {
+    /// Every counter with its journal key, in journal order.
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 7] {
+        [
+            ("corrected", &mut self.corrected),
+            ("detected_uncorrectable", &mut self.detected_uncorrectable),
+            ("unprotected", &mut self.unprotected),
+            ("parity_escapes", &mut self.parity_escapes),
+            ("checkpoints_taken", &mut self.checkpoints_taken),
+            ("restores", &mut self.restores),
+            ("replay_cycles", &mut self.replay_cycles),
+        ]
+    }
+
     /// True when no counter ever ticked (the run never touched the
     /// protection model).
     pub fn is_empty(&self) -> bool {

@@ -88,6 +88,19 @@ pub struct RasStats {
 }
 
 impl RasStats {
+    /// Every counter with its journal key, in journal order.
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 7] {
+        [
+            ("scrub_reads", &mut self.scrub_reads),
+            ("ce_observations", &mut self.ce_observations),
+            ("predictive_retirements", &mut self.predictive_retirements),
+            ("demand_retirements", &mut self.demand_retirements),
+            ("degraded_regions", &mut self.degraded_regions),
+            ("migrated_lines", &mut self.migrated_lines),
+            ("suppressed_assertions", &mut self.suppressed_assertions),
+        ]
+    }
+
     /// True when the run had no RAS activity at all.
     pub fn is_empty(&self) -> bool {
         *self == RasStats::default()

@@ -13,7 +13,7 @@ use virec::core::CoreConfig;
 use virec::sim::experiment::{CellData, CellOutcome, Executor, ExperimentSpec};
 use virec::sim::journal::journal_path;
 use virec::sim::runner::RunOptions;
-use virec::sim::{builder, JournalConfig, SimError};
+use virec::sim::{builder, JournalConfig, RunDiagnostics, SimError};
 use virec::workloads::{kernels, Layout};
 
 /// A fresh per-test journal directory under the system temp dir.
@@ -25,7 +25,8 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 /// The kill-and-resume grid: a deterministically panicking cell, a custom
-/// metrics cell, and two real simulations. `runs` counts executions of the
+/// metrics cell, a cell rejecting its configuration, and two real
+/// simulations. `runs` counts executions of the
 /// panicking cell so the resume can prove it replayed the journaled row
 /// instead of re-running it.
 fn mixed_spec(name: &str, runs: &Arc<AtomicUsize>) -> ExperimentSpec {
@@ -37,6 +38,12 @@ fn mixed_spec(name: &str, runs: &Arc<AtomicUsize>) -> ExperimentSpec {
     });
     spec.custom("metrics", |_| {
         Ok(CellData::metrics([("alpha", 1.5), ("beta", -2.0)]))
+    });
+    spec.custom("bad_config", |_| {
+        Err(SimError::Config {
+            detail: "zero cores".into(),
+            diag: RunDiagnostics::placeholder("resume-config"),
+        })
     });
     let build = builder(kernels::spatter::gather, 256, Layout::for_core(0));
     let opts = RunOptions::default();
@@ -52,16 +59,16 @@ fn kill_and_resume_is_byte_identical() {
     let baseline = Executor::new(1).run(&mixed_spec("resume_identity", &clean_runs));
     assert_eq!(clean_runs.load(Ordering::SeqCst), 1);
 
-    // Interrupt after two completed cells (the same drain path a SIGINT
-    // takes, made deterministic): "boom" and "metrics" land in the
-    // journal, the two simulations never run.
+    // Interrupt after three completed cells (the same drain path a SIGINT
+    // takes, made deterministic): "boom", "metrics" and "bad_config" land
+    // in the journal, the two simulations never run.
     let runs = Arc::new(AtomicUsize::new(0));
     let cfg = JournalConfig {
         dir: dir.clone(),
         resume: false,
     };
     let interrupted = Executor::new(1)
-        .with_interrupt_after(2)
+        .with_interrupt_after(3)
         .run_journaled(&mixed_spec("resume_identity", &runs), Some(&cfg))
         .expect("journal dir is writable");
     assert!(interrupted.interrupted);
