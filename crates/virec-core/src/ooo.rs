@@ -16,7 +16,6 @@
 //! yielding a multiple of in-order performance at a large area multiple —
 //! with an ILP ceiling for dependence chains (§2).
 
-use crate::config::EngineKind;
 use virec_isa::{ExecOutcome, FlatMem, Instr, Interpreter, Program, Reg, ThreadCtx};
 
 /// Parameters of the OoO model (defaults follow Table 1's N1-like core,
@@ -276,12 +275,6 @@ pub fn run_ooo(
         nmp_equivalent_cycles: (core_cycles as f64 / cfg.clock_ratio) as u64,
         instructions: trace.len() as u64,
     }
-}
-
-/// Marker so reports can label the OoO point consistently.
-pub fn ooo_engine_label() -> &'static str {
-    let _ = EngineKind::Banked;
-    "ooo"
 }
 
 #[cfg(test)]

@@ -394,10 +394,6 @@ impl Noc {
         (node % self.cols, node / self.cols)
     }
 
-    pub(crate) fn dims(&self) -> (usize, usize) {
-        (self.cols, self.rows)
-    }
-
     pub(crate) fn fault(&self) -> Option<&str> {
         self.fault.as_deref()
     }

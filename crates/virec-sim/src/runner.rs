@@ -62,9 +62,6 @@ pub struct RunOptions {
     /// checkpointing (the default — ordinary runs pay nothing). See
     /// [`default_checkpoint_interval`] for the campaign default.
     pub checkpoint_interval: u64,
-    /// Depth of the in-memory checkpoint ring (ignored when
-    /// checkpointing is disabled).
-    pub checkpoint_depth: usize,
     /// Wall-clock deadline / cooperative-cancellation gate; the default
     /// never trips. The step loop polls it cheaply and degrades to a
     /// typed [`SimError::Deadline`] when it fires.
@@ -92,7 +89,6 @@ impl Default for RunOptions {
             faults: FaultPlan::empty(),
             protection: ProtectionConfig::none(),
             checkpoint_interval: 0,
-            checkpoint_depth: 4,
             gate: RunGate::unbounded(),
             dense_loop: false,
             ras: None,
@@ -231,6 +227,10 @@ fn scope<'a>(m: &'a mut Machine<Core>, layout: &'a Layout) -> Scope<'a> {
         layout,
     }
 }
+
+/// Checkpoints the in-memory ring holds (when checkpointing is on); the
+/// oldest is evicted before a new one is taken.
+const CHECKPOINT_DEPTH: usize = 4;
 
 /// One entry of the in-memory checkpoint ring: a deep copy of the machine
 /// (every core, the fabric, functional memory) plus the router's
@@ -434,7 +434,7 @@ impl Runner<'_> {
     fn checkpoint(&mut self) {
         let snap_start = std::time::Instant::now();
         // Evict before cloning, so the ring never holds depth + 1 images.
-        if self.checkpoints.len() == self.opts.checkpoint_depth.max(1) {
+        if self.checkpoints.len() == CHECKPOINT_DEPTH {
             self.checkpoints.pop_front();
         }
         self.checkpoints.push_back(Checkpoint {

@@ -14,8 +14,7 @@
 //!   quarantined, arriving *and* queued tasks drain with
 //!   [`RejectReason::QuarantinedCapacity`] instead of deadlocking.
 //! * **Per-task deadlines** — a cycle-denominated SLO deadline relative to
-//!   arrival ([`ServeConfig::deadline_cycles`]) plus an optional wall-clock
-//!   gate per attempt reusing [`RunGate`] ([`ServeConfig::task_deadline_ms`]).
+//!   arrival ([`ServeConfig::deadline_cycles`]).
 //! * **Retry with backoff** — failed attempts re-dispatch with a
 //!   geometrically scaled cycle budget, reusing the experiment layer's
 //!   [`RetryPolicy`].
@@ -220,9 +219,6 @@ pub struct ServeConfig {
     /// Per-task SLO deadline in cycles from *arrival* (queued wait
     /// included); 0 disables. An exceeded task fails with kind `deadline`.
     pub deadline_cycles: u64,
-    /// Per-attempt wall-clock deadline in milliseconds through a
-    /// [`RunGate`]; 0 disables.
-    pub task_deadline_ms: u64,
     /// Retry policy for failed attempts: bounded count, geometrically
     /// scaled cycle budget.
     pub retry: RetryPolicy,
@@ -269,7 +265,6 @@ impl ServeConfig {
             mean_interarrival: 2048,
             queue_depth: 2 * ncores.max(1) + 4,
             deadline_cycles: 0,
-            task_deadline_ms: 0,
             retry: RetryPolicy::default(),
             quarantine_after: 3,
             protection: ProtectionConfig::none(),
@@ -837,7 +832,7 @@ impl TaskService {
         let w = &self.workloads[slot][task.spec];
         let core = load_core(&mut self.m.mem, slot, self.cfg.core, w, Default::default());
         let budget = self.cfg.core.max_cycles.saturating_mul(task.scale);
-        let gate = RunGate::new(self.token.clone(), self.cfg.task_deadline_ms);
+        let gate = RunGate::new(self.token.clone(), 0);
         self.m.slots[slot] = Slot::Busy(Box::new(InFlight {
             task,
             core,

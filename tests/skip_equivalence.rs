@@ -150,7 +150,6 @@ fn seeded_fault_campaign_byte_identical() {
             faults: FaultPlan::seeded(0x5EED_7E57 ^ i, 1, window, &sites),
             protection: ProtectionConfig::secded(),
             checkpoint_interval: 4096,
-            checkpoint_depth: 4,
             ..RunOptions::default()
         };
         let skip = try_run_single(cfg, &w, &opts);
@@ -193,7 +192,6 @@ fn persistent_fault_classes_with_scrubber_byte_identical() {
                     faults: FaultPlan::seeded_class(0x8A5_0BAD ^ i, 1, window, sites, class),
                     protection: ProtectionConfig::secded(),
                     checkpoint_interval: 4096,
-                    checkpoint_depth: 4,
                     ras: Some(RasConfig::default()),
                     ..RunOptions::default()
                 };
@@ -390,7 +388,6 @@ fn mesh_link_fault_campaigns_byte_identical() {
                     ),
                     protection: ProtectionConfig::secded(),
                     checkpoint_interval: 4096,
-                    checkpoint_depth: 4,
                     ras: matches!(class, FaultClass::StuckAt { .. }).then(RasConfig::default),
                     ..RunOptions::default()
                 };
