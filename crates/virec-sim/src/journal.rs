@@ -459,18 +459,20 @@ fn dec_core(v: &Json) -> Option<CoreStats> {
 }
 
 fn dec_fabric(v: &Json) -> Option<FabricStats> {
+    // An absent optional key reads as zero; a present one must be a
+    // counter, or the record is damaged and rejected.
+    let optional = |k: &str| v.get(k).map_or(Some(0), Json::u64);
     let mut f = FabricStats::default();
     for (k, slot) in f.counters_mut() {
-        *slot = match v.get(k).and_then(Json::u64) {
-            Some(n) => n,
+        *slot = match k {
             // Absent in journals written before the RAS layer.
-            None if k == "scrub_reads" => 0,
-            None => return None,
+            "scrub_reads" => optional(k)?,
+            _ => v.get(k)?.u64()?,
         };
     }
     // Truncated on encode after the last non-zero pair; the tail is zero.
-    if let Some(pairs) = v.get("per_port").and_then(Json::arr) {
-        for (slot, pair) in f.per_port.iter_mut().zip(pairs) {
+    if let Some(pairs) = v.get("per_port") {
+        for (slot, pair) in f.per_port.iter_mut().zip(pairs.arr()?) {
             let p = pair.arr()?;
             slot[0] = p.first()?.u64()?;
             slot[1] = p.get(1)?.u64()?;
@@ -478,7 +480,7 @@ fn dec_fabric(v: &Json) -> Option<FabricStats> {
     }
     // Absent in journals written before the mesh NoC.
     for (k, slot) in f.noc_counters_mut() {
-        *slot = v.get(k).and_then(Json::u64).unwrap_or(0);
+        *slot = optional(k)?;
     }
     Some(f)
 }

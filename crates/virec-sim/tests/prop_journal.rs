@@ -432,3 +432,33 @@ fn decoder_defaults_only_scrub_reads() {
         );
     }
 }
+
+#[test]
+fn decoder_rejects_malformed_optional_fabric_keys() {
+    // Absent optional keys default; a present one must hold its type.
+    let absent = [
+        r#""per_port":[[620,621],[0,0],[0,622],[0,0],[623,0]],"#,
+        r#""noc_hops":608,"#,
+    ];
+    for cut in absent {
+        let edited = SYSTEM.replacen(cut, "", 1);
+        assert_ne!(edited, SYSTEM);
+        assert!(parse_record(&edited).is_some(), "{cut} is optional");
+    }
+    for (from, to) in [
+        (r#""scrub_reads":607"#, r#""scrub_reads":"x""#),
+        (r#""noc_hops":608"#, r#""noc_hops":"x""#),
+        (r#""noc_links_fenced":612"#, r#""noc_links_fenced":-1"#),
+        (
+            r#""per_port":[[620,621],[0,0],[0,622],[0,0],[623,0]]"#,
+            r#""per_port":7"#,
+        ),
+    ] {
+        let edited = SYSTEM.replacen(from, to, 1);
+        assert_ne!(edited, SYSTEM);
+        assert!(
+            parse_record(&edited).is_none(),
+            "a fabric block with {to} must be rejected"
+        );
+    }
+}
