@@ -657,7 +657,13 @@ impl Core {
 
     // ---- scheduling ----------------------------------------------------
 
+    /// Wakes the threads whose load miss has filled. Before the dcache's
+    /// first ready MSHR (exact, as debug builds check) no thread can wake,
+    /// so the walk is skipped.
     fn poll_blocked_threads(&mut self, now: u64) {
+        if self.dcache.first_ready() > now {
+            return;
+        }
         for tid in 0..self.threads.len() {
             if let ThreadStatus::Blocked(mshr) = self.threads[tid].status {
                 if self.dcache.mshr_ready(mshr, now) {

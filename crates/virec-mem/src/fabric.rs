@@ -7,12 +7,14 @@
 //! row-buffer state, bank busy times, and channel data-bus occupancy.
 //!
 //! The model is timing-only: functional data lives in the flat memory owned
-//! by the system. Requests are identified by opaque tokens that requesters
-//! poll for completion.
+//! by the system. Requests are identified by opaque tokens; once bank
+//! scheduling decides a response's cycle, the fabric files it under the
+//! requester's port, and the requester collects it with
+//! [`Fabric::take_done`] on the cycle [`Fabric::due`] names.
 
 use crate::noc::{FabricTopology, LinkHealth, LinkRetireOutcome, Noc};
 use crate::remap::{RemapTable, RetireOutcome};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Identifies the requester port (one per cache that talks to the fabric).
 pub type PortId = usize;
@@ -194,13 +196,56 @@ struct Pending {
     addr: u64,
     is_write: bool,
     /// Fire-and-forget patrol read: occupies the bank and bus but is
-    /// never entered into the done map (nobody polls it).
+    /// never filed as a completion (nobody collects it).
     is_scrub: bool,
     /// Requester port (drives the mesh response route; `0` for scrubs).
     port: PortId,
     submitted: u64,
     /// Cycle the request reaches the memory controller.
     arrive_at: u64,
+}
+
+/// One requester port's scheduled but uncollected responses.
+#[derive(Clone, Debug)]
+struct PortDone {
+    /// `(token, cycle the response is available)`, in scheduling order.
+    entries: Vec<(ReqToken, u64)>,
+    /// Earliest cycle in `entries` (`u64::MAX` when empty).
+    due: u64,
+    /// Tokens below this belong to a released requester: their responses
+    /// are dropped instead of filed.
+    floor: ReqToken,
+}
+
+impl PortDone {
+    const EMPTY: PortDone = PortDone {
+        entries: Vec::new(),
+        due: u64::MAX,
+        floor: 0,
+    };
+}
+
+/// Scheduled responses by requester port: the fabric records each
+/// response's cycle here when it schedules it, and the requester collects
+/// it on that cycle.
+#[derive(Clone, Debug, Default)]
+struct Completions(Vec<PortDone>);
+
+impl Completions {
+    fn port_mut(&mut self, port: PortId) -> &mut PortDone {
+        if self.0.len() <= port {
+            self.0.resize(port + 1, PortDone::EMPTY);
+        }
+        &mut self.0[port]
+    }
+
+    fn file(&mut self, port: PortId, token: ReqToken, at: u64) {
+        let d = self.port_mut(port);
+        if token >= d.floor {
+            d.due = d.due.min(at);
+            d.entries.push((token, at));
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -219,8 +264,8 @@ pub struct Fabric {
     accept_queue: VecDeque<Pending>,
     /// Accepted, waiting for bank service.
     inflight: Vec<Pending>,
-    /// token -> absolute cycle at which the response is available.
-    done: HashMap<ReqToken, u64>,
+    /// Scheduled responses not yet collected.
+    done: Completions,
     next_token: ReqToken,
     stats: FabricStats,
     /// Snapshot of `stats` at the last [`Fabric::epoch_stats`] call.
@@ -248,7 +293,7 @@ impl Fabric {
             chan_bus_free: vec![0; cfg.dram.channels],
             accept_queue: VecDeque::new(),
             inflight: Vec::new(),
-            done: HashMap::new(),
+            done: Completions::default(),
             next_token: 0,
             stats: FabricStats::default(),
             epoch_mark: FabricStats::default(),
@@ -355,10 +400,11 @@ impl Fabric {
         self.noc.as_deref().map(|n| n.credits_held())
     }
 
-    /// Submits a 64B line request. Returns a token to poll with
-    /// [`Fabric::is_done`]. Under a mesh topology the request is injected
-    /// at `port`'s mesh node and routed hop by hop to the memory
-    /// controller; the crossbar enqueues it for fixed-latency acceptance.
+    /// Submits a 64B line request. Returns the token its response is
+    /// filed under at `port` (see [`Fabric::take_done`]). Under a mesh
+    /// topology the request is injected at `port`'s mesh node and routed
+    /// hop by hop to the memory controller; the crossbar enqueues it for
+    /// fixed-latency acceptance.
     pub fn submit(&mut self, now: u64, port: PortId, addr: u64, is_write: bool) -> ReqToken {
         let token = self.next_token;
         self.next_token += 1;
@@ -382,7 +428,7 @@ impl Fabric {
     /// Submits a fire-and-forget patrol-scrub read of the line at `addr`.
     /// The read takes a real trip through the crossbar and occupies its
     /// bank like any demand read — scrub bandwidth contends with demand
-    /// traffic — but completes silently (no token to poll, counted in
+    /// traffic — but completes silently (nothing to collect, counted in
     /// [`FabricStats::scrub_reads`]).
     pub fn submit_scrub(&mut self, now: u64, addr: u64) {
         let token = self.next_token;
@@ -398,28 +444,67 @@ impl Fabric {
         });
     }
 
-    /// Whether the response for `token` is available at cycle `now`.
+    /// Earliest cycle at which one of `port`'s scheduled responses is
+    /// available, or `u64::MAX` when none is scheduled. Requests still
+    /// queued or in flight have no cycle yet and do not count: bank
+    /// scheduling (a [`Fabric::tick`]) decides it, so a requester that
+    /// finds nothing due at `now` has nothing to collect this cycle.
+    pub fn due(&self, port: PortId) -> u64 {
+        self.done.0.get(port).map_or(u64::MAX, |d| d.due)
+    }
+
+    /// Whether `token`'s response is filed, available at cycle `now` and
+    /// not yet collected. A check over every port's table, for tests and
+    /// debug assertions; requesters gate on [`Fabric::due`] and collect
+    /// with [`Fabric::take_done`].
     pub fn is_done(&self, token: ReqToken, now: u64) -> bool {
-        self.done.get(&token).is_some_and(|&t| t <= now)
+        self.done
+            .0
+            .iter()
+            .flat_map(|d| &d.entries)
+            .any(|&(t, at)| t == token && at <= now)
     }
 
-    /// Removes a completed token. Call after [`Fabric::is_done`] returns true.
-    pub fn retire(&mut self, token: ReqToken) {
-        let removed = self.done.remove(&token);
-        debug_assert!(removed.is_some(), "retiring unknown token {token}");
+    /// Collects every response of `port` available at cycle `now`:
+    /// appends its token to `out` and forgets it.
+    pub fn take_done(&mut self, port: PortId, now: u64, out: &mut Vec<ReqToken>) {
+        let Some(d) = self.done.0.get_mut(port).filter(|d| d.due <= now) else {
+            return;
+        };
+        let mut due = u64::MAX;
+        d.entries.retain(|&(token, at)| {
+            if at <= now {
+                out.push(token);
+                return false;
+            }
+            due = due.min(at);
+            true
+        });
+        d.due = due;
     }
 
-    /// Absolute cycle at which `token`'s response becomes available, once
-    /// bank scheduling has decided it. `None` while the request is still
-    /// queued or in flight (its completion time is not yet known).
-    pub fn done_at(&self, token: ReqToken) -> Option<u64> {
-        self.done.get(&token).copied()
+    /// Forgets `port`'s requester: drops its uncollected responses, and
+    /// the responses of its requests still in flight when they are
+    /// scheduled. A later requester on the same port starts with nothing
+    /// due. Timing is untouched: the dropped requests still occupy their
+    /// banks and links.
+    pub fn release_port(&mut self, port: PortId) {
+        *self.done.port_mut(port) = PortDone {
+            floor: self.next_token,
+            ..PortDone::EMPTY
+        };
+    }
+
+    /// Scheduled responses not yet collected, over every port.
+    pub fn uncollected(&self) -> usize {
+        self.done.0.iter().map(|d| d.entries.len()).sum()
     }
 
     /// Earliest future cycle at which [`Fabric::tick`] could do anything,
     /// assuming no new submissions arrive. Call after `tick(now)`. `None`
     /// means the fabric is quiescent (no queued or in-flight requests);
-    /// completed-but-unretired responses need no further fabric ticks.
+    /// filed but uncollected responses need no further fabric ticks (their
+    /// requesters wake on [`Fabric::due`]).
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let noc_next = self.noc.as_deref().and_then(|n| n.next_event(now));
         if !self.accept_queue.is_empty() {
@@ -512,8 +597,8 @@ impl Fabric {
                     arrive_at: now,
                 });
             }
-            for (token, at) in noc.delivered_resp.drain(..) {
-                self.done.insert(token, at);
+            for (token, port, at) in noc.delivered_resp.drain(..) {
+                self.done.file(port, token, at);
             }
         }
 
@@ -588,8 +673,8 @@ impl Fabric {
                     // the requester's node instead of a fixed return hop.
                     noc.schedule_response(data_end, p.token, p.addr, p.port);
                 } else {
-                    self.done
-                        .insert(p.token, data_end + self.cfg.xbar_latency as u64);
+                    let at = data_end + self.cfg.xbar_latency as u64;
+                    self.done.file(p.port, p.token, at);
                 }
             }
             self.inflight.swap_remove(i);
@@ -629,8 +714,12 @@ mod tests {
             done >= expect && done <= expect + 2,
             "done={done} expect≈{expect}"
         );
-        f.retire(t);
+        assert_eq!(f.due(0), done);
+        let mut got = Vec::new();
+        f.take_done(0, done, &mut got);
+        assert_eq!(got, [t]);
         assert!(!f.is_done(t, done + 1));
+        assert_eq!(f.due(0), u64::MAX);
     }
 
     #[test]
@@ -789,8 +878,65 @@ mod tests {
         assert_eq!(f.outstanding(), 1);
         let done = run_until_done(&mut f, t, 1000);
         assert_eq!(f.outstanding(), 0);
-        f.retire(t);
-        let _ = done;
+        assert_eq!(f.uncollected(), 1);
+        f.take_done(0, done, &mut Vec::new());
+        assert_eq!(f.uncollected(), 0);
+    }
+
+    #[test]
+    fn responses_are_filed_by_port_and_collected_when_due() {
+        let mut f = Fabric::new(FabricConfig::default());
+        let a = f.submit(0, 1, 0x1000, false);
+        let b = f.submit(0, 3, 0x2000, false);
+        assert_eq!(
+            (f.due(1), f.due(3), f.due(7)),
+            (u64::MAX, u64::MAX, u64::MAX)
+        );
+        let done_a = run_until_done(&mut f, a, 10_000);
+        let done_b = run_until_done(&mut f, b, 10_000);
+        assert_eq!((f.due(1), f.due(3)), (done_a, done_b));
+        // Nothing of port 3 is taken before it is due, or by port 1.
+        let mut got = Vec::new();
+        f.take_done(3, done_b - 1, &mut got);
+        f.take_done(1, done_b + 10, &mut got);
+        assert_eq!(got, [a]);
+        f.take_done(3, done_b, &mut got);
+        assert_eq!(got, [a, b]);
+        assert_eq!(f.uncollected(), 0);
+    }
+
+    /// Ticks `f` from `now` until nothing is queued or in flight.
+    fn drain(f: &mut Fabric, mut now: u64) -> u64 {
+        while f.outstanding() > 0 {
+            f.tick(now);
+            now += 1;
+            assert!(now < 100_000, "fabric never drained");
+        }
+        now
+    }
+
+    #[test]
+    fn released_port_drops_its_responses() {
+        let mut f = Fabric::new(FabricConfig::default());
+        // Released with one response filed and one still in flight.
+        let filed = f.submit(0, 2, 0x1000, false);
+        let done = run_until_done(&mut f, filed, 10_000);
+        let in_flight = f.submit(done, 2, 0x2000, false);
+        f.release_port(2);
+        assert_eq!((f.due(2), f.uncollected()), (u64::MAX, 0));
+        // The released request still runs (and counts) but files nothing;
+        // a request made after the release files as usual.
+        let fresh = f.submit(done, 2, 0x3000, false);
+        let end = drain(&mut f, done);
+        assert!(!f.is_done(in_flight, u64::MAX));
+        assert!(f.is_done(fresh, u64::MAX));
+        assert_eq!((f.stats().reads, f.uncollected()), (3, 1));
+        // Released before anything of it was filed.
+        let early = f.submit(end, 5, 0x4000, false);
+        f.release_port(5);
+        drain(&mut f, end);
+        assert!(!f.is_done(early, u64::MAX));
+        assert_eq!((f.due(5), f.uncollected()), (u64::MAX, 1));
     }
 
     #[test]
@@ -808,7 +954,7 @@ mod tests {
             done > f.unloaded_read_latency() as u64,
             "demand read at {done} should queue behind the scrub"
         );
-        assert_eq!(f.outstanding(), 0, "scrubs drain without retirement");
+        assert_eq!(f.outstanding(), 0, "scrubs drain without collection");
     }
 
     #[test]
@@ -882,7 +1028,9 @@ mod tests {
         let mut f = Fabric::new(mesh_cfg(2, 2));
         let t = f.submit(0, 0, 0x1000, false);
         let done = run_until_done(&mut f, t, 10_000);
-        f.retire(t);
+        let mut got = Vec::new();
+        f.take_done(0, done, &mut got);
+        assert_eq!(got, [t]);
         assert_eq!(f.stats().reads, 1);
         assert!(f.stats().noc_hops >= 4, "corner round trip is >= 4 hops");
         assert_eq!(f.outstanding(), 0);

@@ -304,7 +304,9 @@ pub(crate) struct Noc {
     /// Latched watchdog fault (flit age cap or retry exhaustion).
     fault: Option<String>,
     pub(crate) delivered_req: Vec<DeliveredReq>,
-    pub(crate) delivered_resp: Vec<(ReqToken, u64)>,
+    /// `(token, requester port, delivery cycle)` of each response flit
+    /// that reached its requester's node.
+    pub(crate) delivered_resp: Vec<(ReqToken, PortId, u64)>,
 }
 
 impl Noc {
@@ -768,7 +770,7 @@ impl Noc {
                 self.occupied[slot] -= 1;
                 self.occ_gen[slot] += 1;
                 if f.is_resp {
-                    self.delivered_resp.push((f.token, now));
+                    self.delivered_resp.push((f.token, f.port, now));
                 } else {
                     self.delivered_req.push(DeliveredReq {
                         token: f.token,

@@ -43,8 +43,93 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     })
 }
 
+/// A cache, its fabric, and the requesters waiting on its MSHRs.
+struct Side {
+    cache: Cache,
+    fabric: Fabric,
+    waiting: Vec<u64>,
+    /// `(cycle, mshr)` of every retire, in order.
+    retired: Vec<(u64, u64)>,
+}
+
+impl Side {
+    fn new() -> Side {
+        Side {
+            cache: small_cache(),
+            fabric: Fabric::new(FabricConfig::default()),
+            waiting: Vec::new(),
+            retired: Vec::new(),
+        }
+    }
+
+    /// One cycle: the fabric ticks, the cache ticks and the waiters poll
+    /// (only when the cache's gates say work is due, if `gated`), then
+    /// `access` is attempted.
+    fn cycle(&mut self, now: u64, access: Option<(u64, AccessKind)>, gated: bool) {
+        let (cache, fabric) = (&mut self.cache, &mut self.fabric);
+        fabric.tick(now);
+        if !gated || fabric.due(0) <= now {
+            cache.tick(now, fabric);
+        }
+        if !gated || cache.first_ready() <= now {
+            let retired = &mut self.retired;
+            self.waiting.retain(|&m| {
+                if !cache.mshr_ready(m, now) {
+                    return true;
+                }
+                cache.mshr_retire(m).unwrap();
+                retired.push((now, m));
+                false
+            });
+        }
+        if let Some((addr, kind)) = access {
+            if let AccessResult::Miss { mshr } = cache.access(now, addr, kind, fabric) {
+                self.waiting.push(mshr);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// A cache ticked, and its waiters polled, only on cycles its gates
+    /// (`Fabric::due` of its port, `Cache::first_ready`) say work is due
+    /// ends with the same stats, retire cycles and fabric state as one
+    /// ticked and polled every cycle.
+    #[test]
+    fn gated_ticks_match_dense_ticks(
+        steps in prop::collection::vec((step_strategy(), 0u64..60), 1..80)
+    ) {
+        let (mut dense, mut gated) = (Side::new(), Side::new());
+        let mut now = 0u64;
+        for (s, gap) in &steps {
+            let access = Some((s.addr_line as u64 * 64, kind_of(s.kind_sel)));
+            dense.cycle(now, access, false);
+            gated.cycle(now, access, true);
+            for _ in 0..=*gap {
+                now += 1;
+                dense.cycle(now, None, false);
+                gated.cycle(now, None, true);
+            }
+        }
+        let deadline = now + 100_000;
+        while !dense.waiting.is_empty() || dense.fabric.outstanding() > 0 {
+            prop_assert!(now < deadline, "MSHRs failed to drain");
+            now += 1;
+            dense.cycle(now, None, false);
+            gated.cycle(now, None, true);
+        }
+        prop_assert_eq!(&dense.retired, &gated.retired);
+        prop_assert!(gated.waiting.is_empty());
+        prop_assert_eq!(dense.cache.stats(), gated.cache.stats());
+        prop_assert_eq!(dense.cache.outstanding_mshrs(), gated.cache.outstanding_mshrs());
+        prop_assert_eq!(dense.cache.first_ready(), gated.cache.first_ready());
+        prop_assert_eq!(dense.fabric.stats(), gated.fabric.stats());
+        prop_assert_eq!(dense.fabric.outstanding(), gated.fabric.outstanding());
+        prop_assert_eq!(dense.fabric.uncollected(), gated.fabric.uncollected());
+        prop_assert_eq!(dense.fabric.due(0), gated.fabric.due(0));
+    }
 
     /// Any access sequence: invariants hold at every step, every MSHR
     /// eventually completes, and pins stay bounded.
@@ -135,9 +220,10 @@ proptest! {
             prop_assert!(now < 500_000, "fabric wedged");
         }
         prop_assert_eq!(fabric.outstanding(), 0);
-        for t in tokens {
-            fabric.retire(t);
-        }
+        let mut collected = Vec::new();
+        fabric.take_done(0, now, &mut collected);
+        collected.sort_unstable();
+        prop_assert_eq!(collected, tokens);
         let s = fabric.stats();
         prop_assert_eq!((s.reads + s.writes) as usize, addrs.len());
     }

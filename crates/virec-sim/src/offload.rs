@@ -10,6 +10,7 @@
 
 use virec_core::{Core, CoreConfig, OracleSchedule, RegRegion};
 use virec_isa::FlatMem;
+use virec_mem::PortId;
 use virec_workloads::Workload;
 
 /// Writes the initial data segment and all thread contexts for `workload`
@@ -25,11 +26,16 @@ pub fn offload(mem: &mut FlatMem, workload: &Workload, nthreads: usize) -> RegRe
     region
 }
 
+/// The fabric ports of the icache and dcache of the core in machine slot
+/// `slot`.
+pub(crate) fn core_ports(slot: usize) -> [PortId; 2] {
+    [2 * slot, 2 * slot + 1]
+}
+
 /// Offloads `workload` into `mem` and builds the core that runs it in
-/// machine slot `slot`. Every driver loads its cores here, so the slot
-/// rule is stated once: the core's icache and dcache are fabric ports
-/// `2 * slot` and `2 * slot + 1`, and its contexts sit in the region the
-/// workload's layout places for that slot.
+/// machine slot `slot`, on the fabric ports of [`core_ports`]. Every
+/// driver loads its cores here, so the slot rule is stated once; its
+/// contexts sit in the region the workload's layout places for that slot.
 pub(crate) fn load_core(
     mem: &mut FlatMem,
     slot: usize,
@@ -43,7 +49,7 @@ pub(crate) fn load_core(
         workload.program().clone(),
         region,
         workload.layout.code_base,
-        (2 * slot, 2 * slot + 1),
+        core_ports(slot).into(),
         oracle,
     )
 }

@@ -55,7 +55,7 @@ use crate::error::{RunDiagnostics, SimError};
 use crate::experiment::{CellData, RetryPolicy};
 use crate::fault::{second_bit, FaultClass, FaultEvent, FaultSite};
 use crate::machine::{self, CoreSlot, Driver, LimitTrip, Machine, RunLimits, Step};
-use crate::offload::load_core;
+use crate::offload::{core_ports, load_core};
 use crate::ras::RasConfig;
 use crate::router::{FaultRouter, Scope};
 use crate::runner::{
@@ -1005,6 +1005,12 @@ impl TaskService {
         let Slot::Busy(inf) = std::mem::replace(&mut self.m.slots[slot], Slot::Idle) else {
             return;
         };
+        // The attempt's core is discarded: nothing will collect the
+        // responses to its requests, and the slot's next core reuses its
+        // ports.
+        for port in core_ports(slot) {
+            self.m.fabric.release_port(port);
+        }
         let inf = *inf;
         let mut task = inf.task;
         let (kind, detail) = match end {
@@ -1382,6 +1388,26 @@ mod tests {
             "lost link bandwidth must show up in availability"
         );
         assert!(r.summary().contains("noc hops="));
+    }
+
+    #[test]
+    fn discarded_cores_leave_no_uncollected_responses() -> Result<(), SimError> {
+        // Finished and failed attempts alike are discarded with requests
+        // (writebacks at least) still in the fabric.
+        let mut cfg = quick_cfg(4, 24);
+        cfg.fabric.topology = virec_mem::FabricTopology::Mesh { cols: 2, rows: 2 };
+        cfg.protection = ProtectionConfig::secded();
+        cfg.faults = ServeFaultPlan {
+            transient: 8,
+            ..ServeFaultPlan::links(4)
+        };
+        cfg.ras = Some(RasConfig::default());
+        let mut svc = TaskService::new(cfg)?;
+        let r = svc.run()?;
+        assert_eq!(r.completed + r.failed, 24);
+        assert!(r.faults_injected > 0);
+        assert_eq!(svc.m.fabric.uncollected(), 0);
+        Ok(())
     }
 
     #[test]

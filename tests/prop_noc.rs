@@ -49,14 +49,7 @@ fn drive(fabric: &mut Fabric, reqs: &[(usize, u64, bool)]) -> u64 {
             "watchdog fired: {:?}",
             fabric.noc_fault()
         );
-        pending.retain(|&t| {
-            if fabric.is_done(t, now) {
-                fabric.retire(t);
-                false
-            } else {
-                true
-            }
-        });
+        pending.retain(|&t| !fabric.is_done(t, now));
         assert!(
             now < 300_000,
             "requests never drained ({} left)",
