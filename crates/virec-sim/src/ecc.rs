@@ -310,7 +310,7 @@ pub struct EccStats {
     /// Even-weight flips that escaped a parity-only site (the SEC-DED
     /// detection limit the multi-fault campaign exercises).
     pub parity_escapes: u64,
-    /// Architectural checkpoints snapshotted into the ring.
+    /// Architectural checkpoints snapshotted.
     pub checkpoints_taken: u64,
     /// Checkpoint restores triggered by detected-uncorrectable faults.
     pub restores: u64,

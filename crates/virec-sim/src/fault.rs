@@ -10,12 +10,17 @@
 //! [`run_campaign`] drives K single-fault injections against one
 //! configuration and classifies every outcome: the paper's differential
 //! golden check is the detector, and the acceptance bar is that **no
-//! effectful fault survives silently**.
+//! effectful fault survives silently**. Each injection is a fork of one
+//! fault-free prefix pass, paused where its plan can first act, rather
+//! than a run from cycle 0 ([`crate::runner`]); the forks are exact, so
+//! the outcomes are the same.
 
 use crate::ecc::ProtectionConfig;
 use crate::error::SimError;
 use crate::ras::RasConfig;
-use crate::runner::{default_checkpoint_interval, try_run_single, RunOptions, RunResult};
+use crate::runner::{
+    default_checkpoint_interval, try_run_forks, try_run_single, RunOptions, RunResult,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use virec_core::policy::XorShift;
@@ -691,149 +696,247 @@ pub fn run_campaign_with(
     };
     let clean: RunResult = try_run_single(cfg, workload, &clean_opts)
         .unwrap_or_else(|e| panic!("clean reference run failed: {e}"));
+    let attack = Attack::new(cfg, &clean, injections, base_seed, sites, campaign);
 
-    // Inject inside the meaty middle of the run: after warm-up fills, before
-    // the drain, so the corrupted state has a real chance to be consumed.
-    let window = ((clean.cycles / 10).max(1), (clean.cycles * 9 / 10).max(2));
-
-    // Attacked runs get tripwires scaled to the clean run, not the
-    // conservative defaults: a corrupted run that stops committing is
-    // flagged after a few clean-run lengths, and one that runs away while
-    // still committing (e.g. a flipped loop bound) is flagged by the
-    // budget instead of burning the full configured allowance.
-    let livelock_cycles = clean.cycles.saturating_mul(4).max(10_000);
-    let mut attacked = cfg;
-    attacked.max_cycles = clean
-        .cycles
-        .saturating_mul(20)
-        .max(100_000)
-        .min(cfg.max_cycles);
-
+    // Detection is half the story: a detected run is re-executed without
+    // its fault plan — the checkpoint/restart answer to a detected soft
+    // error — and the re-run must reproduce the clean run's architectural
+    // state. That re-run is the same for every injection and deterministic,
+    // so it runs once, on the first detection.
+    let recovery_opts = RunOptions {
+        livelock_cycles: attack.opts.livelock_cycles,
+        fabric: campaign.fabric,
+        ..RunOptions::default()
+    };
+    let mut recovered = None;
+    let mut recovers = || {
+        *recovered.get_or_insert_with(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                try_run_single(attack.cfg, workload, &recovery_opts)
+            }))
+            .is_ok_and(|r| matches!(r, Ok(rerun) if rerun.arch_digest == clean.arch_digest))
+        })
+    };
     let mut records = Vec::with_capacity(injections);
-    for i in 0..injections {
-        let seed = base_seed.wrapping_add(i as u64).max(1);
-        let faults = if campaign.class.is_persistent() {
-            FaultPlan::seeded_class(seed, 1, window, sites, campaign.class)
-        } else if campaign.multi_fault {
-            FaultPlan::seeded_burst(seed, 1, window, sites)
-        } else {
-            FaultPlan::seeded(seed, 1, window, sites)
-        };
-        // One injection in four runs on an end-of-life machine whose spare
-        // pools are already consumed: retirement then has to fence the
-        // region, exercising the degraded-mode path deterministically.
-        let mut ras = campaign.ras;
-        if let Some(rc) = &mut ras {
-            if i % 4 == 3 {
-                rc.spare_rows = 0;
-                rc.spare_ways = 0;
-            }
-        }
-        let opts = RunOptions {
-            faults,
-            livelock_cycles,
-            protection: campaign.protection,
-            checkpoint_interval: campaign.checkpoint_interval,
-            ras,
-            fabric: campaign.fabric,
-            ..RunOptions::default()
-        };
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            try_run_single(attacked, workload, &opts)
-        }));
-        let record = match run {
-            Err(_) => InjectionRecord {
-                seed,
-                faults: vec!["(panicked before reporting)".into()],
-                outcome: InjectionOutcome::Crashed,
-                error_kind: None,
-                replay_cycles: None,
-            },
-            Ok(Err(SimError::FaultDetected {
-                faults,
-                cause,
-                diag: _,
-            })) => {
-                // Detection is half the story: re-execute once without the
-                // fault plan — the checkpoint/restart answer to a detected
-                // soft error — and verify the re-run reproduces the clean
-                // run's architectural state.
-                let recovery_opts = RunOptions {
-                    livelock_cycles,
-                    fabric: campaign.fabric,
-                    ..RunOptions::default()
-                };
-                let recovered = catch_unwind(AssertUnwindSafe(|| {
-                    try_run_single(attacked, workload, &recovery_opts)
-                }))
-                .map(|r| matches!(r, Ok(rerun) if rerun.arch_digest == clean.arch_digest))
-                .unwrap_or(false);
-                // An ECC-detected uncorrectable (no checkpoint was
-                // available) is its own recovered class: the check bits,
-                // not the differential checker, were the tripwire.
-                let ecc_detected = cause.kind() == "uncorrectable";
-                InjectionRecord {
-                    seed,
-                    faults,
-                    outcome: match (recovered, ecc_detected) {
-                        (true, true) => InjectionOutcome::DetectedUncorrectable,
-                        (true, false) => InjectionOutcome::Recovered,
-                        (false, _) => InjectionOutcome::Detected,
-                    },
-                    error_kind: Some(cause.kind().to_string()),
-                    replay_cycles: None,
-                }
-            }
-            Ok(Err(other)) => InjectionRecord {
-                // A failure without an applied fault: infrastructure bug,
-                // surface it loudly as a crash rather than a detection.
-                seed,
-                faults: Vec::new(),
-                outcome: InjectionOutcome::Crashed,
-                error_kind: Some(other.kind().to_string()),
-                replay_cycles: None,
-            },
-            Ok(Ok(result)) => {
-                let clean_digest = result.arch_digest == clean.arch_digest;
-                // RAS outcomes outrank the transient-era classes: a run
-                // that fenced a region *and* replayed a checkpoint is a
-                // degradation story, not a recovery story.
-                let (outcome, replay) = if result.ras.degraded_regions > 0 && clean_digest {
-                    (InjectionOutcome::Degraded, None)
-                } else if result.ras.demand_retirements > 0 && clean_digest {
-                    (InjectionOutcome::Remapped, Some(result.ecc.replay_cycles))
-                } else if result.ras.predictive_retirements > 0 && clean_digest {
-                    (InjectionOutcome::Retired, None)
-                } else if result.ecc.restores > 0 && clean_digest {
-                    (
-                        InjectionOutcome::CheckpointRecovered,
-                        Some(result.ecc.replay_cycles),
-                    )
-                } else if result.ecc.corrected > 0 && clean_digest {
-                    (InjectionOutcome::Corrected, None)
-                } else if result.faults_applied.is_empty() {
-                    (InjectionOutcome::NotApplied, None)
-                } else if clean_digest {
-                    (InjectionOutcome::Masked, None)
-                } else {
-                    (InjectionOutcome::Silent, None)
-                };
-                InjectionRecord {
-                    seed,
-                    faults: result.faults_applied,
-                    outcome,
-                    error_kind: None,
-                    replay_cycles: replay,
-                }
-            }
-        };
-        records.push(record);
-    }
+    attack.run(workload, |i, run| {
+        let seed = attack.injections[i].seed;
+        records.push((i, classify(seed, run, clean.arch_digest, &mut recovers)));
+    });
+    records.sort_unstable_by_key(|&(i, _)| i);
 
     CampaignReport {
         engine: crate::runner::engine_label(&cfg).to_string(),
-        records,
+        records: records.into_iter().map(|(_, r)| r).collect(),
         clean_cycles: clean.cycles,
+    }
+}
+
+/// One attacked run of a campaign: its seed, its fault plan and the RAS
+/// layer of its machine.
+struct Injection {
+    seed: u64,
+    plan: FaultPlan,
+    ras: Option<RasConfig>,
+}
+
+/// A campaign's attacked runs: the attacked configuration, the options
+/// every injection shares (no plan, no RAS layer) and each injection.
+struct Attack {
+    cfg: CoreConfig,
+    opts: RunOptions,
+    injections: Vec<Injection>,
+}
+
+impl Attack {
+    /// The `count` injections of a campaign against `cfg`, whose clean
+    /// run is `clean`.
+    fn new(
+        cfg: CoreConfig,
+        clean: &RunResult,
+        count: usize,
+        base_seed: u64,
+        sites: &[FaultSite],
+        campaign: &CampaignOptions,
+    ) -> Attack {
+        // Inject inside the meaty middle of the run: after warm-up fills,
+        // before the drain, so the corrupted state has a real chance to be
+        // consumed.
+        let window = ((clean.cycles / 10).max(1), (clean.cycles * 9 / 10).max(2));
+
+        // Attacked runs get tripwires scaled to the clean run, not the
+        // conservative defaults: a corrupted run that stops committing is
+        // flagged after a few clean-run lengths, and one that runs away
+        // while still committing (e.g. a flipped loop bound) is flagged by
+        // the budget instead of burning the full configured allowance.
+        let mut attacked = cfg;
+        attacked.max_cycles = clean
+            .cycles
+            .saturating_mul(20)
+            .max(100_000)
+            .min(cfg.max_cycles);
+        let opts = RunOptions {
+            livelock_cycles: clean.cycles.saturating_mul(4).max(10_000),
+            protection: campaign.protection,
+            checkpoint_interval: campaign.checkpoint_interval,
+            fabric: campaign.fabric,
+            ..RunOptions::default()
+        };
+        let injections = (0..count)
+            .map(|i| {
+                let seed = base_seed.wrapping_add(i as u64).max(1);
+                let plan = if campaign.class.is_persistent() {
+                    FaultPlan::seeded_class(seed, 1, window, sites, campaign.class)
+                } else if campaign.multi_fault {
+                    FaultPlan::seeded_burst(seed, 1, window, sites)
+                } else {
+                    FaultPlan::seeded(seed, 1, window, sites)
+                };
+                // One injection in four runs on an end-of-life machine
+                // whose spare pools are already consumed: retirement then
+                // has to fence the region, exercising the degraded-mode
+                // path deterministically.
+                let mut ras = campaign.ras;
+                if let Some(rc) = &mut ras {
+                    if i % 4 == 3 {
+                        rc.spare_rows = 0;
+                        rc.spare_ways = 0;
+                    }
+                }
+                Injection { seed, plan, ras }
+            })
+            .collect();
+        Attack {
+            cfg: attacked,
+            opts,
+            injections,
+        }
+    }
+
+    /// Runs every injection and hands `each` its index and what
+    /// [`try_run_single`] under [`Attack::opts`] returns (`Err` when it
+    /// panicked). The injections of one RAS layer are forks of one
+    /// fault-free prefix pass ([`crate::runner::try_run_forks`]).
+    fn run(
+        &self,
+        workload: &Workload,
+        mut each: impl FnMut(usize, std::thread::Result<Result<RunResult, SimError>>),
+    ) {
+        let mut layers: Vec<Option<RasConfig>> = Vec::new();
+        for inj in &self.injections {
+            if !layers.contains(&inj.ras) {
+                layers.push(inj.ras);
+            }
+        }
+        for ras in layers {
+            let members: Vec<usize> = (0..self.injections.len())
+                .filter(|&i| self.injections[i].ras == ras)
+                .collect();
+            let plans: Vec<FaultPlan> = members
+                .iter()
+                .map(|&i| self.injections[i].plan.clone())
+                .collect();
+            let opts = RunOptions {
+                ras,
+                ..self.opts.clone()
+            };
+            try_run_forks(self.cfg, workload, &opts, &plans, |k, run| {
+                each(members[k], run)
+            });
+        }
+    }
+
+    /// Injection `i`'s options for a run of its own from cycle 0.
+    #[cfg(test)]
+    fn opts(&self, i: usize) -> RunOptions {
+        let inj = &self.injections[i];
+        RunOptions {
+            faults: inj.plan.clone(),
+            ras: inj.ras,
+            ..self.opts.clone()
+        }
+    }
+}
+
+/// Classifies one attacked run against the clean run's `clean_digest`.
+/// `recovers` answers whether a fault-free re-execution reproduces the
+/// clean state; only a detected run asks.
+fn classify(
+    seed: u64,
+    run: std::thread::Result<Result<RunResult, SimError>>,
+    clean_digest: u64,
+    recovers: &mut impl FnMut() -> bool,
+) -> InjectionRecord {
+    match run {
+        Err(_) => InjectionRecord {
+            seed,
+            faults: vec!["(panicked before reporting)".into()],
+            outcome: InjectionOutcome::Crashed,
+            error_kind: None,
+            replay_cycles: None,
+        },
+        Ok(Err(SimError::FaultDetected {
+            faults,
+            cause,
+            diag: _,
+        })) => {
+            // An ECC-detected uncorrectable (no checkpoint was available)
+            // is its own recovered class: the check bits, not the
+            // differential checker, were the tripwire.
+            let ecc_detected = cause.kind() == "uncorrectable";
+            InjectionRecord {
+                seed,
+                faults,
+                outcome: match (recovers(), ecc_detected) {
+                    (true, true) => InjectionOutcome::DetectedUncorrectable,
+                    (true, false) => InjectionOutcome::Recovered,
+                    (false, _) => InjectionOutcome::Detected,
+                },
+                error_kind: Some(cause.kind().to_string()),
+                replay_cycles: None,
+            }
+        }
+        Ok(Err(other)) => InjectionRecord {
+            // A failure without an applied fault: infrastructure bug,
+            // surface it loudly as a crash rather than a detection.
+            seed,
+            faults: Vec::new(),
+            outcome: InjectionOutcome::Crashed,
+            error_kind: Some(other.kind().to_string()),
+            replay_cycles: None,
+        },
+        Ok(Ok(result)) => {
+            let clean_digest = result.arch_digest == clean_digest;
+            // RAS outcomes outrank the transient-era classes: a run that
+            // fenced a region *and* replayed a checkpoint is a degradation
+            // story, not a recovery story.
+            let (outcome, replay) = if result.ras.degraded_regions > 0 && clean_digest {
+                (InjectionOutcome::Degraded, None)
+            } else if result.ras.demand_retirements > 0 && clean_digest {
+                (InjectionOutcome::Remapped, Some(result.ecc.replay_cycles))
+            } else if result.ras.predictive_retirements > 0 && clean_digest {
+                (InjectionOutcome::Retired, None)
+            } else if result.ecc.restores > 0 && clean_digest {
+                (
+                    InjectionOutcome::CheckpointRecovered,
+                    Some(result.ecc.replay_cycles),
+                )
+            } else if result.ecc.corrected > 0 && clean_digest {
+                (InjectionOutcome::Corrected, None)
+            } else if result.faults_applied.is_empty() {
+                (InjectionOutcome::NotApplied, None)
+            } else if clean_digest {
+                (InjectionOutcome::Masked, None)
+            } else {
+                (InjectionOutcome::Silent, None)
+            };
+            InjectionRecord {
+                seed,
+                faults: result.faults_applied,
+                outcome,
+                error_kind: None,
+                replay_cycles: replay,
+            }
+        }
     }
 }
 
@@ -863,6 +966,133 @@ pub fn engine_fault_of(event: &FaultEvent) -> Option<EngineFault> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ecc::EccStats;
+    use crate::ras::RasStats;
+    use virec_core::CoreStats;
+    use virec_mem::{FabricStats, FabricTopology};
+    use virec_workloads::{kernels, Layout};
+
+    /// Everything a run returns except its wall-clock clone time; a failed
+    /// run by its error's kind and text, a panicked one as `None`.
+    type Seen = Option<Result<Summary, (&'static str, String)>>;
+    type Summary = (
+        u64,
+        CoreStats,
+        Vec<String>,
+        u64,
+        EccStats,
+        RasStats,
+        FabricStats,
+    );
+
+    fn seen(run: std::thread::Result<Result<RunResult, SimError>>) -> Seen {
+        let summary = |r: RunResult| {
+            (
+                r.cycles,
+                r.stats,
+                r.faults_applied,
+                r.arch_digest,
+                r.ecc,
+                r.ras,
+                r.fabric,
+            )
+        };
+        Some(
+            run.ok()?
+                .map(summary)
+                .map_err(|e| (e.kind(), e.to_string())),
+        )
+    }
+
+    /// Every injection of the campaigns `tests/campaign_lock.rs` pins, and
+    /// of two stuck-at campaigns that reach what a fork must copy besides
+    /// the machine, on `w` under both loops: the fork of the fault-free
+    /// prefix pass returns what the same run from cycle 0 returns. Without
+    /// a RAS layer a defect re-asserts after its checkpoint restore, so
+    /// the checkpoint must hold the armed plan; a patrol read every 16
+    /// cycles finds defects pending before they first assert, so a fork
+    /// must start before such a read.
+    fn assert_forks_equal_runs_from_cycle_zero(w: &Workload) -> Result<(), SimError> {
+        let protected = CampaignOptions::protected();
+        let mesh = FabricConfig {
+            topology: FabricTopology::Mesh { cols: 2, rows: 2 },
+            ..FabricConfig::default()
+        };
+        let permanent = CampaignOptions::permanent();
+        let patrolled = RasConfig {
+            scrub_interval: 16,
+            ..RasConfig::default()
+        };
+        let campaigns: [(&[FaultSite], CampaignOptions); 8] = [
+            (&FaultSite::ALL, protected),
+            (&[FaultSite::FabricResponse], protected),
+            (&FaultSite::ALL, CampaignOptions::default()),
+            (
+                &FaultSite::SECDED_WORDS,
+                CampaignOptions {
+                    multi_fault: true,
+                    ..protected
+                },
+            ),
+            (&FaultSite::PERMANENT, permanent),
+            (
+                &[FaultSite::NocLink],
+                CampaignOptions {
+                    fabric: mesh,
+                    ..protected
+                },
+            ),
+            (
+                &FaultSite::PERMANENT,
+                CampaignOptions {
+                    ras: None,
+                    ..permanent
+                },
+            ),
+            (
+                &FaultSite::PERMANENT,
+                CampaignOptions {
+                    ras: Some(patrolled),
+                    ..permanent
+                },
+            ),
+        ];
+        let cfg = CoreConfig::virec(8, 40);
+        for (sites, campaign) in &campaigns {
+            let clean_opts = RunOptions {
+                fabric: campaign.fabric,
+                ..RunOptions::default()
+            };
+            let clean = try_run_single(cfg, w, &clean_opts)?;
+            for dense_loop in [false, true] {
+                let mut attack = Attack::new(cfg, &clean, 16, 64, sites, campaign);
+                attack.opts.dense_loop = dense_loop;
+                let mut forks = 0;
+                attack.run(w, |i, forked| {
+                    let opts = attack.opts(i);
+                    let whole =
+                        catch_unwind(AssertUnwindSafe(|| try_run_single(attack.cfg, w, &opts)));
+                    let what = (w.name, sites, dense_loop, attack.injections[i].seed);
+                    assert_eq!(seen(forked), seen(whole), "{what:?}");
+                    forks += 1;
+                });
+                assert_eq!(forks, 16);
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn gather_forks_equal_runs_from_cycle_zero() -> Result<(), SimError> {
+        let gather = kernels::spatter::gather(512, Layout::for_core(0));
+        assert_forks_equal_runs_from_cycle_zero(&gather)
+    }
+
+    #[test]
+    fn spmv_forks_equal_runs_from_cycle_zero() -> Result<(), SimError> {
+        let spmv = kernels::sparse::spmv(32, Layout::for_core(0));
+        assert_forks_equal_runs_from_cycle_zero(&spmv)
+    }
 
     #[test]
     fn seeded_plans_are_deterministic() {

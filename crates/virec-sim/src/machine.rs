@@ -50,6 +50,7 @@ impl CoreSlot for Core {
 /// Everything the step loop advances: the core slots, the shared fabric and
 /// functional memory, the clock, and the limits of the whole run (one
 /// watchdog over the summed commits of every core).
+#[derive(Clone)]
 pub(crate) struct Machine<S> {
     pub slots: Vec<S>,
     pub fabric: Fabric,

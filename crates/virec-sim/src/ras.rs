@@ -26,7 +26,7 @@
 //!
 //! The fault router every driver shares owns the per-run [`RasStats`] and
 //! the retirement log ([`RetiredRegion`]); both live *outside* the
-//! checkpoint ring, because a physical repair survives an architectural
+//! architectural checkpoint, because a physical repair survives an architectural
 //! rollback.
 
 use std::collections::HashMap;

@@ -10,7 +10,7 @@
 //! instead. Every entry point takes the cycle and the [`Scope`] it acts on,
 //! so the router does not care which driver, or which hook of its step,
 //! calls it: the single-core runner routes after each tick and rewinds
-//! through its checkpoint ring, the serve dispatcher routes a task's upset
+//! through its checkpoint, the serve dispatcher routes a task's upset
 //! before the attempt's tick and drives its link-wear campaign through
 //! [`FaultRouter::link_upset`].
 //!
@@ -50,6 +50,20 @@ pub(crate) struct Rewindable {
     pub narrative: Vec<String>,
 }
 
+impl Rewindable {
+    /// Arms `events` on a state with nothing pending, as if they had been
+    /// scheduled from cycle 0. Before an event's cycle the plan only sits
+    /// in the pending list (and in the checkpoint that copies it), so a
+    /// fork of a fault-free run that arms its plan here, in its router and
+    /// in its checkpoint, is the run that carried the plan from the start,
+    /// provided no event is due yet and no patrol read has passed one of
+    /// them ([`FaultRouter::first_scrub_hit`]).
+    pub fn arm(&mut self, events: &[FaultEvent]) {
+        debug_assert!(self.pending.is_empty(), "a fork arms a fault-free run");
+        self.pending = events.to_vec();
+    }
+}
+
 /// A detected-uncorrectable outcome: the protection caught the upset before
 /// anything consumed it, so the machine is clean but the driver must
 /// recover (rewind, or end the attempt).
@@ -61,6 +75,7 @@ pub(crate) struct Detected {
 }
 
 /// Routes scheduled faults through protection and RAS (module docs).
+#[derive(Clone)]
 pub(crate) struct FaultRouter {
     protection: ProtectionConfig,
     ras: Option<RasConfig>,
@@ -225,19 +240,13 @@ impl FaultRouter {
         };
         scope.fabric.submit_scrub(now, addr);
         self.ras_stats.scrub_reads += 1;
-        let line = addr & !(virec_mem::LINE_BYTES - 1);
-        let mut hits: Vec<(FaultEvent, u64)> = Vec::new();
-        for ev in &self.rewindable.pending {
-            if ev.class.is_persistent()
-                && matches!(ev.site, FaultSite::BackingReg | FaultSite::DramLine)
-            {
-                if let Some((waddr, _)) = word_target(ev, scope) {
-                    if waddr & !(virec_mem::LINE_BYTES - 1) == line {
-                        hits.push((*ev, waddr));
-                    }
-                }
-            }
-        }
+        let hits: Vec<(FaultEvent, u64)> = self
+            .rewindable
+            .pending
+            .iter()
+            .filter_map(|ev| Some((*ev, patrolled_word(ev, scope)?)))
+            .filter(|&(_, waddr)| line_of(waddr) == line_of(addr))
+            .collect();
         let mut seen: Vec<(FaultSite, u64)> = Vec::new();
         for (ev, waddr) in hits {
             let fam = ev.family();
@@ -249,6 +258,36 @@ impl FaultRouter {
                 self.retire_family(now, &ev, Some(waddr), scope);
             }
         }
+    }
+
+    /// The first patrol read in `[now, until)` that would find one of
+    /// `events` pending, with the clock at the top of step `now`. A scrub
+    /// charges a persistent cell defect it finds pending before the defect
+    /// first asserts, so such a read is where a plan can first change a
+    /// run. `None` when no read before `until` would.
+    pub fn first_scrub_hit(
+        &self,
+        now: u64,
+        until: u64,
+        events: &[FaultEvent],
+        scope: &Scope<'_>,
+    ) -> Option<u64> {
+        let interval = self.scrub_interval()?;
+        let lines: Vec<u64> = events
+            .iter()
+            .filter_map(|ev| patrolled_word(ev, scope).map(line_of))
+            .collect();
+        if lines.is_empty() {
+            return None;
+        }
+        let mut scrubber = self.scrubber.clone()?;
+        (now.next_multiple_of(interval)..until)
+            .step_by(interval as usize)
+            .find(|_| {
+                scrubber
+                    .next_line()
+                    .is_some_and(|addr| lines.contains(&line_of(addr)))
+            })
     }
 
     /// Feeds one correctable error to the CE tracker; `true` when the
@@ -626,6 +665,21 @@ fn apply_fault(event: &FaultEvent, scope: &mut Scope<'_>) -> Option<String> {
         // applied raw (the flit payload is timing-only).
         FaultSite::NocLink => None,
     }
+}
+
+/// The word of a persistent backing-store or DRAM cell defect, which a
+/// patrol read of its line finds; `None` for any other event.
+fn patrolled_word(ev: &FaultEvent, scope: &Scope<'_>) -> Option<u64> {
+    let cell = matches!(ev.site, FaultSite::BackingReg | FaultSite::DramLine);
+    if !(cell && ev.class.is_persistent()) {
+        return None;
+    }
+    word_target(ev, scope).map(|(addr, _)| addr)
+}
+
+/// The cache line holding `addr`.
+fn line_of(addr: u64) -> u64 {
+    addr & !(virec_mem::LINE_BYTES - 1)
 }
 
 /// Resolves a word-site fault event to the memory word it targets.

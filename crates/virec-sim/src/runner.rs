@@ -1,14 +1,21 @@
 //! The experiment runner: the one driver for a fixed set of cores.
 //!
 //! The runner loads one core per slot, steps them through the shared step
-//! loop with a forward-progress watchdog, hooks in the checkpoint ring, the
-//! patrol scrubber and any scheduled [`FaultPlan`], and verifies every
-//! core's final architectural state against the golden interpreter,
-//! returning a typed [`SimError`] instead of panicking. [`try_run_single`]
-//! is a run over one slot and [`crate::System`] a run over N. Only a
-//! single-core run carries a fault plan (a fault event names no core), so
-//! fault routing and recovery act on slot 0. [`run_single`] is the thin
-//! panicking wrapper the examples and figure binaries use.
+//! loop with a forward-progress watchdog, hooks in the architectural
+//! checkpoint, the patrol scrubber and any scheduled [`FaultPlan`], and
+//! verifies every core's final architectural state against the golden
+//! interpreter, returning a typed [`SimError`] instead of panicking.
+//! [`try_run_single`] is a run over one slot and [`crate::System`] a run
+//! over N. Only a single-core run carries a fault plan (a fault event names
+//! no core), so fault routing and recovery act on slot 0. [`run_single`] is
+//! the thin panicking wrapper the examples and figure binaries use.
+//!
+//! A run can also pause at the top of a chosen step and be cloned there:
+//! a clone holds the machine, its limits, the router and the checkpoint,
+//! which is the run's whole state. Fault campaigns use this
+//! ([`try_run_forks`]): one fault-free prefix pass pauses where each
+//! injection's plan can first act, and each injection is a fork that arms
+//! its plan and runs on, equal to the same run from cycle 0.
 
 use crate::cancel::RunGate;
 use crate::ecc::{EccStats, ProtectionConfig};
@@ -19,7 +26,8 @@ use crate::offload::load_core;
 use crate::ras::{RasConfig, RasStats, Scrubber};
 use crate::router::{Detected, FaultRouter, Rewindable, Scope};
 use crate::watchdog::DEFAULT_LIVELOCK_CYCLES;
-use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use virec_core::engines::ROLLBACK_DEPTH;
 use virec_core::{Core, CoreConfig, CoreStats, EngineKind, OracleSchedule, QuantumTrace};
 use virec_isa::{Chunk, ExecOutcome, FlatMem, Interpreter, Reg, ThreadCtx};
@@ -112,7 +120,7 @@ pub struct RunResult {
     /// Protection-model and checkpoint/replay counters (all zero unless
     /// the run carried a fault plan with protection or checkpointing on).
     pub ecc: EccStats,
-    /// Wall-clock nanoseconds spent snapshotting into the checkpoint ring
+    /// Wall-clock nanoseconds spent snapshotting the machine into checkpoints
     /// (zero when checkpointing is off). Non-deterministic by nature, so it
     /// is reported but never journaled or folded into digests.
     pub checkpoint_clone_ns: u64,
@@ -168,23 +176,54 @@ fn try_run_single_impl(
     opts: &RunOptions,
     want_trace: bool,
 ) -> Result<(RunResult, QuantumTrace), SimError> {
-    let run = Runner::run(&[cfg], std::slice::from_ref(workload), opts, want_trace)?;
-    let (mut m, faults) = (run.m, run.router.rewindable);
-    let core = &mut m.slots[0];
-    let trace = core.take_quantum_trace();
-    Ok((
-        RunResult {
-            cycles: m.now,
-            stats: *core.stats(),
-            arch_digest: arch_digest(core, &m.mem, workload, cfg.nthreads),
-            faults_applied: faults.narrative,
-            ecc: faults.ecc,
-            checkpoint_clone_ns: run.checkpoint_clone_ns,
-            ras: run.router.ras_stats,
-            fabric: *m.fabric.stats(),
-        },
-        trace,
-    ))
+    let mut run = Runner::run(&[cfg], std::slice::from_ref(workload), opts, want_trace)?;
+    let trace = run.m.slots[0].take_quantum_trace();
+    Ok((run.into_result(), trace))
+}
+
+/// Runs `cfg` on `workload` once per plan of `plans`, each under `opts`
+/// with its plan in place of `opts.faults`, and hands `each` the plan's
+/// index and what [`try_run_single`] would have returned (`Err` when it
+/// panicked). Instead of simulating every run from cycle 0, one fault-free
+/// prefix pass under `opts` pauses at the first cycle each plan can act
+/// ([`Runner::first_effect`]), in ascending order, and each run is a fork
+/// of the pause that arms its plan and runs on. Only the fork runs under
+/// `catch_unwind`, so a panicking run leaves the prefix intact; one fork
+/// is alive at a time, and it shares the prefix's checkpoint image.
+pub(crate) fn try_run_forks(
+    cfg: CoreConfig,
+    workload: &Workload,
+    opts: &RunOptions,
+    plans: &[FaultPlan],
+    mut each: impl FnMut(usize, std::thread::Result<Result<RunResult, SimError>>),
+) {
+    let fault_free = RunOptions {
+        faults: FaultPlan::empty(),
+        ..opts.clone()
+    };
+    let workloads = std::slice::from_ref(workload);
+    let mut prefix = Runner::new(&[cfg], workloads, &fault_free, false);
+    let mut order: Vec<(u64, usize)> = (0..plans.len())
+        .map(|i| (prefix.as_mut().map_or(0, |p| p.first_effect(&plans[i])), i))
+        .collect();
+    order.sort_unstable();
+    for (at, i) in order {
+        // A prefix that fails before `at` fails every run it stands for
+        // the same way: no fault had landed, so nothing is attributed.
+        if let Ok(p) = &mut prefix {
+            if let Err(e) = p.pause_at(at) {
+                prefix = Err(e);
+            }
+        }
+        let run = match &prefix {
+            Ok(p) => {
+                let fork = p.fork(&plans[i]);
+                catch_unwind(AssertUnwindSafe(|| fork.finish().map(Runner::into_result)))
+            }
+            Err(e) => Ok(Err(e.clone())),
+        };
+        each(i, run);
+    }
 }
 
 /// Bytes of functional memory for `workloads` in slots `0..`: every
@@ -228,35 +267,46 @@ fn scope<'a>(m: &'a mut Machine<Core>, layout: &'a Layout) -> Scope<'a> {
     }
 }
 
-/// Checkpoints the in-memory ring holds (when checkpointing is on); the
-/// oldest is evicted before a new one is taken.
-const CHECKPOINT_DEPTH: usize = 4;
-
-/// One entry of the in-memory checkpoint ring: a deep copy of the machine
-/// (every core, the fabric, functional memory) plus the router's
-/// rewindable state, which is what replaying deterministically from this
-/// cycle needs. The memory copy costs only the pages the run has written,
-/// and shares none of them with the live image.
+/// An architectural checkpoint: a deep copy of the machine plus the
+/// router's rewindable state, which is what replaying deterministically
+/// from this cycle needs. A run keeps only its newest checkpoint, the one a
+/// restore rewinds to.
+#[derive(Clone)]
 struct Checkpoint {
     cycle: u64,
-    cores: Vec<Core>,
-    fabric: Fabric,
-    mem: FlatMem,
+    /// Shared, never written, between a prefix pass and its forks.
+    image: Rc<Image>,
+    /// Per run: a fork arms its fault plan here too.
     faults: Rewindable,
 }
 
+/// Every core, the fabric and functional memory at a checkpoint. The
+/// memory copy costs only the pages the run has written, and shares none
+/// of them with the live image.
+struct Image {
+    cores: Vec<Core>,
+    fabric: Fabric,
+    mem: FlatMem,
+}
+
 /// The runner as a [`Driver`] of the shared step loop, over one slot per
-/// workload: the checkpoint ring and the [`FaultRouter`] (fault, ECC and
+/// workload: the checkpoint and the [`FaultRouter`] (fault, ECC and
 /// RAS routing, patrol scrubs) hook in around the ticks, and their
 /// schedules join the skip step's wakeups. A single-core run is one slot;
 /// a [`crate::System`] is N.
+///
+/// A clone is the whole run's state (machine, limits, router, checkpoint),
+/// so a paused run forks exactly ([`try_run_forks`]).
+#[derive(Clone)]
 pub(crate) struct Runner<'a> {
     pub(crate) m: Machine<Core>,
     opts: &'a RunOptions,
     workloads: &'a [Workload],
     router: FaultRouter,
-    checkpoints: VecDeque<Checkpoint>,
+    checkpoint: Option<Checkpoint>,
     checkpoint_clone_ns: u64,
+    /// The cycle at whose step a prefix pass pauses ([`Runner::pause_at`]).
+    pause: Option<u64>,
 }
 
 impl<'a> Runner<'a> {
@@ -267,6 +317,16 @@ impl<'a> Runner<'a> {
     /// exact-context prefetching core replays [`RunOptions::oracle`], or
     /// when that is empty the schedule [`recorded_oracle`] records.
     pub(crate) fn run(
+        cfgs: &[CoreConfig],
+        workloads: &'a [Workload],
+        opts: &'a RunOptions,
+        trace: bool,
+    ) -> Result<Runner<'a>, SimError> {
+        Runner::new(cfgs, workloads, opts, trace)?.finish()
+    }
+
+    /// The machine of [`Runner::run`] at cycle 0, before its first step.
+    fn new(
         cfgs: &[CoreConfig],
         workloads: &'a [Workload],
         opts: &'a RunOptions,
@@ -306,24 +366,84 @@ impl<'a> Runner<'a> {
         let budget = cfgs.iter().map(|c| c.max_cycles).max().unwrap_or(0);
         let limits = RunLimits::new(0, opts.gate.clone(), opts.livelock_cycles, budget);
         let faults = opts.faults.events.clone();
-        let mut run = Runner {
+        Ok(Runner {
             m: Machine::new(cores, fabric, mem, limits),
             opts,
             workloads,
             router: FaultRouter::new(faults, opts.protection, opts.ras, scrubber),
-            checkpoints: VecDeque::new(),
+            checkpoint: None,
             checkpoint_clone_ns: 0,
-        };
-        let outcome = machine::run(&mut run, opts.dense_loop).and_then(|()| run.settle());
+            pause: None,
+        })
+    }
+
+    /// Steps the run from where it stands until every core halts, then
+    /// settles it.
+    fn finish(mut self) -> Result<Runner<'a>, SimError> {
+        let dense = self.opts.dense_loop;
+        let outcome = machine::run(&mut self, dense).and_then(|()| self.settle());
         match outcome {
-            Ok(()) => Ok(run),
-            Err(e) if run.router.rewindable.narrative.is_empty() => Err(e),
+            Ok(()) => Ok(self),
+            Err(e) if self.router.rewindable.narrative.is_empty() => Err(e),
             // Any failure after a fault landed is attributed to the faults.
             Err(e) => Err(SimError::FaultDetected {
                 diag: Box::new(e.diagnostics().clone()),
-                faults: run.router.rewindable.narrative,
+                faults: self.router.rewindable.narrative,
                 cause: Box::new(e),
             }),
+        }
+    }
+
+    /// Steps the run to the top of step `cycle`, before anything of that
+    /// step happens (the driver's own work included), or to its end if
+    /// every core halts first. The pause joins the skip step's wakeups, so
+    /// both loops land on it exactly.
+    fn pause_at(&mut self, cycle: u64) -> Result<(), SimError> {
+        self.pause = Some(cycle);
+        let outcome = machine::run(self, self.opts.dense_loop);
+        self.pause = None;
+        outcome
+    }
+
+    /// The first cycle at which `plan` can change this fault-free run from
+    /// the top of its current step: its earliest event, or an earlier
+    /// patrol read that finds one of its persistent cell defects pending.
+    fn first_effect(&mut self, plan: &FaultPlan) -> u64 {
+        let (now, events) = (self.m.now, &plan.events);
+        let first = events.iter().map(|ev| ev.cycle).min().unwrap_or(u64::MAX);
+        let scope = scope(&mut self.m, &self.workloads[0].layout);
+        self.router
+            .first_scrub_hit(now, first, events, &scope)
+            .unwrap_or(first)
+    }
+
+    /// A copy of this paused fault-free run with `plan` armed in its router
+    /// and in its checkpoint: from a pause at or before
+    /// [`Runner::first_effect`], exactly the run that carried `plan` from
+    /// cycle 0 ([`Rewindable::arm`]).
+    fn fork(&self, plan: &FaultPlan) -> Runner<'a> {
+        let mut fork = self.clone();
+        fork.router.rewindable.arm(&plan.events);
+        if let Some(ck) = &mut fork.checkpoint {
+            ck.faults.arm(&plan.events);
+        }
+        fork
+    }
+
+    /// The result of a settled single-core run.
+    fn into_result(self) -> RunResult {
+        let (m, router) = (self.m, self.router);
+        let core = &m.slots[0];
+        let nthreads = core.config().nthreads;
+        RunResult {
+            cycles: m.now,
+            stats: *core.stats(),
+            arch_digest: arch_digest(core, &m.mem, &self.workloads[0], nthreads),
+            faults_applied: router.rewindable.narrative,
+            ecc: router.rewindable.ecc,
+            checkpoint_clone_ns: self.checkpoint_clone_ns,
+            ras: router.ras_stats,
+            fabric: *m.fabric.stats(),
         }
     }
 
@@ -386,9 +506,12 @@ impl Driver for Runner<'_> {
 
     fn begin(&mut self) -> Result<Step, SimError> {
         let now = self.m.now;
+        if self.pause == Some(now) {
+            return Ok(Step::Stop);
+        }
         let interval = self.opts.checkpoint_interval;
         if interval > 0 && now.is_multiple_of(interval) {
-            self.checkpoint();
+            self.snapshot();
         }
         if self
             .router
@@ -414,11 +537,11 @@ impl Driver for Runner<'_> {
         }
     }
 
-    /// Pending faults, the checkpoint grid and the scrub grid: the clock
-    /// must land on each of them exactly as the dense loop does.
+    /// Pending faults, the checkpoint grid, the scrub grid and a pause:
+    /// the clock must land on each of them exactly as the dense loop does.
     fn wakeup(&self) -> u64 {
         let now = self.m.now;
-        let mut wake = self.router.wakeup(now);
+        let mut wake = self.router.wakeup(now).min(self.pause.unwrap_or(u64::MAX));
         if self.opts.checkpoint_interval > 0 {
             wake = wake.min(now.next_multiple_of(self.opts.checkpoint_interval));
         }
@@ -427,21 +550,21 @@ impl Driver for Runner<'_> {
 }
 
 impl Runner<'_> {
-    /// Snapshots the machine into the checkpoint ring. Cold, like
+    /// Replaces the checkpoint with a snapshot of the machine. Cold, like
     /// [`FaultRouter::scrub`], so the per-step hook that calls it stays
     /// small.
     #[cold]
-    fn checkpoint(&mut self) {
+    fn snapshot(&mut self) {
         let snap_start = std::time::Instant::now();
-        // Evict before cloning, so the ring never holds depth + 1 images.
-        if self.checkpoints.len() == CHECKPOINT_DEPTH {
-            self.checkpoints.pop_front();
-        }
-        self.checkpoints.push_back(Checkpoint {
+        // Drop the old image before cloning, so a run never holds two.
+        self.checkpoint = None;
+        self.checkpoint = Some(Checkpoint {
             cycle: self.m.now,
-            cores: self.m.slots.clone(),
-            fabric: self.m.fabric.clone(),
-            mem: self.m.mem.clone(),
+            image: Rc::new(Image {
+                cores: self.m.slots.clone(),
+                fabric: self.m.fabric.clone(),
+                mem: self.m.mem.clone(),
+            }),
             faults: self.router.rewindable.clone(),
         });
         self.checkpoint_clone_ns += snap_start.elapsed().as_nanos() as u64;
@@ -451,7 +574,7 @@ impl Runner<'_> {
     /// Recovery from a detected-uncorrectable group: rewinds to the newest
     /// checkpoint (snapshotted before this cycle's injection) and replays
     /// with the detected fault suppressed, or fails typed. Cold, like
-    /// [`Runner::checkpoint`].
+    /// [`Runner::snapshot`].
     #[cold]
     fn recover(&mut self, detected: Detected) -> Result<(), SimError> {
         let detect_cycle = self.m.now;
@@ -468,17 +591,17 @@ impl Runner<'_> {
                 diag: self.diag(),
             });
         }
-        let Some(ck) = self.checkpoints.back() else {
+        let Some(ck) = &self.checkpoint else {
             return Err(SimError::Uncorrectable {
                 site: detected.events[0].site.to_string(),
                 detail: detected.desc,
                 diag: self.diag(),
             });
         };
-        let (cycle, faults) = (ck.cycle, ck.faults.clone());
-        self.m.slots = ck.cores.clone();
-        self.m.fabric = ck.fabric.clone();
-        self.m.mem = ck.mem.clone();
+        let (cycle, faults, image) = (ck.cycle, ck.faults.clone(), &ck.image);
+        self.m.slots = image.cores.clone();
+        self.m.fabric = image.fabric.clone();
+        self.m.mem = image.mem.clone();
         self.m.now = cycle;
         let scope = &mut scope(&mut self.m, &self.workloads[0].layout);
         self.router
