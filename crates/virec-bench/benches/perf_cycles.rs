@@ -38,8 +38,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use virec_core::CoreConfig;
 use virec_mem::{FabricConfig, FabricTopology};
-use virec_sim::runner::{run_single, RunOptions};
-use virec_sim::RasConfig;
+use virec_sim::runner::{try_run_single, RunOptions};
+use virec_sim::{RasConfig, SimError};
 use virec_workloads::{kernels, Layout, Workload};
 
 /// Far-memory interconnect: a host core reaching across a CXL-class hop.
@@ -90,7 +90,12 @@ impl Cell {
 /// between-leg retention ratios by more than the effects they gate on.
 /// Best-of-k already rejects slow machine phases within a leg. Returns
 /// (sim cycles, best cycles/sec) per leg.
-fn measure(cfg: CoreConfig, w: &Workload, fabric: FabricConfig, iters: u32) -> [(u64, f64); 4] {
+fn measure(
+    cfg: CoreConfig,
+    w: &Workload,
+    fabric: FabricConfig,
+    iters: u32,
+) -> Result<[(u64, f64); 4], SimError> {
     let mesh = FabricConfig {
         topology: FabricTopology::Mesh { cols: 2, rows: 1 },
         ..fabric
@@ -114,7 +119,7 @@ fn measure(cfg: CoreConfig, w: &Workload, fabric: FabricConfig, iters: u32) -> [
         let mut best = f64::INFINITY;
         for i in 0..=iters {
             let start = Instant::now();
-            let res = std::hint::black_box(run_single(cfg, w, o));
+            let res = std::hint::black_box(try_run_single(cfg, w, o)?);
             let secs = start.elapsed().as_secs_f64();
             cycles = res.stats.cycles;
             if i > 0 {
@@ -123,10 +128,10 @@ fn measure(cfg: CoreConfig, w: &Workload, fabric: FabricConfig, iters: u32) -> [
         }
         out[leg] = (cycles, cycles as f64 / best);
     }
-    out
+    Ok(out)
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Quick mode is already smoke-test sized, so flags cargo forwards
     // (e.g. `cargo bench -- --test`) are accepted and ignored.
     let full = std::env::var("VIREC_PERF_FULL").is_ok_and(|v| v == "1");
@@ -161,7 +166,7 @@ fn main() {
     for (wname, memory_bound, fabric, w) in &workloads {
         for (ename, cfg) in engines {
             let [(dense_cycles, dense_cps), (event_cycles, event_cps), (ras_cycles, ras_cps), (mesh_cycles, mesh_cps)] =
-                measure(cfg, w, *fabric, iters);
+                measure(cfg, w, *fabric, iters)?;
             assert_eq!(
                 dense_cycles, event_cycles,
                 "{wname}/{ename}: loops disagree on simulated cycles"
@@ -229,15 +234,16 @@ fn main() {
     println!("noc_overhead_ok={noc_ok}");
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
-    std::fs::write(path, render_json(&cells, full, n, iters)).expect("write BENCH_7.json");
+    std::fs::write(path, render_json(&cells, full, n, iters))?;
     let path8 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
-    std::fs::write(path8, render_ras_json(&cells, full, n, iters)).expect("write BENCH_8.json");
+    std::fs::write(path8, render_ras_json(&cells, full, n, iters))?;
     let path10 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
-    std::fs::write(path10, render_noc_json(&cells, full, n, iters)).expect("write BENCH_10.json");
+    std::fs::write(path10, render_noc_json(&cells, full, n, iters))?;
     println!(
         "wrote {path}, {path8} and {path10} ({} mode, n={n})",
         if full { "full" } else { "quick" }
     );
+    Ok(())
 }
 
 fn render_json(cells: &[Cell], full: bool, n: u64, iters: u32) -> String {

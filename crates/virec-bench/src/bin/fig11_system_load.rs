@@ -7,14 +7,14 @@
 //! observed latency, 10 threads win for the 4- and 8-core systems —
 //! the thread-scaling flexibility a statically banked core lacks.
 //!
-//! Each (cores, threads) point is one `System` cell of a declarative
-//! sweep; a failed point degrades to a `FAILED` row.
+//! Each (cores, threads) point is one multi-core cell (one slot per core)
+//! of a declarative sweep; a failed point degrades to a `FAILED` row.
 
 use virec_bench::harness::*;
 use virec_core::CoreConfig;
 use virec_sim::experiment::ExperimentSpec;
 use virec_sim::report::{f3, Table};
-use virec_sim::SystemConfig;
+use virec_sim::RunOptions;
 use virec_workloads::kernels;
 
 const CORES: [usize; 4] = [1, 2, 4, 8];
@@ -29,16 +29,11 @@ fn main() {
         for threads in THREADS {
             let mut core = CoreConfig::virec(threads, 64);
             core.max_cycles = 2_000_000_000;
-            let cfg = SystemConfig {
-                ncores,
-                core,
-                fabric: Default::default(),
-            };
+            let slots = vec![(core, kernels::spatter::gather as _, n); ncores];
             spec.system(
                 format!("{ncores}c/{threads}t"),
-                cfg,
-                kernels::spatter::gather,
-                n,
+                slots,
+                &RunOptions::default(),
             );
         }
     }
@@ -64,7 +59,7 @@ fn main() {
                     r.cycles.to_string(),
                     f3(r.per_core[0].ipc()),
                     f3(r.mean_core_ipc()),
-                    f3(r.mean_queue_delay()),
+                    f3(r.fabric.mean_queue_delay()),
                 ]),
                 None => t.row(vec![
                     ncores.to_string(),

@@ -127,7 +127,11 @@ pub struct CoreConfig {
 
 impl CoreConfig {
     /// The paper's ViReC core (Table 1): 1 GHz single-issue, 24–120 regs,
-    /// 5-entry SQ, 1 outstanding load, 32 KiB icache / 8 KiB dcache.
+    /// 5-entry SQ, 32 KiB icache / 8 KiB dcache. The model allows one
+    /// outstanding data load per thread: a load miss switches the thread
+    /// out until that load fills. EXPERIMENTS.md's note that the paper's
+    /// in-order core allows 2 is unverified (the paper text is not in this
+    /// repository).
     pub fn virec(nthreads: usize, phys_regs: usize) -> CoreConfig {
         CoreConfig {
             nthreads,

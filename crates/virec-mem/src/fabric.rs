@@ -135,6 +135,17 @@ pub struct FabricStats {
 }
 
 impl FabricStats {
+    /// Mean cycles a memory request queued before service — the
+    /// "observed latency" increase of Figure 11 (0.0 with no requests).
+    pub fn mean_queue_delay(&self) -> f64 {
+        let reqs = self.reads + self.writes;
+        if reqs == 0 {
+            0.0
+        } else {
+            self.queue_cycles as f64 / reqs as f64
+        }
+    }
+
     /// The DRAM-side counters with their journal keys, in journal order.
     /// `per_port` is an array of its own, and the NoC counters are
     /// [`FabricStats::noc_counters_mut`].

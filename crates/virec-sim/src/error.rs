@@ -4,9 +4,8 @@
 //! divergence, a wedged golden run, or a detected injected fault — is a
 //! [`SimError`] variant carrying a [`RunDiagnostics`] snapshot of the core
 //! at the moment of failure. `Display` renders a structured one-liner
-//! suitable for logs and the CLI; the panicking wrappers (`run_single`,
-//! `System::run`) forward that same line, so `#[should_panic]` expectations
-//! written against the old assertion messages keep matching.
+//! suitable for logs and the CLI. Every run entry returns it in a
+//! `Result`; none panics on a failed run.
 
 use virec_core::{Core, CoreConfig, EngineKind, PolicyKind};
 use virec_isa::Reg;
@@ -148,10 +147,10 @@ impl std::fmt::Display for DivergenceSite {
 /// Everything that can go wrong during a simulation run.
 #[derive(Clone, Debug)]
 pub enum SimError {
-    /// A system or service was asked to build with an invalid shape
-    /// (zero cores, mismatched per-core slices, an empty task mix) —
-    /// rejected before any core exists, so the diagnostics are a
-    /// placeholder.
+    /// A run or service was asked to build with an invalid shape (no
+    /// slots or cores, a multi-slot run with options that act on slot 0
+    /// only, an empty task mix) — rejected before any core exists, so the
+    /// diagnostics are a placeholder.
     Config {
         /// What was wrong with the configuration.
         detail: String,

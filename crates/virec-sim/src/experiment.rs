@@ -37,8 +37,7 @@ use std::sync::{Arc, Mutex};
 use crate::cancel::{CancelToken, RunGate};
 use crate::error::SimError;
 use crate::journal::{self, JournalConfig};
-use crate::runner::{try_run_single, RunOptions, RunResult};
-use crate::system::{System, SystemConfig, SystemResult};
+use crate::runner::{try_run_single, try_run_slots, RunOptions, RunResult, SystemResult};
 use virec_core::CoreConfig;
 use virec_workloads::{Layout, Workload, WorkloadCtor};
 
@@ -117,16 +116,14 @@ pub enum Job {
         /// Run options (fabric, verification, faults, …).
         opts: RunOptions,
     },
-    /// A multi-core system run ([`System::try_run`]); every core runs
-    /// `ctor(n, Layout::for_core(i))`.
+    /// A multi-core run ([`try_run_slots`]): slot `i` runs
+    /// `ctor(n, Layout::for_core(i))` on its core.
     System {
-        /// System (cores + fabric) configuration; the per-core
-        /// `max_cycles` is scaled on retries.
-        cfg: SystemConfig,
-        /// Workload constructor (a plain `fn`, inherently `Send`).
-        ctor: WorkloadCtor,
-        /// Problem size per core.
-        n: u64,
+        /// One `(core, workload constructor, problem size)` per slot; every
+        /// core's `max_cycles` is scaled on retries.
+        slots: Vec<(CoreConfig, WorkloadCtor, u64)>,
+        /// Run options (fabric, loop, gate, …).
+        opts: RunOptions,
     },
     /// Anything else — area-model evaluations, compiled-kernel drives,
     /// campaign wrappers. Must be deterministic; budget retries do not
@@ -255,15 +252,15 @@ impl ExperimentSpec {
         );
     }
 
-    /// Declares a multi-core system cell.
+    /// Declares a multi-core cell, one `(core, ctor, n)` per slot.
     pub fn system(
         &mut self,
         key: impl Into<String>,
-        cfg: SystemConfig,
-        ctor: WorkloadCtor,
-        n: u64,
+        slots: Vec<(CoreConfig, WorkloadCtor, u64)>,
+        opts: &RunOptions,
     ) {
-        self.push(key, Job::System { cfg, ctor, n });
+        let opts = opts.clone();
+        self.push(key, Job::System { slots, opts });
     }
 
     /// Declares a custom cell.
@@ -639,7 +636,7 @@ fn json_cell_data(out: &mut String, d: &CellData) {
                 s.per_core.len(),
                 json_f64(s.total_ipc()),
                 json_f64(s.mean_core_ipc()),
-                json_f64(s.mean_queue_delay()),
+                json_f64(s.fabric.mean_queue_delay()),
             ));
         }
         CellData::Metrics(m) => {
@@ -927,26 +924,30 @@ fn execute_cell(
     gated: bool,
 ) -> (CellOutcome, bool) {
     let job = &cell.job;
+    let scaled = |cfg: &CoreConfig, scale: u64| CoreConfig {
+        max_cycles: cfg.max_cycles.saturating_mul(scale),
+        ..*cfg
+    };
+    // Executor-managed gating overrides any gate the spec put in the
+    // cell's RunOptions.
+    let gated_opts = |opts: &RunOptions| {
+        let mut opts = opts.clone();
+        if gated {
+            opts.gate = gate.clone();
+        }
+        opts
+    };
     let attempt = |scale: u64| -> Result<CellData, SimError> {
         match job {
             Job::Single { build, cfg, opts } => {
-                let w = build();
-                let mut cfg = *cfg;
-                cfg.max_cycles = cfg.max_cycles.saturating_mul(scale);
-                let mut opts = opts.clone();
-                if gated {
-                    // Executor-managed gating overrides any gate the spec
-                    // put in the cell's RunOptions.
-                    opts.gate = gate.clone();
-                }
-                try_run_single(cfg, &w, &opts).map(|r| CellData::Run(Box::new(r)))
+                try_run_single(scaled(cfg, scale), &build(), &gated_opts(opts))
+                    .map(|r| CellData::Run(Box::new(r)))
             }
-            Job::System { cfg, ctor, n } => {
-                let mut cfg = *cfg;
-                cfg.core.max_cycles = cfg.core.max_cycles.saturating_mul(scale);
-                System::new(cfg, *ctor, *n)
-                    .try_run_gated(gate)
-                    .map(|r| CellData::System(Box::new(r)))
+            Job::System { slots, opts } => {
+                let slots: Vec<_> = (slots.iter().enumerate())
+                    .map(|(i, (cfg, ctor, n))| (scaled(cfg, scale), ctor(*n, Layout::for_core(i))))
+                    .collect();
+                try_run_slots(&slots, &gated_opts(opts)).map(|r| CellData::System(Box::new(r)))
             }
             Job::Custom(f) => f(&CellCtx {
                 key: &cell.key,

@@ -7,7 +7,7 @@
 //! the same xorshift generator the core's Random replacement policy uses —
 //! no external RNG crate, and a seed fully determines the campaign.
 //!
-//! [`run_campaign`] drives K single-fault injections against one
+//! [`run_campaign_with`] drives K single-fault injections against one
 //! configuration and classifies every outcome: the paper's differential
 //! golden check is the detector, and the acceptance bar is that **no
 //! effectful fault survives silently**. Each injection is a fork of one
@@ -445,7 +445,7 @@ pub struct InjectionRecord {
     pub replay_cycles: Option<u64>,
 }
 
-/// Aggregate result of [`run_campaign`].
+/// Aggregate result of [`run_campaign_with`].
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
     /// Engine label of the attacked configuration.
@@ -650,31 +650,9 @@ impl CampaignOptions {
 
 /// Runs a clean reference, then `injections` seeded single-fault runs of
 /// `cfg` on `workload`, classifying each against the golden checker and the
-/// clean run's architectural digest. Equivalent to [`run_campaign_with`]
-/// under [`CampaignOptions::default`] — no protection, no checkpoints.
-///
-/// # Panics
-/// Panics if the clean (fault-free) run itself fails — the configuration
-/// must be healthy before it is attacked.
-pub fn run_campaign(
-    cfg: CoreConfig,
-    workload: &Workload,
-    injections: usize,
-    base_seed: u64,
-    sites: &[FaultSite],
-) -> CampaignReport {
-    run_campaign_with(
-        cfg,
-        workload,
-        injections,
-        base_seed,
-        sites,
-        &CampaignOptions::default(),
-    )
-}
-
-/// [`run_campaign`] with an explicit protection/checkpoint/burst
-/// configuration. Each injection is routed through the coverage map first;
+/// clean run's architectural digest. [`CampaignOptions::default`] is the
+/// detector-only campaign (no protection, no checkpoints); with protection
+/// each injection is routed through the coverage map first, and the
 /// outcomes extend the detector-only classification with [`InjectionOutcome::Corrected`],
 /// [`InjectionOutcome::CheckpointRecovered`], and
 /// [`InjectionOutcome::DetectedUncorrectable`].

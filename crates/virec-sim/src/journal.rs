@@ -45,7 +45,7 @@ use crate::ecc::EccStats;
 use crate::experiment::{json_string, CellData, CellOutcome};
 use crate::ras::RasStats;
 use crate::runner::RunResult;
-use crate::system::SystemResult;
+use crate::runner::SystemResult;
 use virec_core::CoreStats;
 use virec_mem::{CacheStats, FabricStats};
 

@@ -10,15 +10,15 @@
 //! * [`offload`] — the host side: writes initial register contexts into the
 //!   reserved region of memory, the image ViReC's fills read on first
 //!   schedule.
-//! * [`runner`] — single-core experiments with optional golden verification
-//!   and oracle recording for exact-context prefetching.
-//! * [`system`] — multi-core systems sharing the fabric (Figure 11).
+//! * [`runner`] — runs over one slot or N (Figure 11's multi-core systems
+//!   sharing the fabric), with golden verification and oracle recording
+//!   for exact-context prefetching.
 //! * [`experiment`] — the declarative experiment layer: keyed cell grids
 //!   ([`ExperimentSpec`]) executed by a worker-pool [`Executor`] with
 //!   deterministic collection and JSON result emission.
 //! * [`report`] — plain-text table/CSV emission for the figure binaries.
 //! * [`error`] — typed simulation errors ([`SimError`]) with per-run
-//!   diagnostics; every runner has a `try_` form returning `Result`.
+//!   diagnostics; every run entry returns `Result`.
 //! * [`watchdog`] — forward-progress monitoring that separates livelock
 //!   from slow runs.
 //! * [`fault`] — deterministic seeded fault injection and campaign
@@ -48,7 +48,6 @@ pub mod report;
 mod router;
 pub mod runner;
 pub mod serve;
-pub mod system;
 pub mod watchdog;
 
 pub use cancel::{interrupt_tokens, CancelToken, GateTrip, RunGate};
@@ -59,17 +58,16 @@ pub use experiment::{
     ExperimentSpec, Job, RetryPolicy, WorkloadBuilder,
 };
 pub use fault::{
-    parse_sites, run_campaign, run_campaign_with, CampaignOptions, CampaignReport, FaultClass,
-    FaultEvent, FaultPlan, FaultSite, InjectionOutcome, InjectionRecord,
+    parse_sites, run_campaign_with, CampaignOptions, CampaignReport, FaultClass, FaultEvent,
+    FaultPlan, FaultSite, InjectionOutcome, InjectionRecord,
 };
 pub use journal::JournalConfig;
 pub use ras::{CeTracker, RasConfig, RasStats, RetiredRegion, Scrubber};
 pub use runner::{
-    arch_digest, golden_arch_digest, run_single, try_run_single, try_run_single_traced,
-    try_verify_against_golden, verify_against_golden, RunOptions, RunResult,
+    arch_digest, golden_arch_digest, try_run_single, try_run_single_traced, try_run_slots,
+    try_verify_against_golden, RunOptions, RunResult, SystemResult,
 };
 pub use serve::{
     run_service, RejectReason, ServeConfig, ServeFaultPlan, ServeReport, TaskOutcome, TaskService,
 };
-pub use system::{System, SystemConfig, SystemConfigError, SystemResult};
 pub use watchdog::{Watchdog, DEFAULT_LIVELOCK_CYCLES};

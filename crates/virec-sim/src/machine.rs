@@ -1,6 +1,6 @@
 //! The one step loop every driver runs on.
 //!
-//! The runner (a single core, or a [`crate::System`]'s N cores) and the
+//! The runner (one core, or N cores on a shared fabric) and the
 //! serve dispatcher are thin [`Driver`]s over [`run`]. One iteration polls
 //! the wall-clock gate, lets the driver act before the cycle (checkpoints,
 //! patrol scrubs, admission and dispatch), ticks the shared fabric and
@@ -108,12 +108,6 @@ impl RunLimits {
             watchdog: Watchdog::new(livelock_cycles),
             budget,
         }
-    }
-
-    /// Replaces the wall-clock gate (a run handed its gate after the
-    /// machine was built).
-    pub fn set_gate(&mut self, gate: RunGate) {
-        self.gate = gate;
     }
 
     /// The gate check before the tick of cycle `now`.

@@ -5,10 +5,10 @@
 //! checkpoint, the patrol scrubber and any scheduled [`FaultPlan`], and
 //! verifies every core's final architectural state against the golden
 //! interpreter, returning a typed [`SimError`] instead of panicking.
-//! [`try_run_single`] is a run over one slot and [`crate::System`] a run
-//! over N. Only a single-core run carries a fault plan (a fault event names
-//! no core), so fault routing and recovery act on slot 0. [`run_single`] is
-//! the thin panicking wrapper the examples and figure binaries use.
+//! [`try_run_single`] is a run over one slot and [`try_run_slots`] a run
+//! over N, such as Figure 11's multi-core systems, whose cores share one
+//! fabric. A fault event names no core, so fault routing, protection,
+//! checkpoints and RAS act on slot 0, and only a one-slot run takes them.
 //!
 //! A run can also pause at the top of a chosen step and be cloned there:
 //! a clone holds the machine, its limits, the router and the checkpoint,
@@ -43,8 +43,9 @@ pub fn default_checkpoint_interval() -> u64 {
     ROLLBACK_DEPTH as u64 * 256
 }
 
-/// Options for a run of the runner: a single-core run's, or a
-/// [`crate::System`]'s defaults over its fabric.
+/// Options for a run of the runner, over one slot or N. A multi-slot run
+/// takes every field but the four that act on slot 0 only: `faults`,
+/// `protection`, `checkpoint_interval` and `ras` must keep their defaults.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Fabric (crossbar + DRAM) configuration.
@@ -139,6 +140,55 @@ impl RunResult {
     }
 }
 
+/// Outcome of a multi-slot run ([`try_run_slots`]).
+#[derive(Clone, Debug)]
+pub struct SystemResult {
+    /// Cycles until *every* core finished.
+    pub cycles: u64,
+    /// Per-core statistics.
+    pub per_core: Vec<CoreStats>,
+    /// Shared crossbar/DRAM statistics (for observed-latency analysis).
+    pub fabric: FabricStats,
+}
+
+impl SystemResult {
+    /// Aggregate instructions per cycle across the whole system.
+    pub fn total_ipc(&self) -> f64 {
+        let insts: u64 = self.per_core.iter().map(|s| s.instructions).sum();
+        insts as f64 / self.cycles as f64
+    }
+
+    /// Mean per-core IPC (0.0 for an empty system, not a division by
+    /// zero).
+    pub fn mean_core_ipc(&self) -> f64 {
+        let ipc = |s: &CoreStats| s.instructions as f64 / self.cycles as f64;
+        let sum: f64 = self.per_core.iter().map(ipc).sum();
+        sum / self.per_core.len().max(1) as f64
+    }
+}
+
+/// Runs slot `i`'s workload on slot `i`'s core, every core on one shared
+/// fabric, until every core halts, and verifies each against the golden
+/// interpreter. Slot `i` must be built for `Layout::for_core(i)`. The run
+/// is held to one watchdog over the summed commits and to the largest
+/// per-core `max_cycles` as its budget, since the slowest core bounds
+/// completion under contention.
+///
+/// An empty slice is a typed [`SimError::Config`], and so is a multi-slot
+/// run whose options carry a fault plan, protection, checkpoints or RAS.
+pub fn try_run_slots(
+    slots: &[(CoreConfig, Workload)],
+    opts: &RunOptions,
+) -> Result<SystemResult, SimError> {
+    let slots: Vec<_> = slots.iter().map(|(cfg, w)| (*cfg, w)).collect();
+    let m = Runner::run(&slots, opts, false)?.m;
+    Ok(SystemResult {
+        cycles: m.now,
+        per_core: m.slots.iter().map(|c| *c.stats()).collect(),
+        fabric: *m.fabric.stats(),
+    })
+}
+
 /// Fallible single-core run: returns a typed error instead of panicking.
 ///
 /// The cycle loop distinguishes *livelock* (no commit for
@@ -148,12 +198,24 @@ impl RunResult {
 /// options carry a [`FaultPlan`], events are applied at their scheduled
 /// cycles and any subsequent failure is wrapped in
 /// [`SimError::FaultDetected`] so campaign drivers can attribute it.
+///
+/// ```
+/// use virec_core::CoreConfig;
+/// use virec_sim::runner::{try_run_single, RunOptions};
+/// use virec_workloads::{kernels, Layout};
+///
+/// let w = kernels::stream::reduction(256, Layout::for_core(0));
+/// let r = try_run_single(CoreConfig::virec(4, 24), &w, &RunOptions::default())?;
+/// assert!(r.ipc() > 0.0);
+/// assert!(r.stats.instructions > 256);
+/// # Ok::<(), virec_sim::SimError>(())
+/// ```
 pub fn try_run_single(
     cfg: CoreConfig,
     workload: &Workload,
     opts: &RunOptions,
 ) -> Result<RunResult, SimError> {
-    try_run_single_impl(cfg, workload, opts, false).map(|(r, _)| r)
+    Runner::run(&[(cfg, workload)], opts, false).map(Runner::into_result)
 }
 
 /// [`try_run_single`] plus a per-quantum trace: start/resume PCs, the
@@ -167,16 +229,7 @@ pub fn try_run_single_traced(
     workload: &Workload,
     opts: &RunOptions,
 ) -> Result<(RunResult, QuantumTrace), SimError> {
-    try_run_single_impl(cfg, workload, opts, true)
-}
-
-fn try_run_single_impl(
-    cfg: CoreConfig,
-    workload: &Workload,
-    opts: &RunOptions,
-    want_trace: bool,
-) -> Result<(RunResult, QuantumTrace), SimError> {
-    let mut run = Runner::run(&[cfg], std::slice::from_ref(workload), opts, want_trace)?;
+    let mut run = Runner::run(&[(cfg, workload)], opts, true)?;
     let trace = run.m.slots[0].take_quantum_trace();
     Ok((run.into_result(), trace))
 }
@@ -201,8 +254,7 @@ pub(crate) fn try_run_forks(
         faults: FaultPlan::empty(),
         ..opts.clone()
     };
-    let workloads = std::slice::from_ref(workload);
-    let mut prefix = Runner::new(&[cfg], workloads, &fault_free, false);
+    let mut prefix = Runner::new(&[(cfg, workload)], &fault_free, false);
     let mut order: Vec<(u64, usize)> = (0..plans.len())
         .map(|i| (prefix.as_mut().map_or(0, |p| p.first_effect(&plans[i])), i))
         .collect();
@@ -228,8 +280,8 @@ pub(crate) fn try_run_forks(
 
 /// Bytes of functional memory for `workloads` in slots `0..`: every
 /// slot's span, widened to the largest data segment's end.
-fn mem_size(workloads: &[Workload]) -> usize {
-    let data_end = |w: &Workload| (w.layout.data_base + w.layout.data_size) as usize;
+fn mem_size(workloads: &[&Workload]) -> usize {
+    let data_end = |w: &&Workload| (w.layout.data_base + w.layout.data_size) as usize;
     let spans = layout::mem_size(workloads.len());
     workloads.iter().map(data_end).fold(spans, usize::max)
 }
@@ -249,15 +301,14 @@ fn recorded_oracle(
         dense_loop: opts.dense_loop,
         ..RunOptions::default()
     };
-    let cfgs = [CoreConfig::banked(nthreads)];
-    let mut run = Runner::run(&cfgs, std::slice::from_ref(workload), &rec, true)?;
+    let mut run = Runner::run(&[(CoreConfig::banked(nthreads), workload)], &rec, true)?;
     let trace = run.m.slots[0].take_quantum_trace();
     Ok(OracleSchedule::from_trace(&trace, nthreads))
 }
 
 /// The [`Scope`] the router (fault routing, patrol scrubs, recovery) acts
-/// on: slot 0. Only a single-core run can carry a fault plan, protection or
-/// RAS (a fault event names no core), so that slot is the run's one core.
+/// on: slot 0. Only a one-slot run can carry a fault plan, protection,
+/// checkpoints or RAS ([`Runner::new`]), so that slot is the run's one core.
 fn scope<'a>(m: &'a mut Machine<Core>, layout: &'a Layout) -> Scope<'a> {
     Scope {
         core: &mut m.slots[0],
@@ -293,15 +344,15 @@ struct Image {
 /// workload: the checkpoint and the [`FaultRouter`] (fault, ECC and
 /// RAS routing, patrol scrubs) hook in around the ticks, and their
 /// schedules join the skip step's wakeups. A single-core run is one slot;
-/// a [`crate::System`] is N.
+/// a [`try_run_slots`] run is N.
 ///
 /// A clone is the whole run's state (machine, limits, router, checkpoint),
 /// so a paused run forks exactly ([`try_run_forks`]).
 #[derive(Clone)]
 pub(crate) struct Runner<'a> {
-    pub(crate) m: Machine<Core>,
+    m: Machine<Core>,
     opts: &'a RunOptions,
-    workloads: &'a [Workload],
+    workloads: Vec<&'a Workload>,
     router: FaultRouter,
     checkpoint: Option<Checkpoint>,
     checkpoint_clone_ns: u64,
@@ -310,31 +361,51 @@ pub(crate) struct Runner<'a> {
 }
 
 impl<'a> Runner<'a> {
-    /// Builds the machine — slot `i` runs `workloads[i]` on `cfgs[i]` —
-    /// steps it until every core halts, then finalizes and drains every
-    /// core and (with [`RunOptions::verify`]) checks each against the
+    /// Builds the machine — slot `i` runs `slots[i]`'s workload on its
+    /// core — steps it until every core halts, then finalizes and drains
+    /// every core and (with [`RunOptions::verify`]) checks each against the
     /// golden interpreter. `trace` turns on every core's quantum trace. An
     /// exact-context prefetching core replays [`RunOptions::oracle`], or
     /// when that is empty the schedule [`recorded_oracle`] records.
-    pub(crate) fn run(
-        cfgs: &[CoreConfig],
-        workloads: &'a [Workload],
+    fn run(
+        slots: &[(CoreConfig, &'a Workload)],
         opts: &'a RunOptions,
         trace: bool,
     ) -> Result<Runner<'a>, SimError> {
-        Runner::new(cfgs, workloads, opts, trace)?.finish()
+        Runner::new(slots, opts, trace)?.finish()
     }
 
     /// The machine of [`Runner::run`] at cycle 0, before its first step.
+    /// No slots, or a multi-slot run with any of the options that act on
+    /// slot 0 only, is a typed [`SimError::Config`].
     fn new(
-        cfgs: &[CoreConfig],
-        workloads: &'a [Workload],
+        slots: &[(CoreConfig, &'a Workload)],
         opts: &'a RunOptions,
         trace: bool,
     ) -> Result<Runner<'a>, SimError> {
-        let mut mem = FlatMem::new(0, mem_size(workloads));
-        let mut cores = Vec::with_capacity(cfgs.len());
-        for (slot, (mut cfg, w)) in cfgs.iter().copied().zip(workloads).enumerate() {
+        let slot0_only = !opts.faults.events.is_empty()
+            || opts.protection != ProtectionConfig::none()
+            || opts.checkpoint_interval > 0
+            || opts.ras.is_some();
+        let detail = if slots.is_empty() {
+            "a run needs at least one slot"
+        } else if slots.len() > 1 && slot0_only {
+            "a fault plan, protection, checkpoints and RAS act on slot 0 only, \
+             so a multi-slot run takes none of them"
+        } else {
+            ""
+        };
+        if !detail.is_empty() {
+            let diag = RunDiagnostics::placeholder("run-config");
+            return Err(SimError::Config {
+                detail: detail.to_string(),
+                diag,
+            });
+        }
+        let workloads: Vec<&Workload> = slots.iter().map(|&(_, w)| w).collect();
+        let mut mem = FlatMem::new(0, mem_size(&workloads));
+        let mut cores = Vec::with_capacity(slots.len());
+        for (slot, &(mut cfg, w)) in slots.iter().enumerate() {
             // The RAS layer provisions its spare CAM ways at core
             // construction: they are physically present (priced by
             // virec-area) but masked until a retirement activates one.
@@ -363,7 +434,7 @@ impl<'a> Runner<'a> {
                 (layout.data_base, layout.data_size),
             ])
         });
-        let budget = cfgs.iter().map(|c| c.max_cycles).max().unwrap_or(0);
+        let budget = slots.iter().map(|(c, _)| c.max_cycles).max().unwrap_or(0);
         let limits = RunLimits::new(0, opts.gate.clone(), opts.livelock_cycles, budget);
         let faults = opts.faults.events.clone();
         Ok(Runner {
@@ -438,7 +509,7 @@ impl<'a> Runner<'a> {
         RunResult {
             cycles: m.now,
             stats: *core.stats(),
-            arch_digest: arch_digest(core, &m.mem, &self.workloads[0], nthreads),
+            arch_digest: arch_digest(core, &m.mem, self.workloads[0], nthreads),
             faults_applied: router.rewindable.narrative,
             ecc: router.rewindable.ecc,
             checkpoint_clone_ns: self.checkpoint_clone_ns,
@@ -452,7 +523,7 @@ impl<'a> Runner<'a> {
     /// order is immaterial.
     fn settle(&mut self) -> Result<(), SimError> {
         let m = &mut self.m;
-        for (core, w) in m.slots.iter_mut().zip(self.workloads) {
+        for (core, w) in m.slots.iter_mut().zip(&self.workloads) {
             core.finalize_stats();
             core.drain(&mut m.mem);
             if self.opts.verify {
@@ -611,27 +682,6 @@ impl Runner<'_> {
     }
 }
 
-/// Runs `workload` on a single core with `nthreads` hardware threads.
-///
-/// ```
-/// use virec_core::CoreConfig;
-/// use virec_sim::runner::{run_single, RunOptions};
-/// use virec_workloads::{kernels, Layout};
-///
-/// let w = kernels::stream::reduction(256, Layout::for_core(0));
-/// let r = run_single(CoreConfig::virec(4, 24), &w, &RunOptions::default());
-/// assert!(r.ipc() > 0.0);
-/// assert!(r.stats.instructions > 256);
-/// ```
-///
-/// # Panics
-/// Panics with the [`SimError`] display if the run exceeds the configured
-/// cycle limit, livelocks, or (with `verify`) diverges from the golden
-/// interpreter. Use [`try_run_single`] to handle failures structurally.
-pub fn run_single(cfg: CoreConfig, workload: &Workload, opts: &RunOptions) -> RunResult {
-    try_run_single(cfg, workload, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Incremental FNV-1a over the architectural-state byte stream: thread
 /// registers in `(thread, allocatable reg)` order, then the data segment.
 /// Shared by the timing-side and golden-side digests so the two are
@@ -706,7 +756,7 @@ pub fn golden_arch_digest(
     nthreads: usize,
     step_cap: u64,
 ) -> Result<u64, SimError> {
-    let mem_size = mem_size(std::slice::from_ref(workload));
+    let mem_size = mem_size(&[workload]);
     let diag = || RunDiagnostics::placeholder(workload.name);
     let mut h = Fnv::new();
     let gold_mem = run_golden(workload, nthreads, mem_size, step_cap, diag, |_, ctx| {
@@ -763,9 +813,10 @@ pub(crate) fn golden_step_cap(committed_instructions: u64) -> u64 {
         .saturating_add(100_000)
 }
 
-/// Fallible form of [`verify_against_golden`]: compares a finished core's
-/// architectural state (registers and data segment) against a fresh
-/// golden-interpreter run of the same workload. Each thread's registers
+/// Compares a finished core's architectural state (registers and data
+/// segment) against a fresh golden-interpreter run of the same workload,
+/// returning a typed [`SimError::GoldenDivergence`] naming the first
+/// divergent register or the data range. Each thread's registers
 /// are compared as soon as its golden run halts, so a divergent thread is
 /// reported before a later thread that would not halt.
 pub fn try_verify_against_golden(
@@ -808,17 +859,6 @@ pub fn try_verify_against_golden(
     Ok(())
 }
 
-/// Compares a finished core's architectural state (registers and data
-/// segment) against a fresh golden-interpreter run of the same workload.
-///
-/// # Panics
-/// Panics on any divergence — a timing model must never change results.
-/// Use [`try_verify_against_golden`] to handle divergence structurally.
-pub fn verify_against_golden(workload: &Workload, nthreads: usize, core: &Core, mem: &FlatMem) {
-    try_verify_against_golden(workload, nthreads, core, mem, core.stats().cycles)
-        .unwrap_or_else(|e| panic!("{e}"));
-}
-
 /// Sanity marker so downstream code can assert which engine a config is.
 pub fn engine_label(cfg: &CoreConfig) -> &'static str {
     match cfg.engine {
@@ -833,27 +873,50 @@ pub fn engine_label(cfg: &CoreConfig) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virec_workloads::{kernels, Layout};
+    use crate::fault::{FaultClass, FaultEvent, FaultSite};
+    use virec_workloads::{kernels, Layout, WorkloadCtor};
+    use WorkloadCtor as Ctor;
 
-    #[test]
-    fn banked_gather_runs_and_verifies() {
-        let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let r = run_single(CoreConfig::banked(4), &w, &RunOptions::default());
-        assert!(r.cycles > 0);
-        assert!(r.stats.instructions > 256 * 5);
+    fn gather(n: u64) -> Workload {
+        kernels::spatter::gather(n, Layout::for_core(0))
+    }
+
+    /// A run of `cfg` on `w` under the default options.
+    fn run(cfg: CoreConfig, w: &Workload) -> Result<RunResult, SimError> {
+        try_run_single(cfg, w, &RunOptions::default())
+    }
+
+    /// One slot per `(core, ctor, n)`, slot `i` built for
+    /// `Layout::for_core(i)`, run under `opts`.
+    fn run_slots(
+        specs: &[(CoreConfig, Ctor, u64)],
+        opts: &RunOptions,
+    ) -> Result<SystemResult, SimError> {
+        let slot = |(i, &(core, ctor, n)): (usize, &(CoreConfig, Ctor, u64))| {
+            (core, ctor(n, Layout::for_core(i)))
+        };
+        let slots: Vec<_> = specs.iter().enumerate().map(slot).collect();
+        try_run_slots(&slots, opts)
     }
 
     #[test]
-    fn virec_gather_runs_and_verifies() {
-        let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let r = run_single(CoreConfig::virec(4, 32), &w, &RunOptions::default());
+    fn banked_gather_runs_and_verifies() -> Result<(), SimError> {
+        let r = run(CoreConfig::banked(4), &gather(256))?;
+        assert!(r.cycles > 0);
+        assert!(r.stats.instructions > 256 * 5);
+        Ok(())
+    }
+
+    #[test]
+    fn virec_gather_runs_and_verifies() -> Result<(), SimError> {
+        let r = run(CoreConfig::virec(4, 32), &gather(256))?;
         assert!(r.stats.rf_misses > 0);
+        Ok(())
     }
 
     #[test]
     fn oracle_recording_produces_quanta() -> Result<(), SimError> {
-        let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let o = recorded_oracle(&w, 4, &RunOptions::default())?;
+        let o = recorded_oracle(&gather(256), 4, &RunOptions::default())?;
         assert_eq!(o.sets.len(), 4);
         assert!(
             o.sets.iter().any(|s| s.len() > 1),
@@ -863,112 +926,116 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_exact_runs_with_recorded_oracle() {
-        let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let r = run_single(CoreConfig::prefetch_exact(4, 8), &w, &RunOptions::default());
+    fn prefetch_exact_runs_with_recorded_oracle() -> Result<(), SimError> {
+        let r = run(CoreConfig::prefetch_exact(4, 8), &gather(256))?;
         assert!(r.cycles > 0);
+        Ok(())
     }
 
     #[test]
-    fn multithreading_beats_single_thread_on_gather() {
+    fn multithreading_beats_single_thread_on_gather() -> Result<(), SimError> {
         // The core premise: TLP hides memory latency.
-        let w = kernels::spatter::gather(1024, Layout::for_core(0));
-        let one = run_single(CoreConfig::banked(1), &w, &RunOptions::default());
-        let four = run_single(CoreConfig::banked(4), &w, &RunOptions::default());
+        let w = gather(1024);
+        let one = run(CoreConfig::banked(1), &w)?;
+        let four = run(CoreConfig::banked(4), &w)?;
         assert!(
             four.cycles * 2 < one.cycles * 3,
             "4 threads ({}) should clearly beat 1 thread ({})",
             four.cycles,
             one.cycles
         );
+        Ok(())
     }
 
     #[test]
     fn budget_exhaustion_is_typed_not_a_panic() {
-        let w = kernels::spatter::gather(512, Layout::for_core(0));
         let mut cfg = CoreConfig::virec(4, 32);
         cfg.max_cycles = 2_000; // far too small for 512 elements
-        let err = try_run_single(cfg, &w, &RunOptions::default()).unwrap_err();
-        match &err {
-            SimError::CycleBudgetExceeded { budget, diag } => {
-                assert_eq!(*budget, 2_000);
-                assert_eq!(diag.nthreads, 4);
-                assert_eq!(diag.last_commit_pc.len(), 4);
-            }
-            other => panic!("expected CycleBudgetExceeded, got {other:?}"),
-        }
-        assert_eq!(err.kind(), "cycle_budget");
+        let err = run(cfg, &gather(512)).err();
+        assert!(
+            matches!(
+                &err,
+                Some(SimError::CycleBudgetExceeded { budget: 2_000, diag })
+                    if diag.nthreads == 4 && diag.last_commit_pc.len() == 4
+            ),
+            "expected CycleBudgetExceeded, got {err:?}"
+        );
+        assert_eq!(err.map(|e| e.kind()), Some("cycle_budget"));
     }
 
     #[test]
     fn cancelled_gate_surfaces_as_typed_deadline() {
         use crate::cancel::CancelToken;
-        let w = kernels::spatter::gather(256, Layout::for_core(0));
         let token = CancelToken::new();
         token.cancel();
         let opts = RunOptions {
             gate: RunGate::new(token, 0),
             ..RunOptions::default()
         };
-        let err = try_run_single(CoreConfig::virec(4, 32), &w, &opts).unwrap_err();
-        match &err {
-            SimError::Deadline { limit_ms, .. } => assert_eq!(*limit_ms, 0),
-            other => panic!("expected Deadline, got {other:?}"),
-        }
-        assert_eq!(err.kind(), "deadline");
-        assert!(!err.deadline_expired(), "a cancellation is not an expiry");
+        let err = try_run_single(CoreConfig::virec(4, 32), &gather(256), &opts).err();
+        assert!(
+            matches!(&err, Some(SimError::Deadline { limit_ms: 0, .. })),
+            "expected Deadline, got {err:?}"
+        );
+        assert_eq!(err.as_ref().map(SimError::kind), Some("deadline"));
+        assert!(
+            !err.is_some_and(|e| e.deadline_expired()),
+            "a cancellation is not an expiry"
+        );
     }
 
     #[test]
     fn expired_deadline_stops_a_long_run() {
         // A deadline that has already passed when the loop starts polling:
         // the run must stop at the first poll with an expired trip.
-        let w = kernels::spatter::gather(4096, Layout::for_core(0));
         let gate = RunGate::new(crate::cancel::CancelToken::new(), 1);
         std::thread::sleep(std::time::Duration::from_millis(5));
         let opts = RunOptions {
             gate,
             ..RunOptions::default()
         };
-        let err = try_run_single(CoreConfig::virec(4, 32), &w, &opts).unwrap_err();
-        assert_eq!(err.kind(), "deadline");
-        assert!(err.deadline_expired());
+        let err = try_run_single(CoreConfig::virec(4, 32), &gather(4096), &opts).err();
+        assert_eq!(err.as_ref().map(SimError::kind), Some("deadline"));
+        assert!(err.is_some_and(|e| e.deadline_expired()));
     }
 
     #[test]
-    fn identical_runs_have_identical_digests() {
+    fn identical_runs_have_identical_digests() -> Result<(), SimError> {
         let w = kernels::stream::stream_triad(128, Layout::for_core(0));
-        let a = run_single(CoreConfig::virec(4, 24), &w, &RunOptions::default());
-        let b = run_single(CoreConfig::virec(4, 24), &w, &RunOptions::default());
+        let a = run(CoreConfig::virec(4, 24), &w)?;
+        let b = run(CoreConfig::virec(4, 24), &w)?;
         assert_eq!(a.arch_digest, b.arch_digest, "runs are deterministic");
         // A different kernel must not collide.
         let w2 = kernels::stream::reduction(128, Layout::for_core(0));
-        let c = run_single(CoreConfig::virec(4, 24), &w2, &RunOptions::default());
+        let c = run(CoreConfig::virec(4, 24), &w2)?;
         assert_ne!(a.arch_digest, c.arch_digest);
+        Ok(())
     }
 
     #[test]
-    fn golden_digest_matches_a_clean_run() {
+    fn golden_digest_matches_a_clean_run() -> Result<(), SimError> {
         // The golden-side digest hashes the same byte stream as the
         // timing-side one, so a verified run must reproduce it exactly.
-        let w = kernels::spatter::gather(128, Layout::for_core(0));
-        let r = run_single(CoreConfig::banked(4), &w, &RunOptions::default());
-        let g = golden_arch_digest(&w, 4, 1_000_000).expect("golden halts");
+        let w = gather(128);
+        let r = run(CoreConfig::banked(4), &w)?;
+        let g = golden_arch_digest(&w, 4, 1_000_000)?;
         assert_eq!(r.arch_digest, g);
         // And at a non-zero core slot (the serve layer's failover path).
         let w1 = kernels::stream::reduction(128, Layout::for_core(1));
-        let g1 = golden_arch_digest(&w1, 4, 1_000_000).expect("golden halts");
+        let g1 = golden_arch_digest(&w1, 4, 1_000_000)?;
         assert_ne!(g, g1, "different slots/kernels must not collide");
+        Ok(())
     }
 
     #[test]
-    fn engines_agree_on_arch_digest() {
+    fn engines_agree_on_arch_digest() -> Result<(), SimError> {
         // The digest is over architectural state, so every engine that
         // verifies against the same golden model must produce the same one.
-        let w = kernels::spatter::gather(256, Layout::for_core(0));
-        let banked = run_single(CoreConfig::banked(4), &w, &RunOptions::default());
-        let virec = run_single(CoreConfig::virec(4, 32), &w, &RunOptions::default());
+        let w = gather(256);
+        let banked = run(CoreConfig::banked(4), &w)?;
+        let virec = run(CoreConfig::virec(4, 32), &w)?;
         assert_eq!(banked.arch_digest, virec.arch_digest);
+        Ok(())
     }
 
     #[test]
@@ -977,7 +1044,7 @@ mod tests {
         // pages, over a page-aligned and an unaligned data span: skipping
         // never-written pages must not change the digest.
         let mut mem = FlatMem::new(0, layout::mem_size(1));
-        let mut w = kernels::spatter::gather(64, Layout::for_core(0));
+        let mut w = gather(64);
         let base = w.layout.data_base;
         mem.write_bytes(base + 0x1ff8, &[0xa5; 0x2010]);
         mem.write_u64(base + 0x9000, 0x0123_4567_89ab_cdef);
@@ -996,5 +1063,135 @@ mod tests {
             }
             assert_eq!(paged.0, bytewise.0);
         }
+    }
+
+    #[test]
+    fn two_core_system_completes_and_verifies() -> Result<(), SimError> {
+        let slot = (
+            CoreConfig::virec(4, 32),
+            kernels::spatter::gather as Ctor,
+            256,
+        );
+        let r = run_slots(&[slot; 2], &RunOptions::default())?;
+        assert_eq!(r.per_core.len(), 2);
+        assert!(r.cycles > 0);
+        Ok(())
+    }
+
+    #[test]
+    fn mixed_workload_system_verifies() -> Result<(), SimError> {
+        let core = CoreConfig::virec(4, 32);
+        let specs: [(CoreConfig, Ctor, u64); 3] = [
+            (core, kernels::spatter::gather, 256),
+            (core, kernels::stream::stream_triad, 256),
+            (core, kernels::sparse::spmv, 64),
+        ];
+        let r = run_slots(&specs, &RunOptions::default())?;
+        assert_eq!(r.per_core.len(), 3);
+        // All three kernels committed work.
+        for s in &r.per_core {
+            assert!(s.instructions > 100);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn zero_cores_is_a_typed_error() {
+        let err = try_run_slots(&[], &RunOptions::default()).expect_err("must fail");
+        assert_eq!(err.kind(), "config");
+    }
+
+    #[test]
+    fn multi_slot_fault_plan_is_a_typed_error() {
+        let slot = (CoreConfig::banked(2), kernels::spatter::gather as Ctor, 64);
+        let opts = RunOptions {
+            faults: FaultPlan::single(FaultEvent {
+                cycle: 100,
+                site: FaultSite::DramLine,
+                index: 0,
+                bit: 0,
+                class: FaultClass::Transient,
+            }),
+            ..RunOptions::default()
+        };
+        let err = run_slots(&[slot; 2], &opts).expect_err("slot 0 only");
+        assert_eq!(err.kind(), "config");
+    }
+
+    #[test]
+    fn mean_core_ipc_of_an_empty_result_is_zero() {
+        let r = SystemResult {
+            cycles: 100,
+            per_core: Vec::new(),
+            fabric: FabricStats::default(),
+        };
+        assert_eq!(r.mean_core_ipc(), 0.0);
+    }
+
+    #[test]
+    fn heterogeneous_engines_share_the_fabric() -> Result<(), SimError> {
+        // A banked core and a ViReC core contend for the same DRAM; both
+        // must verify, and both make progress.
+        let specs: [(CoreConfig, Ctor, u64); 2] = [
+            (CoreConfig::banked(4), kernels::spatter::gather, 256),
+            (CoreConfig::virec(8, 52), kernels::spatter::gather, 256),
+        ];
+        let r = run_slots(&specs, &RunOptions::default())?;
+        assert!(r.per_core[0].instructions > 1000);
+        assert!(r.per_core[1].instructions > 1000);
+        // The ViReC core ran 8 threads, the banked core 4.
+        assert!(r.per_core[1].context_switches > r.per_core[0].context_switches / 4);
+        Ok(())
+    }
+
+    #[test]
+    fn budget_derives_from_core_configs_and_is_typed() {
+        let mut core = CoreConfig::banked(4);
+        core.max_cycles = 3_000; // far too small for 512 elements
+        let slot = (core, kernels::spatter::gather as Ctor, 512);
+        let err = run_slots(&[slot; 2], &RunOptions::default()).unwrap_err();
+        match &err {
+            SimError::CycleBudgetExceeded { budget, diag } => {
+                assert_eq!(*budget, 3_000);
+                assert!(!diag.workload.is_empty());
+            }
+            other => panic!("expected CycleBudgetExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn heterogeneous_budget_takes_the_max() -> Result<(), SimError> {
+        let (mut tiny, mut small) = (CoreConfig::banked(2), CoreConfig::banked(2));
+        tiny.max_cycles = 100;
+        small.max_cycles = 200;
+        let big = CoreConfig::virec(4, 32); // preset budget 200M
+        let g = kernels::spatter::gather as Ctor;
+        let opts = RunOptions::default();
+        // Two budgets too small to finish in: the run is held to the larger.
+        let err = run_slots(&[(tiny, g, 64), (small, g, 64)], &opts)
+            .expect_err("both budgets are too small");
+        assert!(
+            matches!(err, SimError::CycleBudgetExceeded { budget: 200, .. }),
+            "{err}"
+        );
+        // The generous budget lets both cores finish despite `small`'s cap.
+        let r = run_slots(&[(small, g, 64), (big, g, 64)], &opts)?;
+        assert!(r.cycles > 0);
+        Ok(())
+    }
+
+    #[test]
+    fn contention_slows_cores_down() -> Result<(), SimError> {
+        // Per-core IPC must drop as more cores share the fabric.
+        let slot = (CoreConfig::banked(4), kernels::spatter::gather as Ctor, 512);
+        let one = run_slots(&[slot], &RunOptions::default())?;
+        let four = run_slots(&[slot; 4], &RunOptions::default())?;
+        let ipc1 = one.per_core[0].ipc();
+        let ipc4 = four.per_core[0].ipc();
+        assert!(
+            ipc4 < ipc1,
+            "core 0 IPC should drop under contention: {ipc4} vs {ipc1}"
+        );
+        Ok(())
     }
 }

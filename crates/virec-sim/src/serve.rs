@@ -49,7 +49,7 @@
 //! millicore-cycles over total capacity), goodput, and per-epoch fabric
 //! traffic.
 
-use crate::cancel::{CancelToken, RunGate};
+use crate::cancel::RunGate;
 use crate::ecc::ProtectionConfig;
 use crate::error::{RunDiagnostics, SimError};
 use crate::experiment::{CellData, RetryPolicy};
@@ -61,7 +61,6 @@ use crate::router::{FaultRouter, Scope};
 use crate::runner::{
     arch_digest, engine_label, golden_arch_digest, golden_step_cap, try_verify_against_golden,
 };
-use crate::system::SystemConfigError;
 use crate::watchdog::DEFAULT_LIVELOCK_CYCLES;
 use std::collections::{HashMap, HashSet, VecDeque};
 use virec_core::policy::XorShift;
@@ -279,7 +278,9 @@ impl ServeConfig {
 
     fn validate(&self) -> Result<(), SimError> {
         if self.ncores == 0 {
-            return Err(SystemConfigError::ZeroCores.into());
+            return Err(config_error(
+                "a system needs at least one core (ncores == 0)",
+            ));
         }
         if self.queue_depth == 0 {
             return Err(config_error("admission queue depth must be nonzero"));
@@ -554,7 +555,8 @@ struct Task {
 pub(crate) struct InFlight {
     task: Task,
     core: Core,
-    /// The attempt's gate, watchdog and budget, counted from its dispatch.
+    /// The attempt's watchdog and budget, counted from its dispatch (its
+    /// gate never trips).
     limits: RunLimits,
     /// The attempt's scheduled word upset, if the campaign gave it one.
     faults: FaultRouter,
@@ -625,7 +627,6 @@ pub struct TaskService {
     transient_tasks: HashSet<usize>,
     arrivals: Vec<(u64, usize)>,
     rng: XorShift,
-    token: CancelToken,
     /// Slot the next dispatch scan starts from (round-robin, so light
     /// load still exercises every healthy core rather than pinning to
     /// slot 0).
@@ -709,7 +710,6 @@ impl TaskService {
             transient_tasks,
             arrivals,
             rng: plan_rng,
-            token: CancelToken::new(),
             next_slot: 0,
             dispatches: 0,
             accounted: 0,
@@ -721,15 +721,6 @@ impl TaskService {
 
     /// Runs the whole arrival process to drain and returns the report.
     pub fn run(&mut self) -> Result<ServeReport, SimError> {
-        self.run_gated(&RunGate::unbounded())
-    }
-
-    /// [`TaskService::run`] under a service-wide cancellation gate. The
-    /// gate's token is shared into every per-attempt gate, so one
-    /// cancellation stops the service and all in-flight attempts.
-    pub fn run_gated(&mut self, gate: &RunGate) -> Result<ServeReport, SimError> {
-        self.token = gate.token().clone();
-        self.m.limits.set_gate(gate.clone());
         let dense = self.cfg.dense_loop;
         machine::run(self, dense)?;
         if self.cfg.epoch_cycles > 0 {
@@ -832,11 +823,10 @@ impl TaskService {
         let w = &self.workloads[slot][task.spec];
         let core = load_core(&mut self.m.mem, slot, self.cfg.core, w, Default::default());
         let budget = self.cfg.core.max_cycles.saturating_mul(task.scale);
-        let gate = RunGate::new(self.token.clone(), 0);
         self.m.slots[slot] = Slot::Busy(Box::new(InFlight {
             task,
             core,
-            limits: RunLimits::new(now, gate, DEFAULT_LIVELOCK_CYCLES, budget),
+            limits: RunLimits::new(now, RunGate::unbounded(), DEFAULT_LIVELOCK_CYCLES, budget),
             faults: FaultRouter::new(events, self.cfg.protection, None, None),
             end: None,
         }));
@@ -904,8 +894,8 @@ impl TaskService {
 
     /// Per-attempt work before the cycle's tick. Due upsets come first: an
     /// uncorrectable one aborts its attempt, which settles at once. Then
-    /// each attempt's wall-clock gate and SLO deadline may end it before
-    /// its tick; those endings settle with the cycle's other endings.
+    /// each attempt's SLO deadline may end it before its tick; those
+    /// endings settle with the cycle's other endings.
     fn pre_tick(&mut self) {
         let now = self.m.now;
         for i in 0..self.m.slots.len() {
@@ -942,20 +932,12 @@ impl TaskService {
         let deadline = self.cfg.deadline_cycles;
         for slot in &mut self.m.slots {
             let Slot::Busy(inf) = slot else { continue };
-            let detail = if let Some(trip) = inf.limits.poll(now) {
-                format!(
-                    "wall-clock gate tripped after {} ms (limit {} ms)",
-                    trip.elapsed_ms, trip.limit_ms
-                )
-            } else if deadline > 0 && now.saturating_sub(inf.task.arrival) >= deadline {
-                format!("task exceeded its {deadline}-cycle SLO deadline")
-            } else {
-                continue;
-            };
-            inf.end = Some(AttemptEnd::Fail {
-                kind: "deadline",
-                detail,
-            });
+            if deadline > 0 && now.saturating_sub(inf.task.arrival) >= deadline {
+                inf.end = Some(AttemptEnd::Fail {
+                    kind: "deadline",
+                    detail: format!("task exceeded its {deadline}-cycle SLO deadline"),
+                });
+            }
         }
     }
 

@@ -13,7 +13,8 @@
 use virec::core::CoreConfig;
 use virec::isa::reg::names::*;
 use virec::isa::{Asm, Cond, FlatMem};
-use virec::sim::runner::{run_single, RunOptions};
+use virec::sim::runner::{try_run_single, RunOptions};
+use virec::sim::SimError;
 use virec::workloads::{Layout, Workload};
 
 fn dot_product(n: u64, layout: Layout) -> Workload {
@@ -60,7 +61,7 @@ fn dot_product(n: u64, layout: Layout) -> Workload {
     )
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let n = 4096;
     let layout = Layout::for_core(0);
     let workload = dot_product(n, layout);
@@ -72,15 +73,16 @@ fn main() {
         workload.register_usage().max_depth
     );
 
-    // run_single verifies against the golden interpreter by default: if the
-    // spill/fill machinery corrupted a register, this would panic.
+    // try_run_single verifies against the golden interpreter by default: if
+    // the spill/fill machinery corrupted a register, this would return a
+    // typed golden-divergence error.
     let opts = RunOptions::default();
     for (name, cfg) in [
         ("banked 4t", CoreConfig::banked(4)),
         ("virec 4t/24r", CoreConfig::virec(4, 24)),
         ("virec 8t/24r", CoreConfig::virec(8, 24)),
     ] {
-        let r = run_single(cfg, &workload, &opts);
+        let r = try_run_single(cfg, &workload, &opts)?;
         println!(
             "{name:>14}: {:>8} cycles, IPC {:.3}, RF hit rate {:.1}%",
             r.cycles,
@@ -92,4 +94,5 @@ fn main() {
     // The scalar answer, for the curious.
     let expect: u64 = (0..n).map(|i| (i % 100) * ((i * 3) % 50)).sum();
     println!("total dot product across threads = {expect}");
+    Ok(())
 }

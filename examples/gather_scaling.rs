@@ -9,10 +9,11 @@
 
 use virec::core::CoreConfig;
 use virec::sim::report::{f3, Table};
-use virec::sim::runner::{run_single, RunOptions};
+use virec::sim::runner::{try_run_single, RunOptions};
+use virec::sim::SimError;
 use virec::workloads::{kernels, Layout};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let n = 8192;
     let workload = kernels::spatter::gather(n, Layout::for_core(0));
     let active = workload.active_context_size(); // ≈8 registers for gather
@@ -32,7 +33,7 @@ fn main() {
         ],
     );
     for threads in [1usize, 2, 4, 6, 8, 10] {
-        let r = run_single(CoreConfig::virec(threads, budget), &workload, &opts);
+        let r = try_run_single(CoreConfig::virec(threads, budget), &workload, &opts)?;
         t.row(vec![
             threads.to_string(),
             format!("{:.0}%", 100.0 * budget as f64 / (threads * active) as f64),
@@ -49,4 +50,5 @@ fn main() {
          threads, shrinking per-thread context costs more than the extra\n\
          threads gain — the Pareto knee the paper's Figure 10 plots."
     );
+    Ok(())
 }

@@ -9,10 +9,11 @@
 
 use virec::core::{CoreConfig, PolicyKind};
 use virec::sim::report::{f3, pct, Table};
-use virec::sim::runner::{run_single, RunOptions};
+use virec::sim::runner::{try_run_single, RunOptions};
+use virec::sim::SimError;
 use virec::workloads::{kernels, Layout};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let n = 4096;
     let layout = Layout::for_core(0);
     let opts = RunOptions::default();
@@ -42,7 +43,7 @@ fn main() {
         ] {
             let mut cfg = CoreConfig::virec(8, regs);
             cfg.policy = policy;
-            let r = run_single(cfg, &workload, &opts);
+            let r = try_run_single(cfg, &workload, &opts)?;
             let base = *plru_cycles.get_or_insert(r.cycles as f64);
             t.row(vec![
                 policy.label().into(),
@@ -53,4 +54,5 @@ fn main() {
         }
         t.print();
     }
+    Ok(())
 }

@@ -6,10 +6,11 @@
 //! ```
 
 use virec::core::{CoreConfig, PolicyKind};
-use virec::sim::runner::{run_single, RunOptions};
+use virec::sim::runner::{try_run_single, RunOptions};
+use virec::sim::SimError;
 use virec::workloads::{kernels, Layout};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // 1. Build a workload: the Spatter-style gather kernel over 4096
     //    elements, laid out in core 0's memory slice.
     let workload = kernels::spatter::gather(4096, Layout::for_core(0));
@@ -28,8 +29,9 @@ fn main() {
 
     // 3. Run. The runner offloads the thread contexts into the reserved
     //    region, simulates cycle by cycle, and verifies the final
-    //    architectural state against the golden interpreter.
-    let result = run_single(cfg, &workload, &RunOptions::default());
+    //    architectural state against the golden interpreter; a failed run
+    //    is a typed `SimError`.
+    let result = try_run_single(cfg, &workload, &RunOptions::default())?;
 
     println!("cycles            : {}", result.cycles);
     println!("instructions      : {}", result.stats.instructions);
@@ -47,11 +49,12 @@ fn main() {
 
     // 4. Compare against the statically banked design the paper evaluates
     //    against (8 full 32-register banks instead of 52 shared entries).
-    let banked = run_single(CoreConfig::banked(8), &workload, &RunOptions::default());
+    let banked = try_run_single(CoreConfig::banked(8), &workload, &RunOptions::default())?;
     println!(
         "vs banked         : {:.1}% of banked performance with {} instead of {} registers",
         100.0 * banked.cycles as f64 / result.cycles as f64,
         52,
         8 * 32
     );
+    Ok(())
 }

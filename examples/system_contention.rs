@@ -8,12 +8,11 @@
 //! ```
 
 use virec::core::CoreConfig;
-use virec::mem::FabricConfig;
 use virec::sim::report::{f3, Table};
-use virec::sim::{System, SystemConfig};
-use virec::workloads::kernels;
+use virec::sim::{try_run_slots, RunOptions, SimError};
+use virec::workloads::{kernels, Layout};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let n = 2048;
     let mut t = Table::new(
         "gather on shared fabric: per-core IPC vs system load (ViReC, 64 regs)",
@@ -24,12 +23,11 @@ fn main() {
         for threads in [8usize, 10] {
             let mut core = CoreConfig::virec(threads, 64);
             core.max_cycles = 2_000_000_000;
-            let cfg = SystemConfig {
-                ncores,
-                core,
-                fabric: FabricConfig::default(),
-            };
-            let r = System::new(cfg, kernels::spatter::gather, n).run();
+            // One slot per core, each on its own slice of memory.
+            let slots: Vec<_> = (0..ncores)
+                .map(|i| (core, kernels::spatter::gather(n, Layout::for_core(i))))
+                .collect();
+            let r = try_run_slots(&slots, &RunOptions::default())?;
             ipc.push(r.mean_core_ipc());
         }
         let better = if ipc[1] > ipc[0] { "10t" } else { "8t" };
@@ -46,4 +44,5 @@ fn main() {
          run the 10-thread configuration; ViReC just squeezes per-thread\n\
          context in the same 64-entry RF."
     );
+    Ok(())
 }

@@ -19,9 +19,7 @@
 
 use virec::core::CoreConfig;
 use virec::mem::{FabricConfig, FabricTopology};
-use virec::sim::{
-    run_campaign, run_campaign_with, CampaignOptions, CampaignReport, FaultSite, InjectionOutcome,
-};
+use virec::sim::{run_campaign_with, CampaignOptions, CampaignReport, FaultSite, InjectionOutcome};
 use virec::workloads::{kernels, Layout};
 
 use InjectionOutcome::*;
@@ -132,12 +130,13 @@ fn fabric_response_campaign_is_pinned() {
 #[test]
 fn unprotected_campaign_is_pinned() {
     let workload = kernels::spatter::gather(N, Layout::for_core(0));
-    let report = run_campaign(
+    let report = run_campaign_with(
         CoreConfig::virec(8, 40),
         &workload,
         INJECTIONS,
         BASE_SEED,
         &FaultSite::ALL,
+        &CampaignOptions::default(),
     );
     assert_pinned(
         &report,

@@ -5,7 +5,8 @@
 //! BSI, pinning, and the CSL end to end.
 
 use virec::core::{CoreConfig, PolicyKind};
-use virec::sim::runner::{run_single, RunOptions};
+use virec::sim::runner::{try_run_single, RunOptions};
+use virec::sim::SimError;
 use virec::workloads::{suite, Layout};
 
 const N: u64 = 256;
@@ -15,91 +16,101 @@ fn opts() -> RunOptions {
 }
 
 #[test]
-fn all_workloads_banked() {
+fn all_workloads_banked() -> Result<(), SimError> {
     for w in suite(N, Layout::for_core(0)) {
-        run_single(CoreConfig::banked(4), &w, &opts());
+        try_run_single(CoreConfig::banked(4), &w, &opts())?;
     }
+    Ok(())
 }
 
 #[test]
-fn all_workloads_virec_full_context() {
+fn all_workloads_virec_full_context() -> Result<(), SimError> {
     for w in suite(N, Layout::for_core(0)) {
         let regs = (4 * w.active_context_size()).max(12);
-        run_single(CoreConfig::virec(4, regs), &w, &opts());
+        try_run_single(CoreConfig::virec(4, regs), &w, &opts())?;
     }
+    Ok(())
 }
 
 #[test]
-fn all_workloads_virec_starved_rf() {
+fn all_workloads_virec_starved_rf() -> Result<(), SimError> {
     // The hardest case: 8 threads share a minimal RF — maximal spill/fill
     // traffic and constant eviction pressure.
     for w in suite(N, Layout::for_core(0)) {
-        run_single(CoreConfig::virec(8, 12), &w, &opts());
+        try_run_single(CoreConfig::virec(8, 12), &w, &opts())?;
     }
+    Ok(())
 }
 
 #[test]
-fn all_workloads_all_policies() {
+fn all_workloads_all_policies() -> Result<(), SimError> {
     for w in suite(N, Layout::for_core(0)) {
         for policy in PolicyKind::ALL {
             let mut cfg = CoreConfig::virec(4, 14);
             cfg.policy = policy;
-            run_single(cfg, &w, &opts());
+            try_run_single(cfg, &w, &opts())?;
         }
     }
+    Ok(())
 }
 
 #[test]
-fn all_workloads_nsf() {
+fn all_workloads_nsf() -> Result<(), SimError> {
     for w in suite(N, Layout::for_core(0)) {
-        run_single(CoreConfig::nsf(4, 16), &w, &opts());
+        try_run_single(CoreConfig::nsf(4, 16), &w, &opts())?;
     }
+    Ok(())
 }
 
 #[test]
-fn all_workloads_software() {
+fn all_workloads_software() -> Result<(), SimError> {
     for w in suite(N, Layout::for_core(0)) {
-        run_single(CoreConfig::software(3), &w, &opts());
+        try_run_single(CoreConfig::software(3), &w, &opts())?;
     }
+    Ok(())
 }
 
 #[test]
-fn all_workloads_prefetch_full() {
+fn all_workloads_prefetch_full() -> Result<(), SimError> {
     for w in suite(N, Layout::for_core(0)) {
-        run_single(
+        try_run_single(
             CoreConfig::prefetch_full(4, w.active_context_size()),
             &w,
             &opts(),
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[test]
-fn all_workloads_prefetch_exact() {
+fn all_workloads_prefetch_exact() -> Result<(), SimError> {
     for w in suite(N, Layout::for_core(0)) {
         let cfg = CoreConfig::prefetch_exact(4, w.active_context_size());
-        run_single(cfg, &w, &opts());
+        try_run_single(cfg, &w, &opts())?;
     }
+    Ok(())
 }
 
 #[test]
-fn all_workloads_future_work_extensions() {
+fn all_workloads_future_work_extensions() -> Result<(), SimError> {
     // Group evictions and switch prefetching move extra register values
     // through the spill/fill machinery — they must stay bit-exact too.
     for w in suite(N, Layout::for_core(0)) {
         let mut cfg = CoreConfig::virec(6, 16);
         cfg.group_evict = 3;
         cfg.switch_prefetch = true;
-        run_single(cfg, &w, &opts());
+        try_run_single(cfg, &w, &opts())?;
     }
+    Ok(())
 }
 
 #[test]
-fn thread_count_sweep_on_gather() {
+fn thread_count_sweep_on_gather() -> Result<(), SimError> {
     let w = virec::workloads::kernels::spatter::gather(512, Layout::for_core(0));
     for threads in [1usize, 2, 3, 5, 7, 10] {
         let regs = (threads * 8).max(12);
-        run_single(CoreConfig::virec(threads, regs), &w, &opts());
-        run_single(CoreConfig::banked(threads), &w, &opts());
+        try_run_single(CoreConfig::virec(threads, regs), &w, &opts())?;
+        try_run_single(CoreConfig::banked(threads), &w, &opts())?;
     }
+    Ok(())
 }

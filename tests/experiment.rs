@@ -8,8 +8,9 @@ use virec::core::{CoreConfig, EngineKind, PolicyKind};
 use virec::sim::experiment::{
     builder, CellData, CellOutcome, Executor, ExperimentSpec, RetryPolicy,
 };
-use virec::sim::{RunDiagnostics, SimError};
-use virec::workloads::{kernels, Layout};
+use virec::sim::runner::{default_checkpoint_interval, try_run_slots, RunOptions};
+use virec::sim::{CancelToken, ProtectionConfig, RasConfig, RunDiagnostics, RunGate, SimError};
+use virec::workloads::{kernels, Layout, WorkloadCtor};
 
 fn small_sweep() -> SuiteSweep {
     SuiteSweep {
@@ -166,4 +167,103 @@ fn panicking_custom_cell_becomes_a_failure_row() {
         other => panic!("the typed error must fail the cell: {other:?}"),
     }
     assert_eq!(res.cycles("ok"), Some(1));
+}
+
+/// `ncores` slots of gather at n=256 on `core`, as an experiment cell.
+fn gather_slots(ncores: usize, core: CoreConfig) -> Vec<(CoreConfig, WorkloadCtor, u64)> {
+    vec![(core, kernels::spatter::gather as WorkloadCtor, 256); ncores]
+}
+
+#[test]
+fn system_cell_budget_retry_scales_its_slots() {
+    // A budget one cycle short of the clean system run: the default retry
+    // (every slot's max_cycles scaled 4x) rescues it, no retry does not.
+    let core = CoreConfig::virec(4, 32);
+    let clean_slots: Vec<_> = (0..2)
+        .map(|i| (core, kernels::spatter::gather(256, Layout::for_core(i))))
+        .collect();
+    let clean = try_run_slots(&clean_slots, &RunOptions::default()).expect("clean system runs");
+    let tight = CoreConfig {
+        max_cycles: clean.cycles - 1,
+        ..core
+    };
+    for (retry, rescued) in [(RetryPolicy::default(), true), (RetryPolicy::none(), false)] {
+        let mut spec = ExperimentSpec::new("system_retry").with_retry(retry);
+        spec.system("tight", gather_slots(2, tight), &RunOptions::default());
+        let res = Executor::new(1).run(&spec);
+        match (&res.cell("tight").outcome, rescued) {
+            (CellOutcome::Ok(CellData::System(s)), true) => assert_eq!(s.cycles, clean.cycles),
+            (CellOutcome::Failed { kind, retried, .. }, false) => {
+                assert_eq!(*kind, "cycle_budget");
+                assert!(!retried);
+            }
+            (other, _) => panic!("retry {retry:?}: unexpected outcome {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn system_cell_gate_follows_the_executor() {
+    // A system cell carries its gate in its RunOptions, as a single cell
+    // does: an ungated executor keeps it (here, already cancelled), and a
+    // gated executor replaces it with the cell's own gate.
+    let token = CancelToken::new();
+    token.cancel();
+    let opts = RunOptions {
+        gate: RunGate::new(token, 0),
+        ..RunOptions::default()
+    };
+    let mut spec = ExperimentSpec::new("system_gate");
+    spec.system("cell", gather_slots(2, CoreConfig::banked(4)), &opts);
+    let ungated = Executor::new(1).run(&spec);
+    match &ungated.cell("cell").outcome {
+        CellOutcome::Failed { kind, .. } => assert_eq!(*kind, "deadline"),
+        other => panic!("the cancelled spec gate must stop the run: {other:?}"),
+    }
+    let gated = Executor::new(1).with_deadline_ms(600_000).run(&spec);
+    assert!(gated.all_ok(), "{:?}", gated.failures());
+}
+
+#[test]
+fn slot_zero_options_on_a_system_cell_are_config_rows() {
+    // Protection, checkpoints and RAS act on slot 0 only: on a two-slot
+    // cell each is a typed config failure, on a one-slot cell a run.
+    let slot0_only = [
+        RunOptions {
+            protection: ProtectionConfig::secded(),
+            ..RunOptions::default()
+        },
+        RunOptions {
+            checkpoint_interval: default_checkpoint_interval(),
+            ..RunOptions::default()
+        },
+        RunOptions {
+            ras: Some(RasConfig::default()),
+            ..RunOptions::default()
+        },
+    ];
+    let mut spec = ExperimentSpec::new("slot0_only");
+    for (i, opts) in slot0_only.iter().enumerate() {
+        spec.system(
+            format!("two/{i}"),
+            gather_slots(2, CoreConfig::banked(4)),
+            opts,
+        );
+        spec.system(
+            format!("one/{i}"),
+            gather_slots(1, CoreConfig::banked(4)),
+            opts,
+        );
+    }
+    let res = Executor::new(2).run(&spec);
+    for i in 0..slot0_only.len() {
+        match &res.cell(&format!("two/{i}")).outcome {
+            CellOutcome::Failed { kind, .. } => assert_eq!(*kind, "config"),
+            other => panic!("options {i} on two slots must be a config row: {other:?}"),
+        }
+        assert!(
+            res.system(&format!("one/{i}")).is_some(),
+            "options {i} on one slot"
+        );
+    }
 }

@@ -3,7 +3,8 @@
 //! prove nothing.
 //!
 //! The first half corrupts drained state by hand and expects the golden
-//! checker to panic (through the thin `verify_against_golden` wrapper).
+//! checker to name the divergence: a typed `GoldenDivergence` whose site is
+//! the corrupted register or data range.
 //! The second half drives the deterministic [`virec::sim::FaultPlan`]
 //! machinery: seeded mid-run corruption of VRMU tag-store entries and
 //! rollback-queue slots, a stuck-fill livelock, and the graceful-sweep
@@ -14,11 +15,10 @@ use virec::isa::{reg::names::X4, FlatMem, Instr, Program};
 use virec::mem::{Fabric, FabricConfig};
 use virec::sim::experiment::{builder, CellOutcome, Executor, ExperimentSpec};
 use virec::sim::offload::offload;
-use virec::sim::runner::{
-    try_run_single, try_verify_against_golden, verify_against_golden, RunOptions,
-};
+use virec::sim::runner::{try_run_single, try_verify_against_golden, RunOptions};
 use virec::sim::{
-    run_campaign, FaultClass, FaultEvent, FaultPlan, FaultSite, InjectionOutcome, SimError,
+    run_campaign_with, CampaignOptions, DivergenceSite, FaultClass, FaultEvent, FaultPlan,
+    FaultSite, InjectionOutcome, SimError,
 };
 use virec::workloads::{kernels, Layout, Workload};
 
@@ -41,15 +41,24 @@ fn run_unverified(cfg: CoreConfig, n: u64) -> (virec::core::Core, FlatMem) {
     (core, mem)
 }
 
-#[test]
-fn clean_run_verifies() {
-    let (core, mem) = run_unverified(CoreConfig::virec(4, 32), 256);
-    let w = kernels::spatter::gather(256, Layout::for_core(0));
-    verify_against_golden(&w, 4, &core, &mem);
+/// The golden checker's verdict on a drained core, at its own cycle count.
+fn verify(
+    w: &Workload,
+    nthreads: usize,
+    core: &virec::core::Core,
+    mem: &FlatMem,
+) -> Result<(), SimError> {
+    try_verify_against_golden(w, nthreads, core, mem, core.stats().cycles)
 }
 
 #[test]
-#[should_panic(expected = "register")]
+fn clean_run_verifies() -> Result<(), SimError> {
+    let (core, mem) = run_unverified(CoreConfig::virec(4, 32), 256);
+    let w = kernels::spatter::gather(256, Layout::for_core(0));
+    verify(&w, 4, &core, &mem)
+}
+
+#[test]
 fn corrupted_register_is_detected() {
     let (core, mut mem) = run_unverified(CoreConfig::virec(4, 32), 256);
     // Flip a bit in thread 2's drained x4 (the loop bound — always live).
@@ -58,11 +67,22 @@ fn corrupted_register_is_detected() {
     let v = mem.read_u64(addr);
     mem.write_u64(addr, v ^ 1);
     let w = kernels::spatter::gather(256, Layout::for_core(0));
-    verify_against_golden(&w, 4, &core, &mem);
+    match verify(&w, 4, &core, &mem) {
+        Err(SimError::GoldenDivergence {
+            site:
+                DivergenceSite::Register {
+                    thread: 2,
+                    reg: X4,
+                    got,
+                    want,
+                },
+            ..
+        }) => assert_eq!((got, want), (v ^ 1, v)),
+        other => panic!("expected thread 2's x4 to diverge, got {other:?}"),
+    }
 }
 
 #[test]
-#[should_panic(expected = "data segment diverged")]
 fn corrupted_data_segment_is_detected() {
     let (core, mut mem) = run_unverified(CoreConfig::virec(4, 32), 256);
     let w = kernels::spatter::gather(256, Layout::for_core(0));
@@ -70,17 +90,26 @@ fn corrupted_data_segment_is_detected() {
     let out = w.layout.data_base + 2 * 256 * 8;
     let v = mem.read_u64(out);
     mem.write_u64(out, v.wrapping_add(1));
-    verify_against_golden(&w, 4, &core, &mem);
+    match verify(&w, 4, &core, &mem) {
+        Err(SimError::GoldenDivergence {
+            site: DivergenceSite::DataRange { first_mismatch, .. },
+            ..
+        }) => assert_eq!(first_mismatch, out as usize),
+        other => panic!("expected the data segment to diverge, got {other:?}"),
+    }
 }
 
 #[test]
-#[should_panic(expected = "diverged")]
 fn wrong_thread_count_is_detected() {
     // Verifying against a different partitioning must fail: the golden run
     // computes different per-thread sums.
     let (core, mem) = run_unverified(CoreConfig::virec(4, 32), 256);
     let w = kernels::spatter::gather(256, Layout::for_core(0));
-    verify_against_golden(&w, 3, &core, &mem);
+    let err = verify(&w, 3, &core, &mem);
+    assert!(
+        matches!(err, Err(SimError::GoldenDivergence { .. })),
+        "expected a golden divergence, got {err:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -96,12 +125,13 @@ fn gather() -> Workload {
 #[test]
 fn tag_store_campaign_has_no_silent_escapes() {
     let w = gather();
-    let report = run_campaign(
+    let report = run_campaign_with(
         CoreConfig::virec(4, 32),
         &w,
         24,
         0xBEEF_0001,
         &[FaultSite::TagValue],
+        &CampaignOptions::default(),
     );
     assert!(report.all_detected(), "silent escape: {}", report.summary());
     assert!(
@@ -122,12 +152,13 @@ fn tag_store_campaign_has_no_silent_escapes() {
 #[test]
 fn rollback_queue_campaign_has_no_silent_escapes() {
     let w = gather();
-    let report = run_campaign(
+    let report = run_campaign_with(
         CoreConfig::virec(4, 32),
         &w,
         24,
         0xBEEF_0002,
         &[FaultSite::RollbackSlot],
+        &CampaignOptions::default(),
     );
     assert!(report.all_detected(), "silent escape: {}", report.summary());
     assert!(
@@ -140,12 +171,13 @@ fn rollback_queue_campaign_has_no_silent_escapes() {
 #[test]
 fn banked_campaign_has_no_silent_escapes() {
     let w = gather();
-    let report = run_campaign(
+    let report = run_campaign_with(
         CoreConfig::banked(4),
         &w,
         24,
         0xBEEF_0003,
         &FaultSite::NON_VRMU,
+        &CampaignOptions::default(),
     );
     assert!(report.all_detected(), "silent escape: {}", report.summary());
     assert!(
@@ -210,7 +242,7 @@ fn golden_run_stuck_is_typed() {
         Box::new(|_| {}),
         Box::new(|_, _| Vec::new()),
     );
-    match try_verify_against_golden(&spin, 4, &core, &mem, core.stats().cycles) {
+    match verify(&spin, 4, &core, &mem) {
         Err(SimError::GoldenRunStuck {
             thread, step_cap, ..
         }) => {

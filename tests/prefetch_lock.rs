@@ -6,8 +6,7 @@
 
 use virec::core::CoreConfig;
 use virec::mem::FabricConfig;
-use virec::sim::runner::{try_run_single, RunOptions, RunResult};
-use virec::sim::{System, SystemConfig};
+use virec::sim::runner::{try_run_single, try_run_slots, RunOptions, RunResult};
 use virec::workloads::{by_name, Layout, SUITE};
 
 const N: u64 = 1024;
@@ -134,12 +133,13 @@ fn one_core_system_is_the_single_run() {
         let ctx = ctor(N, Layout::for_core(0)).active_context_size();
         for xbar in XBAR_LATENCIES {
             let label = format!("{workload}/{threads}t/xbar {xbar}");
-            let cfg = SystemConfig {
-                ncores: 1,
-                core: CoreConfig::prefetch_exact(threads, ctx),
+            let core = CoreConfig::prefetch_exact(threads, ctx);
+            let opts = RunOptions {
                 fabric: fabric(xbar),
+                ..RunOptions::default()
             };
-            let sys = System::new(cfg, *ctor, N).run();
+            let sys = try_run_slots(&[(core, ctor(N, Layout::for_core(0)))], &opts)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             let single = run(workload, threads, fabric(xbar));
             assert_eq!(sys.cycles, single.cycles, "{label}: cycles");
             assert_eq!(sys.per_core, [single.stats], "{label}: core stats");

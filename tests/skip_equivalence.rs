@@ -10,13 +10,13 @@
 //! tests are the only place both loops run side by side on the same input.
 
 use virec::core::CoreConfig;
-use virec::sim::runner::{try_run_single, RunOptions, RunResult};
+use virec::sim::runner::{try_run_single, try_run_slots, RunOptions, RunResult};
 use virec::sim::serve::{default_mix, ServeConfig, ServeFaultPlan};
 use virec::sim::{
-    run_service, FaultClass, FaultPlan, FaultSite, ProtectionConfig, RasConfig, SimError, System,
-    SystemConfig, TaskService,
+    run_service, FaultClass, FaultPlan, FaultSite, ProtectionConfig, RasConfig, SimError,
+    TaskService,
 };
-use virec::workloads::{kernels, suite, Layout};
+use virec::workloads::{kernels, suite, Layout, Workload, WorkloadCtor};
 
 const N: u64 = 256;
 
@@ -26,6 +26,14 @@ fn densified(opts: &RunOptions) -> RunOptions {
         dense_loop: true,
         ..opts.clone()
     }
+}
+
+/// One slot per `(core, ctor, n)`, slot `i` built for `Layout::for_core(i)`.
+fn slots(specs: &[(CoreConfig, WorkloadCtor, u64)]) -> Vec<(CoreConfig, Workload)> {
+    let slot = |(i, &(core, ctor, n)): (usize, &(CoreConfig, WorkloadCtor, u64))| {
+        (core, ctor(n, Layout::for_core(i)))
+    };
+    specs.iter().enumerate().map(slot).collect()
 }
 
 /// Field-by-field identity on everything deterministic in a [`RunResult`]
@@ -231,15 +239,19 @@ fn idle_scrubber_wakeups_byte_identical() {
 
 #[test]
 fn system_run_byte_identical() {
-    let cfg = SystemConfig {
-        ncores: 3,
-        core: CoreConfig::virec(4, 32),
-        fabric: Default::default(),
-    };
-    let run = |dense: bool| {
-        let mut sys = System::new(cfg, kernels::spatter::gather, 192);
-        sys.set_dense_loop(dense);
-        sys.try_run().expect("system run completes")
+    let slots = slots(
+        &[(
+            CoreConfig::virec(4, 32),
+            kernels::spatter::gather as WorkloadCtor,
+            192,
+        ); 3],
+    );
+    let run = |dense_loop: bool| {
+        let opts = RunOptions {
+            dense_loop,
+            ..RunOptions::default()
+        };
+        try_run_slots(&slots, &opts).expect("system run completes")
     };
     let skip = run(false);
     let dense = run(true);
@@ -483,25 +495,24 @@ fn runner_error_outcomes_byte_identical() {
     }
 }
 
-/// A `System` whose budget (the largest per-core `max_cycles`) runs out
+/// A multi-core run whose budget (the largest per-core `max_cycles`) runs out
 /// mid-run fails on the same cycle, with the same rendering, in both loops.
 #[test]
 fn system_budget_error_byte_identical() {
     let mut core = CoreConfig::virec(4, 32);
     core.max_cycles = 3_000;
-    let cfg = SystemConfig {
-        ncores: 3,
-        core,
-        // Far memory keeps every core stalled across the budget cycle.
-        fabric: virec::mem::FabricConfig {
-            xbar_latency: 400,
-            ..Default::default()
-        },
-    };
-    let run = |dense: bool| {
-        let mut sys = System::new(cfg, kernels::spatter::gather, 192);
-        sys.set_dense_loop(dense);
-        sys.try_run().expect_err("the budget is far too small")
+    let slots = slots(&[(core, kernels::spatter::gather as WorkloadCtor, 192); 3]);
+    let run = |dense_loop: bool| {
+        let opts = RunOptions {
+            // Far memory keeps every core stalled across the budget cycle.
+            fabric: virec::mem::FabricConfig {
+                xbar_latency: 400,
+                ..Default::default()
+            },
+            dense_loop,
+            ..RunOptions::default()
+        };
+        try_run_slots(&slots, &opts).expect_err("the budget is far too small")
     };
     let skip = run(false);
     let dense = run(true);
@@ -514,30 +525,22 @@ fn system_budget_error_byte_identical() {
 #[test]
 fn heterogeneous_mesh_system_byte_identical() {
     use virec::mem::{FabricConfig, FabricTopology};
-    let cfg = SystemConfig {
-        ncores: 4,
-        core: CoreConfig::banked(4),
-        fabric: FabricConfig {
-            topology: FabricTopology::Mesh { cols: 2, rows: 2 },
-            ..FabricConfig::default()
-        },
-    };
-    let cores = [
-        CoreConfig::banked(4),
-        CoreConfig::virec(8, 40),
-        CoreConfig::banked(4),
-        CoreConfig::virec(4, 24),
-    ];
-    let specs: Vec<(virec::workloads::WorkloadCtor, u64)> = vec![
-        (kernels::spatter::gather, 192),
-        (kernels::spatter::gather, 192),
-        (kernels::stream::stream_triad, 192),
-        (kernels::stream::reduction, 192),
-    ];
-    let run = |dense: bool| {
-        let mut sys = System::new_heterogeneous(cfg, &cores, &specs);
-        sys.set_dense_loop(dense);
-        sys.try_run().expect("mesh system run completes")
+    let slots = slots(&[
+        (CoreConfig::banked(4), kernels::spatter::gather, 192),
+        (CoreConfig::virec(8, 40), kernels::spatter::gather, 192),
+        (CoreConfig::banked(4), kernels::stream::stream_triad, 192),
+        (CoreConfig::virec(4, 24), kernels::stream::reduction, 192),
+    ]);
+    let run = |dense_loop: bool| {
+        let opts = RunOptions {
+            fabric: FabricConfig {
+                topology: FabricTopology::Mesh { cols: 2, rows: 2 },
+                ..FabricConfig::default()
+            },
+            dense_loop,
+            ..RunOptions::default()
+        };
+        try_run_slots(&slots, &opts).expect("mesh system run completes")
     };
     let skip = run(false);
     let dense = run(true);

@@ -8,9 +8,9 @@
 
 use virec::core::{CoreConfig, CoreStats};
 use virec::mem::{CacheStats, FabricConfig, FabricStats, FabricTopology};
-use virec::sim::runner::{try_run_single, RunOptions};
-use virec::sim::{System, SystemConfig, SystemResult};
-use virec::workloads::{kernels, Layout, WorkloadCtor};
+use virec::sim::runner::{try_run_single, try_run_slots, RunOptions, SystemResult};
+use virec::sim::SimError;
+use virec::workloads::{kernels, Layout, Workload, WorkloadCtor};
 
 /// Every counter of a cache, in declaration order.
 fn cache_row(c: &CacheStats) -> [u64; 9] {
@@ -389,57 +389,54 @@ const MESH: Pinned = Pinned {
 /// [`budget_error_text`].
 const BUDGET_ERROR: &str = "gather: exceeded 3000 cycles (engine ViReC, 4 threads) [workload=gather engine=ViReC policy=LRC nthreads=4 cycles=3000 instructions=0 ctx_switches=0 rf_misses=5 last_commit_pc=[-,-,-,-]]";
 
+/// One slot per `(core, ctor, n)`, slot `i` built for `Layout::for_core(i)`.
+fn slots(specs: &[(CoreConfig, WorkloadCtor, u64)]) -> Vec<(CoreConfig, Workload)> {
+    let slot = |(i, &(core, ctor, n)): (usize, &(CoreConfig, WorkloadCtor, u64))| {
+        (core, ctor(n, Layout::for_core(i)))
+    };
+    specs.iter().enumerate().map(slot).collect()
+}
+
 /// Figure 11's configuration: `ncores` ViReC cores with `threads` threads
-/// over a 64-register file, on the default crossbar.
-fn fig11_config(ncores: usize, threads: usize) -> SystemConfig {
+/// over a 64-register file, each running gather at `n`.
+fn fig11_slots(ncores: usize, threads: usize, n: u64) -> Vec<(CoreConfig, Workload)> {
     let mut core = CoreConfig::virec(threads, 64);
     core.max_cycles = 2_000_000_000;
-    SystemConfig {
-        ncores,
-        core,
-        fabric: FabricConfig::default(),
-    }
+    slots(&vec![
+        (core, kernels::spatter::gather as WorkloadCtor, n);
+        ncores
+    ])
 }
 
 #[test]
-fn fig11_grid() {
+fn fig11_grid() -> Result<(), SimError> {
     for (ncores, threads, want) in FIG11 {
-        let r = System::new(
-            fig11_config(*ncores, *threads),
-            kernels::spatter::gather,
-            512,
-        )
-        .run();
+        let r = try_run_slots(&fig11_slots(*ncores, *threads, 512), &RunOptions::default())?;
         check(&format!("{ncores}c/{threads}t"), &r, want);
     }
+    Ok(())
 }
 
 /// Banked and ViReC cores of different widths, running different kernels,
 /// contend on a 2x2 mesh.
 #[test]
-fn heterogeneous_mesh() {
-    let cfg = SystemConfig {
-        ncores: 4,
-        core: CoreConfig::banked(4),
+fn heterogeneous_mesh() -> Result<(), SimError> {
+    let opts = RunOptions {
         fabric: FabricConfig {
             topology: FabricTopology::Mesh { cols: 2, rows: 2 },
             ..FabricConfig::default()
         },
+        ..RunOptions::default()
     };
-    let cores = [
-        CoreConfig::banked(4),
-        CoreConfig::virec(8, 40),
-        CoreConfig::banked(4),
-        CoreConfig::virec(4, 24),
+    let specs: [(CoreConfig, WorkloadCtor, u64); 4] = [
+        (CoreConfig::banked(4), kernels::spatter::gather, 192),
+        (CoreConfig::virec(8, 40), kernels::spatter::gather, 192),
+        (CoreConfig::banked(4), kernels::stream::stream_triad, 192),
+        (CoreConfig::virec(4, 24), kernels::stream::reduction, 192),
     ];
-    let specs: [(WorkloadCtor, u64); 4] = [
-        (kernels::spatter::gather, 192),
-        (kernels::spatter::gather, 192),
-        (kernels::stream::stream_triad, 192),
-        (kernels::stream::reduction, 192),
-    ];
-    let r = System::new_heterogeneous(cfg, &cores, &specs).run();
+    let r = try_run_slots(&slots(&specs), &opts)?;
     check("mesh", &r, &MESH);
+    Ok(())
 }
 
 /// Three cores over far memory run out of a 3000-cycle budget: the error
@@ -448,17 +445,15 @@ fn heterogeneous_mesh() {
 fn budget_error_text() {
     let mut core = CoreConfig::virec(4, 32);
     core.max_cycles = 3_000;
-    let cfg = SystemConfig {
-        ncores: 3,
-        core,
+    let opts = RunOptions {
         fabric: FabricConfig {
             xbar_latency: 400,
             ..FabricConfig::default()
         },
+        ..RunOptions::default()
     };
-    let err = System::new(cfg, kernels::spatter::gather, 192)
-        .try_run()
-        .expect_err("the budget is far too small");
+    let slots = slots(&[(core, kernels::spatter::gather as WorkloadCtor, 192); 3]);
+    let err = try_run_slots(&slots, &opts).expect_err("the budget is far too small");
     assert_eq!(err.kind(), "cycle_budget");
     assert_eq!(err.to_string(), BUDGET_ERROR);
 }
@@ -467,7 +462,7 @@ fn budget_error_text() {
 /// and fabric traffic on three kernels, two engines and near and far
 /// memory.
 #[test]
-fn one_core_system_is_a_single_run() {
+fn one_core_system_is_a_single_run() -> Result<(), SimError> {
     let kernels: [(&str, WorkloadCtor); 3] = [
         ("gather", kernels::spatter::gather),
         ("reduction", kernels::stream::reduction),
@@ -481,16 +476,11 @@ fn one_core_system_is_a_single_run() {
         for core in [CoreConfig::banked(4), CoreConfig::virec(8, 40)] {
             for fabric in [FabricConfig::default(), far] {
                 let label = format!("{name} / {:?} / xbar {}", core.engine, fabric.xbar_latency);
-                let cfg = SystemConfig {
-                    ncores: 1,
-                    core,
-                    fabric,
-                };
-                let sys = System::new(cfg, ctor, 256).run();
                 let opts = RunOptions {
                     fabric,
                     ..RunOptions::default()
                 };
+                let sys = try_run_slots(&slots(&[(core, ctor, 256)]), &opts)?;
                 let single = try_run_single(core, &ctor(256, Layout::for_core(0)), &opts)
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
                 assert_eq!(sys.cycles, single.cycles, "{label}: cycles");
@@ -499,4 +489,5 @@ fn one_core_system_is_a_single_run() {
             }
         }
     }
+    Ok(())
 }
