@@ -96,11 +96,6 @@ impl RunGate {
         RunGate::new(CancelToken::new(), 0)
     }
 
-    /// The gate's token (cancel it to trip the gate from outside).
-    pub fn token(&self) -> &CancelToken {
-        &self.token
-    }
-
     /// The configured deadline in milliseconds (0 if none).
     pub fn limit_ms(&self) -> u64 {
         self.limit.map_or(0, |d| d.as_millis() as u64)
