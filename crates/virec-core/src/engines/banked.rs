@@ -7,7 +7,7 @@
 //! core loads them into the bank).
 
 use super::Xfer;
-use crate::engine::{AcquireOutcome, ContextEngine, EngineEnv, EngineFault};
+use crate::engine::{AcquireOutcome, ContextEngine, EngineEnv, EngineFault, RegFault};
 use crate::regions::{RegRegion, BYTES_PER_THREAD};
 use crate::stats::CoreStats;
 use virec_isa::{AccessSize, DataMemory, FlatMem, Instr, Reg};
@@ -63,18 +63,19 @@ impl ContextEngine for BankedEngine {
         AcquireOutcome::Ready
     }
 
-    fn read(&self, tid: u8, reg: Reg) -> u64 {
+    fn read(&self, tid: u8, reg: Reg) -> Result<u64, RegFault> {
         if reg.is_zero() {
-            0
+            Ok(0)
         } else {
-            self.banks[tid as usize][reg.index()]
+            Ok(self.banks[tid as usize][reg.index()])
         }
     }
 
-    fn write(&mut self, tid: u8, reg: Reg, value: u64) {
+    fn write(&mut self, tid: u8, reg: Reg, value: u64) -> Result<(), RegFault> {
         if !reg.is_zero() {
             self.banks[tid as usize][reg.index()] = value;
         }
+        Ok(())
     }
 
     fn commit_instr(&mut self, _tid: u8, _instr: &Instr) {}
@@ -219,7 +220,7 @@ mod tests {
             assert!(now < 10_000);
         }
         assert!(now > 5, "initial context fetch must take time");
-        assert_eq!(e.read(1, X5), 42);
+        assert_eq!(e.read(1, X5), Ok(42));
     }
 
     #[test]
@@ -244,13 +245,13 @@ mod tests {
     #[test]
     fn reads_writes_isolated_per_thread() {
         let mut e = BankedEngine::new(2);
-        e.write(0, X3, 7);
-        e.write(1, X3, 9);
-        assert_eq!(e.read(0, X3), 7);
-        assert_eq!(e.read(1, X3), 9);
-        assert_eq!(e.read(0, XZR), 0);
-        e.write(0, XZR, 1);
-        assert_eq!(e.read(0, XZR), 0);
+        assert_eq!(e.write(0, X3, 7), Ok(()));
+        assert_eq!(e.write(1, X3, 9), Ok(()));
+        assert_eq!(e.read(0, X3), Ok(7));
+        assert_eq!(e.read(1, X3), Ok(9));
+        assert_eq!(e.read(0, XZR), Ok(0));
+        assert_eq!(e.write(0, XZR, 1), Ok(()));
+        assert_eq!(e.read(0, XZR), Ok(0));
     }
 
     #[test]

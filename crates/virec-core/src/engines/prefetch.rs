@@ -17,7 +17,7 @@
 //! Figure 9 quantifies.
 
 use super::Xfer;
-use crate::engine::{AcquireOutcome, ContextEngine, EngineEnv, OracleSchedule};
+use crate::engine::{AcquireOutcome, ContextEngine, EngineEnv, OracleSchedule, RegFault};
 use crate::regions::RegRegion;
 use virec_isa::{AccessSize, DataMemory, FlatMem, Instr, Reg};
 
@@ -218,15 +218,15 @@ impl ContextEngine for PrefetchEngine {
         AcquireOutcome::Ready
     }
 
-    fn read(&self, tid: u8, reg: Reg) -> u64 {
+    fn read(&self, tid: u8, reg: Reg) -> Result<u64, RegFault> {
         if reg.is_zero() {
-            0
+            Ok(0)
         } else {
-            self.ctxs[tid as usize][reg.index()]
+            Ok(self.ctxs[tid as usize][reg.index()])
         }
     }
 
-    fn write(&mut self, tid: u8, reg: Reg, value: u64) {
+    fn write(&mut self, tid: u8, reg: Reg, value: u64) -> Result<(), RegFault> {
         if !reg.is_zero() {
             self.ctxs[tid as usize][reg.index()] = value;
             self.used_ever[tid as usize] |= 1 << reg.index();
@@ -234,6 +234,7 @@ impl ContextEngine for PrefetchEngine {
                 self.banks[b].present |= 1 << reg.index();
             }
         }
+        Ok(())
     }
 
     fn commit_instr(&mut self, _tid: u8, _instr: &Instr) {}
@@ -398,7 +399,7 @@ mod tests {
         let mut e = PrefetchEngine::full(4);
         let t = rig.drive_until_ready(&mut e, 0, 0);
         assert!(t > 10);
-        assert_eq!(e.read(0, X2), 5);
+        assert_eq!(e.read(0, X2), Ok(5));
     }
 
     #[test]
@@ -452,7 +453,7 @@ mod tests {
         }
         assert!(now > t, "demand fill must cost cycles");
         assert!(rig.stats.rf_misses >= 1);
-        assert_eq!(e.read(0, X4), 77);
+        assert_eq!(e.read(0, X4), Ok(77));
     }
 
     #[test]
@@ -460,7 +461,7 @@ mod tests {
         let mut rig = Rig::new();
         let mut e = PrefetchEngine::full(2);
         rig.drive_until_ready(&mut e, 0, 0);
-        e.write(0, X9, 4242);
+        assert_eq!(e.write(0, X9, 4242), Ok(()));
         {
             let mut env = rig.env();
             e.on_switch(100, 0, 1, &mut env);

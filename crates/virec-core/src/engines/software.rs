@@ -7,7 +7,7 @@
 //! low-area, low-performance end of the design space.
 
 use super::Xfer;
-use crate::engine::{AcquireOutcome, ContextEngine, EngineEnv};
+use crate::engine::{AcquireOutcome, ContextEngine, EngineEnv, RegFault};
 use crate::regions::RegRegion;
 use virec_isa::{AccessSize, DataMemory, FlatMem, Instr, Reg};
 
@@ -62,18 +62,19 @@ impl ContextEngine for SoftwareEngine {
         AcquireOutcome::Ready
     }
 
-    fn read(&self, tid: u8, reg: Reg) -> u64 {
+    fn read(&self, tid: u8, reg: Reg) -> Result<u64, RegFault> {
         if reg.is_zero() {
-            0
+            Ok(0)
         } else {
-            self.ctxs[tid as usize][reg.index()]
+            Ok(self.ctxs[tid as usize][reg.index()])
         }
     }
 
-    fn write(&mut self, tid: u8, reg: Reg, value: u64) {
+    fn write(&mut self, tid: u8, reg: Reg, value: u64) -> Result<(), RegFault> {
         if !reg.is_zero() {
             self.ctxs[tid as usize][reg.index()] = value;
         }
+        Ok(())
     }
 
     fn commit_instr(&mut self, _tid: u8, _instr: &Instr) {}
@@ -204,7 +205,7 @@ mod tests {
         let t = rig.drive_until_ready(&mut e, 0);
         // 31 loads through one read port: at least 31 cycles.
         assert!(t >= 31, "restore finished suspiciously fast ({t} cycles)");
-        assert_eq!(e.read(0, X7), 99);
+        assert_eq!(e.read(0, X7), Ok(99));
     }
 
     #[test]
@@ -212,7 +213,7 @@ mod tests {
         let mut rig = Rig::new();
         let mut e = SoftwareEngine::new(2);
         rig.drive_until_ready(&mut e, 0);
-        e.write(0, X3, 1234);
+        assert_eq!(e.write(0, X3, 1234), Ok(()));
         {
             let mut env = rig.env();
             e.on_switch(100, 0, 1, &mut env);

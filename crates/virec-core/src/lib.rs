@@ -33,7 +33,7 @@ pub use config::{CoreConfig, EngineKind, PolicyKind};
 pub use core::Core;
 pub use engine::{
     AcquireOutcome, ContextEngine, EngineEnv, EngineFault, OracleSchedule, QuantumRecord,
-    QuantumTrace, WayRetire,
+    QuantumTrace, RegFault, WayRetire,
 };
 pub use ooo::{run_ooo, OooConfig, OooResult};
 pub use regions::RegRegion;

@@ -638,7 +638,10 @@ impl TagStore {
 
     /// Fault injection: marks the `nth` valid entry as waiting for a fill
     /// that will never arrive (a lost BSI response). The entry becomes
-    /// unreadable and unevictable, which must surface as a livelock.
+    /// unreadable and unevictable. A later acquire of its register waits
+    /// for the fill forever, which surfaces as a livelock; an instruction
+    /// that acquired it before the fault reads it anyway, and the core
+    /// latches that read as a structural hazard.
     pub fn corrupt_stuck_fill(&mut self, nth: usize) -> Option<String> {
         let idx = self.nth_valid(nth)?;
         let e = &mut self.entries[idx];

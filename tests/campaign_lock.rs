@@ -15,7 +15,9 @@
 //! The campaigns: two protected ones (every site, and the fabric-response
 //! site alone), an unprotected one, a double-bit burst, a stuck-at
 //! campaign under the RAS layer (its end-of-life quarter runs without
-//! spares) and a transient link campaign on a 2x2 mesh.
+//! spares) and a transient link campaign on a 2x2 mesh. Two single
+//! injections of the benchmark's own campaign (gather n=2048) are pinned
+//! beside them.
 
 use virec::core::CoreConfig;
 use virec::mem::{FabricConfig, FabricTopology};
@@ -28,6 +30,8 @@ const N: u64 = 512;
 const INJECTIONS: usize = 16;
 const BASE_SEED: u64 = 64;
 const CLEAN_CYCLES: u64 = 8445;
+/// Clean cycles of the benchmark's campaign workload, gather n=2048.
+const CLEAN_CYCLES_2048: u64 = 41265;
 
 /// One pinned record: `(seed, outcome, error_kind, replay_cycles,
 /// narrative digest)`.
@@ -304,4 +308,29 @@ fn mesh_link_campaign_is_pinned() {
             (79, Corrected, None, None, 0xb08b57b6af94c38b),
         ],
     );
+}
+
+/// Two injections of the benchmark's campaign (gather n=2048, every site,
+/// protected) whose stuck fill lands on a register that an instruction
+/// already past decode reads. The engine reports the unreadable register,
+/// the core latches it as a structural hazard, and the run is a detection
+/// like any other, not a panic.
+#[test]
+fn stuck_fill_on_an_acquired_register_is_pinned() {
+    let workload = kernels::spatter::gather(2048, Layout::for_core(0));
+    let hazard = Some("structural_hazard");
+    for row in [
+        (3119, Recovered, hazard, None, 0xeb27ce8f09f80387),
+        (3236, Recovered, hazard, None, 0x94861fa8fb7bb47e),
+    ] {
+        let report = run_campaign_with(
+            CoreConfig::virec(8, 40),
+            &workload,
+            1,
+            row.0,
+            &FaultSite::ALL,
+            &CampaignOptions::protected(),
+        );
+        assert_pinned(&report, CLEAN_CYCLES_2048, &[row]);
+    }
 }
