@@ -166,7 +166,8 @@ impl Bsi {
 
     /// Advances the BSI one cycle: completes returned requests and issues
     /// new ones (fills before spills). Returns the next cycle the BSI has
-    /// work, as [`crate::engine::ContextEngine::tick`] does.
+    /// work, or the next cycle after a fill landed, as
+    /// [`crate::engine::ContextEngine::tick`] does.
     pub fn tick(
         &mut self,
         now: u64,
@@ -212,6 +213,8 @@ impl Bsi {
                 debug_assert!(e.fill_pending);
                 e.value = mem.read(addr, AccessSize::B8);
                 e.fill_pending = false;
+                // A decode waiting on this fill retries next cycle.
+                hit_at = now + 1;
             }
             self.outstanding.swap_remove(i);
         }
@@ -268,8 +271,8 @@ impl Bsi {
     }
 
     /// `now + 1` while requests wait to issue (MSHR waits count nothing:
-    /// the dcache's `next_event` covers them), else the earliest hit
-    /// completion `hit_at`.
+    /// the dcache's `next_event` covers them), else `hit_at`: the earliest
+    /// hit completion, or `now + 1` after a fill landed.
     fn wake(&self, now: u64, hit_at: u64) -> Option<u64> {
         if !self.fills.is_empty() || !self.spills.is_empty() {
             Some(now + 1)
