@@ -15,8 +15,9 @@
 //! [`FaultRouter::link_upset`].
 //!
 //! The router's state splits in two. [`Rewindable`] — the pending events,
-//! the [`EccStats`] and the narrative — is architectural: a checkpoint
-//! copies it and a restore rewinds it. The rest is physical: RAS counters,
+//! the [`EccStats`], the narrative and whether routing has changed the
+//! machine at all — is architectural: a checkpoint copies it and a restore
+//! rewinds it. The rest is physical: RAS counters,
 //! the CE tracker, the patrol scrubber, the retirement log and the
 //! per-family restore counts survive a restore, because a masked way or a
 //! remapped row stays repaired when the architectural state rolls back.
@@ -48,6 +49,12 @@ pub(crate) struct Rewindable {
     pub ecc: EccStats,
     /// Descriptions of what the injected faults did, in order.
     pub narrative: Vec<String>,
+    /// Whether routing changed the core, the fabric or memory: a landed or
+    /// pass-through fault, a parity escape, a link upset, a patrol read or
+    /// a retirement. A corrected, detected or not-applicable group leaves
+    /// it alone. A restore takes back the checkpoint's value, since the
+    /// machine goes back to the checkpoint's image with it.
+    pub altered: bool,
 }
 
 impl Rewindable {
@@ -239,6 +246,7 @@ impl FaultRouter {
             return;
         };
         scope.fabric.submit_scrub(now, addr);
+        self.rewindable.altered = true;
         self.ras_stats.scrub_reads += 1;
         let hits: Vec<(FaultEvent, u64)> = self
             .rewindable
@@ -319,6 +327,7 @@ impl FaultRouter {
         persistent: bool,
     ) -> Option<bool> {
         let link = fabric.inject_link_fault(index)?;
+        self.rewindable.altered = true;
         self.rewindable.ecc.corrected += 1;
         let narrative = &mut self.rewindable.narrative;
         narrative.push(format!(
@@ -401,6 +410,7 @@ impl FaultRouter {
         // Physical repairs survive the rollback: replay the retirement log
         // onto the restored clone. Stats are not recounted, and spare
         // numbering re-applies in log order, hence deterministically.
+        self.rewindable.altered |= !self.retired_log.is_empty();
         for r in &self.retired_log {
             match *r {
                 RetiredRegion::Way { idx, spared } => {
@@ -471,6 +481,7 @@ impl FaultRouter {
         let Scope {
             core, fabric, mem, ..
         } = scope;
+        self.rewindable.altered = true;
         let (ras, applied) = (&mut self.ras_stats, &mut self.rewindable.narrative);
         match (ev.site, word_addr) {
             (FaultSite::TagValue, _) => match core.retire_value_way(ev.index, true, fabric, mem) {
@@ -549,6 +560,7 @@ impl FaultRouter {
         if level == ProtectionLevel::None {
             for ev in group {
                 if let Some(desc) = apply_fault(ev, scope) {
+                    self.rewindable.altered = true;
                     if !protection.is_none() {
                         self.rewindable.ecc.unprotected += 1;
                     }
@@ -587,6 +599,7 @@ impl FaultRouter {
                     _ => WordVerdict::Landed,
                 };
                 if verdict == WordVerdict::Landed {
+                    self.rewindable.altered = true;
                     for f in group.iter().filter_map(engine_fault_of) {
                         scope.core.inject_fault(f);
                     }
@@ -605,6 +618,7 @@ impl FaultRouter {
                 let word = scope.mem.read_u64(addr);
                 let verdict = protect_word(level, word, mask);
                 if verdict == WordVerdict::Landed {
+                    self.rewindable.altered = true;
                     scope.mem.write_u64(addr, word ^ mask);
                 }
                 let corrected = format!("{base} bit {}", mask.trailing_zeros());
