@@ -1,8 +1,8 @@
 //! Corner-case tests for the pipeline: CSL masking, store-queue pressure,
 //! round-robin fairness, sysreg buffering, quantum recording, tracer-free
 //! clones, the wakes that outside mutators owe the event-driven loop, a
-//! decode that sleeps while only fills are outstanding, and a corrupted
-//! register that reaches an operand read.
+//! decode that sleeps while only fills are outstanding, a corrupted
+//! register that reaches an operand read, and an out-of-range address.
 
 use virec_core::{Core, CoreConfig, EngineFault, OracleSchedule, RegRegion, ThreadStatus};
 use virec_isa::reg::names::*;
@@ -544,6 +544,36 @@ fn stuck_fill_on_an_acquired_register_is_a_structural_hazard() {
         assert!(!rig.core.done(), "no stuck fill reached an operand read");
     }
     panic!("no stuck fill reached an operand read in 5000 cycles");
+}
+
+#[test]
+fn out_of_range_access_is_a_structural_hazard() {
+    // A load or store whose address lies past the end of memory (as a
+    // corrupted base register forms) latches a structural hazard in the
+    // mem stage instead of panicking in the memory model.
+    for store in [false, true] {
+        let mut a = Asm::new("oob");
+        if store {
+            a.str(X0, X1, 8);
+        } else {
+            a.ldr(X0, X1, 8);
+        }
+        a.halt();
+        let mut rig = Rig::new(CoreConfig::banked(1), a.assemble(), |_| {
+            vec![(X1, 0x100_000 - 8)]
+        });
+        let hazard = (0..1_000).find_map(|now| {
+            rig.step(now);
+            rig.core.structural_fault().map(str::to_string)
+        });
+        let what = if store { "store" } else { "load" };
+        assert_eq!(
+            hazard.as_deref(),
+            Some(&*format!(
+                "{what} address 0x100000 (8 bytes) outside memory 0x0..0x100000"
+            ))
+        );
+    }
 }
 
 #[test]

@@ -89,9 +89,10 @@ impl FlatMem {
         self.base + self.size as u64
     }
 
-    /// Whether `addr..addr+len` lies within the mapping.
+    /// Whether `addr..addr+len` lies within the mapping (false, not an
+    /// overflow, when the span wraps the address space).
     pub fn contains(&self, addr: u64, len: u64) -> bool {
-        addr >= self.base && addr + len <= self.end()
+        addr >= self.base && addr.checked_add(len).is_some_and(|hi| hi <= self.end())
     }
 
     #[inline]
@@ -304,6 +305,7 @@ mod tests {
         assert!(!m.contains(0x100, 17));
         assert!(!m.contains(0xFF, 1));
         assert!(m.contains(0x10F, 1));
+        assert!(!m.contains(u64::MAX - 3, 8));
     }
 
     #[test]

@@ -147,7 +147,13 @@ fn unprotected_campaign_is_pinned() {
         CLEAN_CYCLES,
         &[
             (64, Recovered, Some("livelock"), None, 0xc285d2fb07a30341),
-            (65, Crashed, None, None, 0x1adf66e533f5c19c),
+            (
+                65,
+                Recovered,
+                Some("structural_hazard"),
+                None,
+                0x674c82abd8b7e159,
+            ),
             (
                 66,
                 Recovered,
@@ -196,7 +202,13 @@ fn unprotected_campaign_is_pinned() {
                 None,
                 0x15d0fd79a0d71916,
             ),
-            (77, Crashed, None, None, 0x1adf66e533f5c19c),
+            (
+                77,
+                Recovered,
+                Some("structural_hazard"),
+                None,
+                0x913129f67873eb79,
+            ),
             (
                 78,
                 Recovered,
