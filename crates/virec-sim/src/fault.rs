@@ -693,7 +693,7 @@ fn campaign_forks(
         .unwrap_or_else(|e| panic!("clean reference run failed: {e}"));
     let attack = Attack::new(cfg, &clean, injections, base_seed, sites, campaign);
     let mut records = Vec::with_capacity(injections);
-    let rejoined = attack.run(workload, |i, run| {
+    let rejoined = attack.run(workload, &clean, |i, run| {
         let seed = attack.injections[i].seed;
         records.push((i, classify(seed, run, clean.arch_digest)));
     });
@@ -790,11 +790,13 @@ impl Attack {
     /// Runs every injection and hands `each` its index and what
     /// [`try_run_single`] under [`Attack::opts`] returns (`Err` when it
     /// panicked). The injections of one RAS layer are forks of one
-    /// fault-free prefix pass ([`crate::runner::try_run_forks`]). Returns
+    /// fault-free prefix pass ([`crate::runner::try_run_forks`]), and
+    /// those that rejoin it take the campaign's `clean` result. Returns
     /// how many rejoined it.
     fn run(
         &self,
         workload: &Workload,
+        clean: &RunResult,
         mut each: impl FnMut(usize, std::thread::Result<Result<RunResult, SimError>>),
     ) -> usize {
         let mut rejoined = 0;
@@ -816,7 +818,7 @@ impl Attack {
                 ras,
                 ..self.opts.clone()
             };
-            rejoined += try_run_forks(self.cfg, workload, &opts, &plans, |k, run| {
+            rejoined += try_run_forks(self.cfg, workload, &opts, &plans, clean, |k, run| {
                 each(members[k], run)
             });
         }
@@ -991,14 +993,15 @@ mod tests {
         )
     }
 
-    /// Every injection of the campaigns `tests/campaign_lock.rs` pins, and
-    /// of two stuck-at campaigns that reach what a fork must copy besides
-    /// the machine, on `w` under both loops: the fork of the fault-free
-    /// prefix pass returns what the same run from cycle 0 returns. Without
-    /// a RAS layer a defect re-asserts after its checkpoint restore, so
-    /// the checkpoint must hold the armed plan; a patrol read every 16
-    /// cycles finds defects pending before they first assert, so a fork
-    /// must start before such a read.
+    /// Every injection of the campaigns `tests/campaign_lock.rs` pins, of a
+    /// parity campaign against double-bit bursts (each pair escapes, so a
+    /// protected group lands), and of two stuck-at campaigns that reach
+    /// what a fork must copy besides the machine, on `w` under both loops:
+    /// the fork of the fault-free prefix pass returns what the same run
+    /// from cycle 0 returns. Without a RAS layer a defect re-asserts after
+    /// its checkpoint restore, so the checkpoint must hold the armed plan;
+    /// a patrol read every 16 cycles finds defects pending before they
+    /// first assert, so a fork must start before such a read.
     fn assert_forks_equal_runs_from_cycle_zero(w: &Workload) -> Result<(), SimError> {
         let protected = CampaignOptions::protected();
         let mesh = FabricConfig {
@@ -1010,13 +1013,21 @@ mod tests {
             scrub_interval: 16,
             ..RasConfig::default()
         };
-        let campaigns: [(&[FaultSite], CampaignOptions); 8] = [
+        let campaigns: [(&[FaultSite], CampaignOptions); 9] = [
             (&FaultSite::ALL, protected),
             (&[FaultSite::FabricResponse], protected),
             (&FaultSite::ALL, CampaignOptions::default()),
             (
                 &FaultSite::SECDED_WORDS,
                 CampaignOptions {
+                    multi_fault: true,
+                    ..protected
+                },
+            ),
+            (
+                &FaultSite::ALL,
+                CampaignOptions {
+                    protection: ProtectionConfig::parity(),
                     multi_fault: true,
                     ..protected
                 },
@@ -1055,7 +1066,7 @@ mod tests {
                 let mut attack = Attack::new(cfg, &clean, 16, 64, sites, campaign);
                 attack.opts.dense_loop = dense_loop;
                 let mut forks = 0;
-                attack.run(w, |i, forked| {
+                attack.run(w, &clean, |i, forked| {
                     let opts = attack.opts(i);
                     let whole =
                         catch_unwind(AssertUnwindSafe(|| try_run_single(attack.cfg, w, &opts)));
