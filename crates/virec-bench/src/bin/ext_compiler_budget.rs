@@ -92,10 +92,7 @@ fn run_budget(
 }
 
 fn main() {
-    let n: u64 = std::env::var("VIREC_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4096);
+    let n = env_u64("VIREC_N", 4096);
     let nthreads = 8;
 
     let mut spec = ExperimentSpec::new("ext_compiler_budget");

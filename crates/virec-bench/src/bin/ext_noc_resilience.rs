@@ -21,8 +21,7 @@
 //! p99 grows as traffic detours — graceful degradation, never a lost
 //! task, never a livelock.
 //!
-//! Knobs: `VIREC_NOC_CORES`, `VIREC_NOC_TASKS`, `VIREC_NOC_SEED`,
-//! `VIREC_NOC_MAXFAULTS`. Results land in
+//! Knobs: `VIREC_NOC_TASKS`, `VIREC_NOC_MAXFAULTS`. Results land in
 //! `results/ext_noc_resilience.json` with provenance metadata like every
 //! other figure.
 
@@ -34,30 +33,23 @@ use virec_sim::report::{pct, Table};
 use virec_sim::serve::{ServeConfig, ServeFaultPlan};
 use virec_sim::{run_service, ProtectionConfig, RasConfig};
 
+const CORES: usize = 4;
+const SEED: u64 = 0xF00D_5EED;
 const THREADS: usize = 4;
 /// The paper's sweet spot: 8 registers per thread (80–100% context).
 const REGS_PER_THREAD: usize = 8;
 
 const ENGINES: [&str; 2] = ["virec", "banked"];
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let cores = env_u64("VIREC_NOC_CORES", 4) as usize;
     let tasks = env_u64("VIREC_NOC_TASKS", 96) as usize;
-    let seed = env_u64("VIREC_NOC_SEED", 0xF00D_5EED);
     let max_faults = env_u64("VIREC_NOC_MAXFAULTS", 12) as usize;
     let sweep: Vec<usize> = (0..=max_faults).step_by(3).collect();
 
     let mut spec = ExperimentSpec::new("ext_noc_resilience");
-    spec.set_meta("cores", cores);
+    spec.set_meta("cores", CORES);
     spec.set_meta("tasks", tasks);
-    spec.set_meta("seed", seed);
+    spec.set_meta("seed", SEED);
     spec.set_meta("topology", "mesh2x2");
     spec.set_meta("threads", THREADS);
     spec.set_meta("regs_per_thread", REGS_PER_THREAD);
@@ -69,7 +61,7 @@ fn main() {
                     "virec" => CoreConfig::virec(THREADS, THREADS * REGS_PER_THREAD),
                     _ => CoreConfig::banked(THREADS),
                 };
-                let mut cfg = ServeConfig::streaming(cores, core, tasks, seed);
+                let mut cfg = ServeConfig::streaming(CORES, core, tasks, SEED);
                 cfg.fabric = FabricConfig {
                     topology: FabricTopology::Mesh { cols: 2, rows: 2 },
                     ..FabricConfig::default()
@@ -107,7 +99,7 @@ fn main() {
 
     let mut tbl = Table::new(
         &format!(
-            "NoC resilience — {cores} cores x {THREADS} threads on a 2x2 mesh, \
+            "NoC resilience — {CORES} cores x {THREADS} threads on a 2x2 mesh, \
              {tasks} tasks"
         ),
         &[

@@ -21,9 +21,9 @@
 //! the pool — graceful degradation, never a cliff to zero, and byte-level
 //! accounting intact at every point.
 //!
-//! Knobs: `VIREC_RAS_CORES`, `VIREC_RAS_TASKS`, `VIREC_RAS_SPARES`,
-//! `VIREC_RAS_SEED`. Results land in `results/ext_ras_endurance.json`
-//! with provenance metadata like every other figure.
+//! Knob: `VIREC_RAS_TASKS`. Results land in
+//! `results/ext_ras_endurance.json` with provenance metadata like every
+//! other figure.
 
 use virec_bench::harness::*;
 use virec_core::CoreConfig;
@@ -32,45 +32,39 @@ use virec_sim::report::{pct, Table};
 use virec_sim::serve::{ServeConfig, ServeFaultPlan};
 use virec_sim::{run_service, ProtectionConfig, RasConfig};
 
+const CORES: usize = 4;
+/// Spare regions in the service-wide RAS pool.
+const SPARES: u32 = 2;
+const SEED: u64 = 0xF00D_5EED;
 const THREADS: usize = 4;
 /// The paper's sweet spot: 8 registers per thread (80–100% context).
 const REGS_PER_THREAD: usize = 8;
 
 const ENGINES: [&str; 2] = ["virec", "banked"];
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let cores = env_u64("VIREC_RAS_CORES", 4) as usize;
     let tasks = env_u64("VIREC_RAS_TASKS", 96) as usize;
-    let spares = env_u64("VIREC_RAS_SPARES", 2) as u32;
-    let seed = env_u64("VIREC_RAS_SEED", 0xF00D_5EED);
 
     let mut spec = ExperimentSpec::new("ext_ras_endurance");
-    spec.set_meta("cores", cores);
+    spec.set_meta("cores", CORES);
     spec.set_meta("tasks", tasks);
-    spec.set_meta("spare_rows", spares);
-    spec.set_meta("seed", seed);
+    spec.set_meta("spare_rows", SPARES);
+    spec.set_meta("seed", SEED);
     spec.set_meta("threads", THREADS);
     spec.set_meta("regs_per_thread", REGS_PER_THREAD);
 
     for engine in ENGINES {
-        for stuck in 0..=cores {
+        for stuck in 0..=CORES {
             spec.custom(format!("{engine}/stuck{stuck}"), move |_| {
                 let core = match engine {
                     "virec" => CoreConfig::virec(THREADS, THREADS * REGS_PER_THREAD),
                     _ => CoreConfig::banked(THREADS),
                 };
-                let mut cfg = ServeConfig::streaming(cores, core, tasks, seed);
+                let mut cfg = ServeConfig::streaming(CORES, core, tasks, SEED);
                 cfg.protection = ProtectionConfig::secded();
                 cfg.faults = ServeFaultPlan::stuck(stuck);
                 cfg.ras = Some(RasConfig {
-                    spare_rows: spares,
+                    spare_rows: SPARES,
                     ..RasConfig::default()
                 });
                 let r = run_service(cfg)?;
@@ -97,8 +91,8 @@ fn main() {
 
     let mut tbl = Table::new(
         &format!(
-            "RAS endurance — {cores} cores x {THREADS} threads, {tasks} tasks, \
-             {spares} spare regions"
+            "RAS endurance — {CORES} cores x {THREADS} threads, {tasks} tasks, \
+             {SPARES} spare regions"
         ),
         &[
             "engine/defects",
@@ -115,7 +109,7 @@ fn main() {
         ],
     );
     for engine in ENGINES {
-        for stuck in 0..=cores {
+        for stuck in 0..=CORES {
             let key = format!("{engine}/stuck{stuck}");
             tbl.row(vec![
                 key.clone(),

@@ -16,9 +16,9 @@
 //!   bounded admission queue sheds with typed rejections instead of
 //!   deadlocking, and goodput degrades gracefully.
 //!
-//! Knobs: `VIREC_SERVE_CORES`, `VIREC_SERVE_TASKS`, `VIREC_SERVE_FAULTS`,
-//! `VIREC_SERVE_SEED`. Results land in `results/ext_serve_slo.json` with
-//! provenance metadata like every other figure.
+//! Knobs: `VIREC_SERVE_TASKS`, `VIREC_SERVE_FAULTS`. Results land in
+//! `results/ext_serve_slo.json` with provenance metadata like every other
+//! figure.
 
 use virec_bench::harness::*;
 use virec_core::CoreConfig;
@@ -27,6 +27,8 @@ use virec_sim::report::{pct, Table};
 use virec_sim::serve::{ServeConfig, ServeFaultPlan};
 use virec_sim::{run_service, ProtectionConfig};
 
+const CORES: usize = 4;
+const SEED: u64 = 0xF00D_5EED;
 const THREADS: usize = 4;
 /// The paper's sweet spot: 8 registers per thread (80–100% context).
 const REGS_PER_THREAD: usize = 8;
@@ -37,24 +39,15 @@ const OVERLOAD_INTERARRIVAL: u64 = 200;
 const ENGINES: [&str; 2] = ["virec", "banked"];
 const SCENARIOS: [&str; 3] = ["nominal", "faulty", "overload"];
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let cores = env_u64("VIREC_SERVE_CORES", 4) as usize;
     let tasks = env_u64("VIREC_SERVE_TASKS", 192) as usize;
     let faults = env_u64("VIREC_SERVE_FAULTS", 64) as usize;
-    let seed = env_u64("VIREC_SERVE_SEED", 0xF00D_5EED);
 
     let mut spec = ExperimentSpec::new("ext_serve_slo");
-    spec.set_meta("cores", cores);
+    spec.set_meta("cores", CORES);
     spec.set_meta("tasks", tasks);
     spec.set_meta("faults", faults);
-    spec.set_meta("seed", seed);
+    spec.set_meta("seed", SEED);
     spec.set_meta("threads", THREADS);
     spec.set_meta("regs_per_thread", REGS_PER_THREAD);
     spec.set_meta("overload_interarrival", OVERLOAD_INTERARRIVAL);
@@ -66,7 +59,7 @@ fn main() {
                     "virec" => CoreConfig::virec(THREADS, THREADS * REGS_PER_THREAD),
                     _ => CoreConfig::banked(THREADS),
                 };
-                let mut cfg = ServeConfig::streaming(cores, core, tasks, seed);
+                let mut cfg = ServeConfig::streaming(CORES, core, tasks, SEED);
                 match scenario {
                     "faulty" => {
                         cfg.faults = ServeFaultPlan::campaign(faults, 1);
@@ -94,7 +87,7 @@ fn main() {
     };
 
     let mut slo = Table::new(
-        &format!("Serve SLO — {cores} cores x {THREADS} threads, {tasks} tasks"),
+        &format!("Serve SLO — {CORES} cores x {THREADS} threads, {tasks} tasks"),
         &[
             "engine/scenario",
             "tasks_per_sec",

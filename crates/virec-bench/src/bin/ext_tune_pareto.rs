@@ -6,6 +6,7 @@
 //! panics on any miscompile), so the surface can only contain programs
 //! proven equivalent to their pre-allocation IR.
 
+use virec_bench::harness::env_u64;
 use virec_bench::tune::{pareto_front, pick_for_area, tune_sweep, TuneConfig};
 use virec_sim::report::Table;
 
@@ -15,11 +16,7 @@ const ENVELOPE_MM2: f64 = 1.50;
 
 fn main() {
     let mut cfg = TuneConfig::default();
-    if let Ok(s) = std::env::var("VIREC_N") {
-        if let Ok(n) = s.parse() {
-            cfg.n = n;
-        }
-    }
+    cfg.n = env_u64("VIREC_N", cfg.n);
     let points = tune_sweep(&cfg);
 
     let mut t = Table::new(

@@ -28,10 +28,7 @@ use virec_workloads::kernels;
 fn main() {
     // Figure 1 needs a footprint well past the OoO core's 1 MiB L2, or the
     // host-processor point is unrealistically fast.
-    let n = std::env::var("VIREC_N")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(262_144);
+    let n = env_u64("VIREC_N", 262_144);
     let w = kernels::spatter::gather(n, layout0());
     let build = builder(kernels::spatter::gather, n, layout0());
     let opts = RunOptions::default();

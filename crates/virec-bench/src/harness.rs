@@ -38,12 +38,18 @@ pub const DEFAULT_N: u64 = 8192;
 /// Smaller size for quick shape checks.
 pub const QUICK_N: u64 = 1024;
 
-/// Reads the problem size from VIREC_N (falls back to DEFAULT_N).
-pub fn problem_size() -> u64 {
-    std::env::var("VIREC_N")
+/// The environment variable `name` as a `u64`; `default` when it is unset
+/// or not a number.
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_N)
+        .unwrap_or(default)
+}
+
+/// Reads the problem size from VIREC_N (falls back to DEFAULT_N).
+pub fn problem_size() -> u64 {
+    env_u64("VIREC_N", DEFAULT_N)
 }
 
 /// Worker count for sweep execution: `VIREC_JOBS` if set, otherwise every

@@ -328,16 +328,6 @@ impl Asm {
         });
     }
 
-    /// `dst = mem32[base + (index << shift)]`, zero-extended.
-    pub fn ldr_w_idx(&mut self, dst: Reg, base: Reg, index: Reg, shift: u8) {
-        self.emit(Instr::Ldr {
-            dst,
-            base,
-            offset: MemOffset::RegShifted { index, shift },
-            size: AccessSize::B4,
-        });
-    }
-
     /// `mem64[base + imm] = src`.
     pub fn str(&mut self, src: Reg, base: Reg, imm: i64) {
         self.emit(Instr::Str {
@@ -355,16 +345,6 @@ impl Asm {
             base,
             offset: MemOffset::RegShifted { index, shift },
             size: AccessSize::B8,
-        });
-    }
-
-    /// `mem32[base + (index << shift)] = src` (low 32 bits).
-    pub fn str_w_idx(&mut self, src: Reg, base: Reg, index: Reg, shift: u8) {
-        self.emit(Instr::Str {
-            src,
-            base,
-            offset: MemOffset::RegShifted { index, shift },
-            size: AccessSize::B4,
         });
     }
 

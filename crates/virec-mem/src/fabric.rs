@@ -173,28 +173,6 @@ impl FabricStats {
         ]
     }
 
-    /// Per-field difference `self - earlier` (saturating). With `earlier`
-    /// a snapshot of the same monotonically growing counters, this is the
-    /// traffic of the interval between the two observations.
-    pub fn delta_since(&self, earlier: &FabricStats) -> FabricStats {
-        let (mut delta, mut prev) = (*self, *earlier);
-        for ((_, d), (_, p)) in delta.counters_mut().into_iter().zip(prev.counters_mut()) {
-            *d = d.saturating_sub(*p);
-        }
-        for ((_, d), (_, p)) in delta
-            .noc_counters_mut()
-            .into_iter()
-            .zip(prev.noc_counters_mut())
-        {
-            *d = d.saturating_sub(*p);
-        }
-        let ports = earlier.per_port.iter().flatten();
-        for (d, p) in delta.per_port.iter_mut().flatten().zip(ports) {
-            *d = d.saturating_sub(*p);
-        }
-        delta
-    }
-
     /// True when every counter is zero (nothing worth journaling).
     pub fn is_empty(&self) -> bool {
         *self == FabricStats::default()
@@ -279,8 +257,6 @@ pub struct Fabric {
     done: Completions,
     next_token: ReqToken,
     stats: FabricStats,
-    /// Snapshot of `stats` at the last [`Fabric::epoch_stats`] call.
-    epoch_mark: FabricStats,
     /// RAS spare-row remap table consulted on every address mapping.
     remap: RemapTable,
     /// Mesh NoC state when the topology is [`FabricTopology::Mesh`];
@@ -307,7 +283,6 @@ impl Fabric {
             done: Completions::default(),
             next_token: 0,
             stats: FabricStats::default(),
-            epoch_mark: FabricStats::default(),
             remap: RemapTable::default(),
             noc,
         }
@@ -349,16 +324,6 @@ impl Fabric {
     /// Statistics so far.
     pub fn stats(&self) -> &FabricStats {
         &self.stats
-    }
-
-    /// Traffic since the previous `epoch_stats` call (or since construction
-    /// for the first call), advancing the epoch mark. Callers sampling the
-    /// fabric on a fixed cadence get per-interval counters without having
-    /// to snapshot and subtract themselves.
-    pub fn epoch_stats(&mut self) -> FabricStats {
-        let delta = self.stats.delta_since(&self.epoch_mark);
-        self.epoch_mark = self.stats;
-        delta
     }
 
     /// Best-case (unloaded, row-hit) read latency through the fabric.
@@ -814,72 +779,6 @@ mod tests {
         run_until_done(&mut f, t, 1000);
         assert_eq!(f.stats().writes, 1);
         assert_eq!(f.stats().reads, 0);
-    }
-
-    #[test]
-    fn epoch_stats_report_per_interval_traffic() {
-        let mut f = Fabric::new(FabricConfig::default());
-        let t = f.submit(0, 0, 0, false);
-        run_until_done(&mut f, t, 1000);
-        let first = f.epoch_stats();
-        assert_eq!(first.reads, 1);
-        assert_eq!(first.writes, 0);
-
-        // Nothing happened since the mark: the next epoch is empty.
-        let idle = f.epoch_stats();
-        assert_eq!(idle.reads, 0);
-        assert_eq!(idle.writes, 0);
-
-        let t = f.submit(0, 0, 0x40, true);
-        run_until_done(&mut f, t, 1000);
-        let second = f.epoch_stats();
-        assert_eq!(second.writes, 1);
-        assert_eq!(second.reads, 0);
-        // Cumulative stats are untouched by epoch sampling.
-        assert_eq!(f.stats().reads, 1);
-        assert_eq!(f.stats().writes, 1);
-    }
-
-    #[test]
-    fn delta_since_saturates_per_field() {
-        // Counter i of `at(k)` is a distinct multiple of k, so
-        // `at(3) - at(1) == at(2)` holds only if every field, `per_port`
-        // and the NoC counters included, subtracts its own counterpart.
-        let at = |k: u64| {
-            let mut f = FabricStats {
-                reads: k,
-                writes: 2 * k,
-                row_hits: 3 * k,
-                row_conflicts: 4 * k,
-                row_empty: 5 * k,
-                queue_cycles: 6 * k,
-                scrub_reads: 7 * k,
-                noc_hops: 8 * k,
-                noc_crc_detected: 9 * k,
-                noc_retransmissions: 10 * k,
-                noc_links_retired: 11 * k,
-                noc_links_fenced: 12 * k,
-                ..FabricStats::default()
-            };
-            for (p, port) in f.per_port.iter_mut().enumerate() {
-                let p = p as u64;
-                *port = [(13 + 2 * p) * k, (14 + 2 * p) * k];
-            }
-            f
-        };
-        assert_eq!(at(3).delta_since(&at(1)), at(2));
-        // A field that went backwards saturates at zero instead of
-        // wrapping, and only that field.
-        let mut ahead = at(1);
-        ahead.writes = 99;
-        ahead.noc_links_fenced = 99;
-        ahead.per_port[0][1] = 99;
-        let mut want = at(2);
-        want.writes = 0;
-        want.noc_links_fenced = 0;
-        want.per_port[0][1] = 0;
-        assert_eq!(at(3).delta_since(&ahead), want);
-        assert!(at(1).delta_since(&at(3)).is_empty());
     }
 
     #[test]

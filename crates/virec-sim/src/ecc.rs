@@ -187,21 +187,8 @@ impl fmt::Display for ProtectionLevel {
     }
 }
 
-impl FromStr for ProtectionLevel {
-    type Err = String;
-    fn from_str(s: &str) -> Result<ProtectionLevel, String> {
-        match s {
-            "none" => Ok(ProtectionLevel::None),
-            "parity" => Ok(ProtectionLevel::Parity),
-            "secded" => Ok(ProtectionLevel::SecDed),
-            other => Err(format!(
-                "unknown protection level '{other}' (expected none|parity|secded)"
-            )),
-        }
-    }
-}
-
-/// Per-site protection levels — the modeled coverage map.
+/// One of three coverage-map presets; [`ProtectionConfig::level`] states
+/// each preset's level per fault site.
 ///
 /// The `secded` preset mirrors what the hardware would plausibly build:
 /// SEC-DED on the word-organized storage (backing-store register slots,
@@ -212,16 +199,9 @@ impl FromStr for ProtectionLevel {
 /// storage bit error, and no check bit catches it (the watchdog does).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct ProtectionConfig {
-    /// VRMU tag-store entries (value + metadata CAM).
-    pub tag_value: ProtectionLevel,
-    /// Rollback-queue slots.
-    pub rollback_slot: ProtectionLevel,
-    /// Backing-store register slots (64-bit words in the reserved region).
-    pub backing_reg: ProtectionLevel,
-    /// DRAM data words.
-    pub dram_line: ProtectionLevel,
-    /// In-flight fabric response buffers.
-    pub fabric_response: ProtectionLevel,
+    /// `None`, `Parity` or `SecDed` names the `none()`, `parity()` or
+    /// `secded()` preset.
+    preset: ProtectionLevel,
 }
 
 impl ProtectionConfig {
@@ -234,11 +214,7 @@ impl ProtectionConfig {
     /// Parity everywhere it applies: detection without correction.
     pub fn parity() -> ProtectionConfig {
         ProtectionConfig {
-            tag_value: ProtectionLevel::Parity,
-            rollback_slot: ProtectionLevel::Parity,
-            backing_reg: ProtectionLevel::Parity,
-            dram_line: ProtectionLevel::Parity,
-            fabric_response: ProtectionLevel::Parity,
+            preset: ProtectionLevel::Parity,
         }
     }
 
@@ -246,26 +222,21 @@ impl ProtectionConfig {
     /// CAM structures (see the type-level docs for the rationale).
     pub fn secded() -> ProtectionConfig {
         ProtectionConfig {
-            tag_value: ProtectionLevel::Parity,
-            rollback_slot: ProtectionLevel::Parity,
-            backing_reg: ProtectionLevel::SecDed,
-            dram_line: ProtectionLevel::SecDed,
-            fabric_response: ProtectionLevel::SecDed,
+            preset: ProtectionLevel::SecDed,
         }
     }
 
     /// The protection level covering `site`.
     pub fn level(&self, site: FaultSite) -> ProtectionLevel {
-        match site {
-            FaultSite::TagValue => self.tag_value,
-            FaultSite::RollbackSlot => self.rollback_slot,
-            FaultSite::BackingReg => self.backing_reg,
-            FaultSite::DramLine => self.dram_line,
-            FaultSite::FabricResponse => self.fabric_response,
-            FaultSite::StuckFill => ProtectionLevel::None,
-            // Link upsets are covered by the NoC's own CRC/retransmission
-            // layer, not by a storage coverage map.
-            FaultSite::NocLink => ProtectionLevel::None,
+        match (self.preset, site) {
+            // A lost fill is a protocol failure, and link upsets are
+            // covered by the NoC's own CRC/retransmission layer: no
+            // storage check bit guards either.
+            (_, FaultSite::StuckFill | FaultSite::NocLink) => ProtectionLevel::None,
+            (ProtectionLevel::SecDed, FaultSite::TagValue | FaultSite::RollbackSlot) => {
+                ProtectionLevel::Parity
+            }
+            (preset, _) => preset,
         }
     }
 
@@ -432,17 +403,24 @@ mod tests {
 
     #[test]
     fn presets_and_levels() {
-        let full = ProtectionConfig::secded();
-        assert_eq!(full.level(FaultSite::DramLine), ProtectionLevel::SecDed);
-        assert_eq!(full.level(FaultSite::TagValue), ProtectionLevel::Parity);
-        assert_eq!(full.level(FaultSite::StuckFill), ProtectionLevel::None);
-        assert!(ProtectionConfig::none().is_none());
-        assert!(!full.is_none());
-        assert_eq!("secded".parse::<ProtectionConfig>().unwrap(), full);
-        assert_eq!(
-            "parity".parse::<ProtectionLevel>().unwrap(),
-            ProtectionLevel::Parity
-        );
+        use ProtectionLevel::{None as N, Parity as P, SecDed as S};
+        // Columns follow `FaultSite::EVERY`: tag-value, rollback-slot,
+        // stuck-fill, backing-reg, dram-line, fabric-response, noc-link.
+        let table = [
+            ("none", [N, N, N, N, N, N, N]),
+            ("parity", [P, P, N, P, P, P, N]),
+            ("secded", [P, P, N, S, S, S, N]),
+        ];
+        for (name, levels) in table {
+            let preset: ProtectionConfig = name.parse().unwrap();
+            for (site, want) in FaultSite::EVERY.into_iter().zip(levels) {
+                assert_eq!(preset.level(site), want, "{name} at {}", site.name());
+            }
+            assert_eq!(preset.is_none(), name == "none", "{name}");
+        }
+        assert_eq!(ProtectionConfig::none(), ProtectionConfig::default());
+        assert_eq!("parity".parse(), Ok(ProtectionConfig::parity()));
+        assert_eq!("secded".parse(), Ok(ProtectionConfig::secded()));
         assert!("sec-ded".parse::<ProtectionConfig>().is_err());
     }
 }

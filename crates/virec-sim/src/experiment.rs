@@ -37,7 +37,9 @@ use std::sync::{Arc, Mutex};
 use crate::cancel::{CancelToken, RunGate};
 use crate::error::SimError;
 use crate::journal::{self, JournalConfig};
-use crate::runner::{try_run_single, try_run_slots, RunOptions, RunResult, SystemResult};
+use crate::runner::{
+    build_slots, try_run_single, try_run_slots, RunOptions, RunResult, SystemResult,
+};
 use virec_core::CoreConfig;
 use virec_workloads::{Layout, Workload, WorkloadCtor};
 
@@ -116,8 +118,8 @@ pub enum Job {
         /// Run options (fabric, verification, faults, …).
         opts: RunOptions,
     },
-    /// A multi-core run ([`try_run_slots`]): slot `i` runs
-    /// `ctor(n, Layout::for_core(i))` on its core.
+    /// A multi-core run ([`try_run_slots`]) of the [`build_slots`] of
+    /// `slots`.
     System {
         /// One `(core, workload constructor, problem size)` per slot; every
         /// core's `max_cycles` is scaled on retries.
@@ -944,8 +946,9 @@ fn execute_cell(
                     .map(|r| CellData::Run(Box::new(r)))
             }
             Job::System { slots, opts } => {
-                let slots: Vec<_> = (slots.iter().enumerate())
-                    .map(|(i, (cfg, ctor, n))| (scaled(cfg, scale), ctor(*n, Layout::for_core(i))))
+                let slots: Vec<_> = build_slots(slots)
+                    .into_iter()
+                    .map(|(cfg, w)| (scaled(&cfg, scale), w))
                     .collect();
                 try_run_slots(&slots, &gated_opts(opts)).map(|r| CellData::System(Box::new(r)))
             }

@@ -7,8 +7,9 @@
 //! every active core, checks the structural and NoC hazards, lets the
 //! driver route what the cycle produced (faults, settlement), advances the
 //! clock, applies the forward-progress watchdog and the cycle budget, and
-//! then takes the skip step. The gate, the watchdog and the budget are one
-//! [`RunLimits`], which the serve dispatcher also gives each attempt.
+//! then takes the skip step. The watchdog and the budget are one
+//! [`RunLimits`], which the serve dispatcher also gives each attempt; the
+//! gate belongs to the machine alone.
 //!
 //! The skip step is the only place the clock jumps. On a productive cycle
 //! some core's next event is the very next cycle and the step bails before
@@ -48,8 +49,9 @@ impl CoreSlot for Core {
 }
 
 /// Everything the step loop advances: the core slots, the shared fabric and
-/// functional memory, the clock, and the limits of the whole run (one
-/// watchdog over the summed commits of every core).
+/// functional memory, the clock, the limits of the whole run (one watchdog
+/// over the summed commits of every core), and the wall-clock gate, polled
+/// on a schedule so a skipped span cannot starve it.
 #[derive(Clone)]
 pub(crate) struct Machine<S> {
     pub slots: Vec<S>,
@@ -57,18 +59,42 @@ pub(crate) struct Machine<S> {
     pub mem: FlatMem,
     pub now: u64,
     pub limits: RunLimits,
+    gate: RunGate,
+    /// Next cycle the gate is consulted.
+    next_poll: u64,
 }
 
 impl<S: CoreSlot> Machine<S> {
-    /// A machine at cycle 0 held to `limits`.
-    pub fn new(slots: Vec<S>, fabric: Fabric, mem: FlatMem, limits: RunLimits) -> Machine<S> {
+    /// A machine at cycle 0 held to `gate` and `limits`.
+    pub fn new(
+        slots: Vec<S>,
+        fabric: Fabric,
+        mem: FlatMem,
+        gate: RunGate,
+        limits: RunLimits,
+    ) -> Machine<S> {
         Machine {
             slots,
             fabric,
             mem,
             now: 0,
             limits,
+            gate,
+            next_poll: 0,
         }
+    }
+
+    /// The gate check before the tick of the current cycle.
+    fn poll(&mut self) -> Option<GateTrip> {
+        self.gate.poll_due(self.now, &mut self.next_poll)
+    }
+
+    /// Restarts the watchdog and rewinds the poll schedule to the clock: a
+    /// checkpoint restore moved it back, and the replay window must stay
+    /// responsive to cancellation.
+    pub fn rewind(&mut self) {
+        self.limits.watchdog.restart();
+        self.next_poll = self.now;
     }
 }
 
@@ -82,37 +108,25 @@ pub(crate) enum LimitTrip {
 }
 
 /// The limits one run — a whole machine, or one serve attempt on it — is
-/// held to, all counted in cycles since `origin`, the cycle it started:
-/// the wall-clock gate, polled on a schedule so a skipped span cannot
-/// starve it; a forward-progress watchdog; and a cycle budget. A driver
-/// polls before a tick, observes after it, and lets no skip jump past
-/// [`RunLimits::wake`].
+/// held to, both counted in cycles since `origin`, the cycle it started: a
+/// forward-progress watchdog and a cycle budget. A driver observes after
+/// a tick and lets no skip jump past [`RunLimits::wake`].
 #[derive(Clone, Debug)]
 pub(crate) struct RunLimits {
     origin: u64,
-    gate: RunGate,
-    /// Next local cycle the gate is consulted.
-    next_poll: u64,
     watchdog: Watchdog,
     budget: u64,
 }
 
 impl RunLimits {
-    /// Limits for a run starting at cycle `origin`: `gate`, a
-    /// `livelock_cycles` watchdog (0 disables it) and a `budget` of cycles.
-    pub fn new(origin: u64, gate: RunGate, livelock_cycles: u64, budget: u64) -> RunLimits {
+    /// Limits for a run starting at cycle `origin`: a `livelock_cycles`
+    /// watchdog (0 disables it) and a `budget` of cycles.
+    pub fn new(origin: u64, livelock_cycles: u64, budget: u64) -> RunLimits {
         RunLimits {
             origin,
-            gate,
-            next_poll: 0,
             watchdog: Watchdog::new(livelock_cycles),
             budget,
         }
-    }
-
-    /// The gate check before the tick of cycle `now`.
-    pub fn poll(&mut self, now: u64) -> Option<GateTrip> {
-        self.gate.poll_due(now - self.origin, &mut self.next_poll)
     }
 
     /// The watchdog and the budget after a tick, with the clock advanced to
@@ -138,14 +152,6 @@ impl RunLimits {
             .deadline()
             .map_or(u64::MAX, |deadline| self.origin + deadline - 1);
         fire.min(self.origin.saturating_add(self.budget).saturating_sub(1))
-    }
-
-    /// Restarts the watchdog and rewinds the poll schedule to `now`: a
-    /// checkpoint restore moved the clock back, and the replay window must
-    /// stay responsive to cancellation.
-    pub fn rewind(&mut self, now: u64) {
-        self.watchdog.restart();
-        self.next_poll = now - self.origin;
     }
 }
 
@@ -206,9 +212,6 @@ pub(crate) trait Driver {
 
     /// Credits a skipped span to driver-side accounting.
     fn skipped(&mut self, _span: u64) {}
-
-    /// Driver work at the end of every iteration that did not rewind.
-    fn end(&mut self) {}
 }
 
 /// Steps `d` until [`Driver::running`] turns false or a hook stops the run.
@@ -216,8 +219,7 @@ pub(crate) trait Driver {
 pub(crate) fn run<D: Driver>(d: &mut D, dense: bool) -> Result<(), SimError> {
     let skip = !dense_requested(dense);
     while d.running() {
-        let m = d.machine();
-        if let Some(trip) = m.limits.poll(m.now) {
+        if let Some(trip) = d.machine().poll() {
             return Err(SimError::Deadline {
                 elapsed_ms: trip.elapsed_ms,
                 limit_ms: trip.limit_ms,
@@ -226,10 +228,7 @@ pub(crate) fn run<D: Driver>(d: &mut D, dense: bool) -> Result<(), SimError> {
         }
         match d.begin()? {
             Step::Tick => {}
-            Step::Idle => {
-                d.end();
-                continue;
-            }
+            Step::Idle => continue,
             Step::Stop => break,
         }
         let m = d.machine();
@@ -284,7 +283,6 @@ pub(crate) fn run<D: Driver>(d: &mut D, dense: bool) -> Result<(), SimError> {
         if skip {
             skip_ahead(d);
         }
-        d.end();
     }
     Ok(())
 }

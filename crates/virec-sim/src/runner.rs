@@ -39,7 +39,7 @@ use virec_core::engines::ROLLBACK_DEPTH;
 use virec_core::{Core, CoreConfig, CoreStats, EngineKind, OracleSchedule, QuantumTrace};
 use virec_isa::{Chunk, ExecOutcome, FlatMem, Interpreter, Reg, ThreadCtx};
 use virec_mem::{Fabric, FabricConfig, FabricStats};
-use virec_workloads::{layout, Layout, Workload};
+use virec_workloads::{layout, Layout, Workload, WorkloadCtor};
 
 /// Default architectural-checkpoint spacing: the rollback depth (the
 /// backend's in-flight window, §5.1) times a nominal 256-cycle scheduling
@@ -174,9 +174,19 @@ impl SystemResult {
     }
 }
 
+/// The slots of a multi-core run, one per `(core, ctor, n)`: slot `i`
+/// runs `ctor(n, Layout::for_core(i))` on its core.
+pub fn build_slots(specs: &[(CoreConfig, WorkloadCtor, u64)]) -> Vec<(CoreConfig, Workload)> {
+    let slot = |(i, &(core, ctor, n)): (usize, &(CoreConfig, WorkloadCtor, u64))| {
+        (core, ctor(n, Layout::for_core(i)))
+    };
+    specs.iter().enumerate().map(slot).collect()
+}
+
 /// Runs slot `i`'s workload on slot `i`'s core, every core on one shared
 /// fabric, until every core halts, and verifies each against the golden
-/// interpreter. Slot `i` must be built for `Layout::for_core(i)`. The run
+/// interpreter. Slot `i` must be built for `Layout::for_core(i)`, as
+/// [`build_slots`] builds it. The run
 /// is held to one watchdog over the summed commits and to the largest
 /// per-core `max_cycles` as its budget, since the slowest core bounds
 /// completion under contention.
@@ -537,10 +547,10 @@ impl<'a> Runner<'a> {
             ])
         });
         let budget = slots.iter().map(|(c, _)| c.max_cycles).max().unwrap_or(0);
-        let limits = RunLimits::new(0, opts.gate.clone(), opts.livelock_cycles, budget);
+        let limits = RunLimits::new(0, opts.livelock_cycles, budget);
         let faults = opts.faults.events.clone();
         Ok(Runner {
-            m: Machine::new(cores, fabric, mem, limits),
+            m: Machine::new(cores, fabric, mem, opts.gate.clone(), limits),
             opts,
             workloads,
             router: FaultRouter::new(faults, opts.protection, opts.ras, scrubber),
@@ -793,7 +803,7 @@ impl Runner<'_> {
         let scope = &mut scope(&mut self.m, &self.workloads[0].layout);
         self.router
             .rewind(faults, &detected, cycle, detect_cycle, scope);
-        self.m.limits.rewind(cycle);
+        self.m.rewind();
         Ok(())
     }
 }
@@ -1002,17 +1012,12 @@ mod tests {
         try_run_single(cfg, w, &RunOptions::default())
     }
 
-    /// One slot per `(core, ctor, n)`, slot `i` built for
-    /// `Layout::for_core(i)`, run under `opts`.
+    /// The [`build_slots`] of `specs`, run under `opts`.
     fn run_slots(
         specs: &[(CoreConfig, Ctor, u64)],
         opts: &RunOptions,
     ) -> Result<SystemResult, SimError> {
-        let slot = |(i, &(core, ctor, n)): (usize, &(CoreConfig, Ctor, u64))| {
-            (core, ctor(n, Layout::for_core(i)))
-        };
-        let slots: Vec<_> = specs.iter().enumerate().map(slot).collect();
-        try_run_slots(&slots, opts)
+        try_run_slots(&build_slots(specs), opts)
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //!
 //! The report carries the serving-layer SLO metrics the north star asks
 //! for: tasks/sec, p50/p99/p999 latency, availability (delivered
-//! millicore-cycles over total capacity), goodput, and per-epoch fabric
+//! millicore-cycles over total capacity), goodput, and the run's fabric
 //! traffic.
 
 use crate::cancel::RunGate;
@@ -240,8 +240,6 @@ pub struct ServeConfig {
     pub mix: Vec<(WorkloadCtor, u64)>,
     /// Verify every completed attempt against the golden interpreter.
     pub verify: bool,
-    /// Cycles per reporting epoch (fabric-traffic snapshots); 0 disables.
-    pub epoch_cycles: u64,
     /// Force the dense per-cycle step loop instead of the event-driven
     /// fast-forward (also forced globally by `VIREC_NO_SKIP=1`). Both loops
     /// produce byte-identical reports; this is a debugging escape hatch.
@@ -271,7 +269,6 @@ impl ServeConfig {
             ras: None,
             mix: default_mix(64),
             verify: true,
-            epoch_cycles: 1 << 16,
             dense_loop: false,
         }
     }
@@ -306,23 +303,6 @@ fn config_error(detail: &str) -> SimError {
         detail: detail.to_string(),
         diag: RunDiagnostics::placeholder("serve-config"),
     }
-}
-
-/// Fabric traffic and service occupancy over one reporting epoch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EpochStats {
-    /// Service cycle at the end of the epoch.
-    pub cycle: u64,
-    /// Fabric traffic during this epoch (delta since the previous one).
-    pub fabric: FabricStats,
-    /// Admission-queue length at epoch end.
-    pub queue_len: usize,
-    /// Busy core slots at epoch end.
-    pub busy: usize,
-    /// Healthy (non-quarantined) core slots at epoch end.
-    pub healthy: usize,
-    /// Tasks completed so far.
-    pub completed: usize,
 }
 
 /// Aggregated outcome of a [`TaskService`] run.
@@ -382,8 +362,6 @@ pub struct ServeReport {
     /// attribution plus the mesh NoC counters (hops, CRC catches,
     /// retransmissions, link retirements) when the topology is a mesh.
     pub fabric: FabricStats,
-    /// Per-epoch fabric/occupancy snapshots.
-    pub epochs: Vec<EpochStats>,
     /// Human-readable description of the most recent attempt failure, kept
     /// for post-mortem diagnosis of faulty campaigns.
     pub last_failure: Option<String>,
@@ -555,8 +533,7 @@ struct Task {
 pub(crate) struct InFlight {
     task: Task,
     core: Core,
-    /// The attempt's watchdog and budget, counted from its dispatch (its
-    /// gate never trips).
+    /// The attempt's watchdog and budget, counted from its dispatch.
     limits: RunLimits,
     /// The attempt's scheduled word upset, if the campaign gave it one.
     faults: FaultRouter,
@@ -605,8 +582,6 @@ pub struct TaskService {
     queue: VecDeque<Task>,
     /// Index of the next arrival still to be admitted.
     next_arrival: usize,
-    /// Cycle of the next epoch snapshot.
-    next_epoch: u64,
     consec: Vec<u32>,
     workloads: Vec<Vec<Workload>>,
     golden: HashMap<(usize, usize), u64>,
@@ -692,12 +667,12 @@ impl TaskService {
                 (0..cfg.ncores).map(|_| Slot::Idle).collect(),
                 Fabric::new(cfg.fabric),
                 FlatMem::new(0, layout::mem_size(cfg.ncores)),
-                RunLimits::new(0, RunGate::unbounded(), 0, u64::MAX),
+                RunGate::unbounded(),
+                RunLimits::new(0, 0, u64::MAX),
             ),
             links: FaultRouter::new(Vec::new(), ProtectionConfig::none(), cfg.ras, None),
             queue: VecDeque::new(),
             next_arrival: 0,
-            next_epoch: cfg.epoch_cycles,
             consec: vec![0; cfg.ncores],
             workloads,
             golden: HashMap::new(),
@@ -723,9 +698,6 @@ impl TaskService {
     pub fn run(&mut self) -> Result<ServeReport, SimError> {
         let dense = self.cfg.dense_loop;
         machine::run(self, dense)?;
-        if self.cfg.epoch_cycles > 0 {
-            self.push_epoch();
-        }
         self.report.cycles = self.m.now;
         self.report.lost = self.outcomes.iter().filter(|o| o.is_none()).count();
         self.report.latencies.sort_unstable();
@@ -786,23 +758,6 @@ impl TaskService {
             .min()
     }
 
-    fn push_epoch(&mut self) {
-        let fabric = self.m.fabric.epoch_stats();
-        self.report.epochs.push(EpochStats {
-            cycle: self.m.now,
-            fabric,
-            queue_len: self.queue.len(),
-            busy: self
-                .m
-                .slots
-                .iter()
-                .filter(|s| matches!(s, Slot::Busy(_)))
-                .count(),
-            healthy: self.healthy(),
-            completed: self.report.completed,
-        });
-    }
-
     /// Zeroes the slot's whole address span so a re-offload starts from a
     /// clean image: stale data from a previous (possibly killed or
     /// corrupted) task must never leak into the next task's golden
@@ -826,7 +781,7 @@ impl TaskService {
         self.m.slots[slot] = Slot::Busy(Box::new(InFlight {
             task,
             core,
-            limits: RunLimits::new(now, RunGate::unbounded(), DEFAULT_LIVELOCK_CYCLES, budget),
+            limits: RunLimits::new(now, DEFAULT_LIVELOCK_CYCLES, budget),
             faults: FaultRouter::new(events, self.cfg.protection, None, None),
             end: None,
         }));
@@ -1102,7 +1057,7 @@ impl TaskService {
 /// The dispatcher as a [`Driver`] of the shared step loop. Admission,
 /// shedding and dispatch run before each cycle; an idle service
 /// fast-forwards to its next arrival without ticking. Arrivals, SLO
-/// expiries, repair completions, epochs and each attempt's fault,
+/// expiries, repair completions and each attempt's fault,
 /// watchdog and budget cycles are its wakeups, and delivered capacity
 /// accrues over skipped spans through [`Driver::skipped`].
 impl Driver for TaskService {
@@ -1300,21 +1255,11 @@ impl Driver for TaskService {
                 wake = wake.min(t.arrival + deadline);
             }
         }
-        if self.cfg.epoch_cycles > 0 {
-            wake = wake.min(self.next_epoch);
-        }
         wake
     }
 
     fn skipped(&mut self, span: u64) {
         self.report.capacity_millicore_cycles += self.capacity_millicores() * span;
-    }
-
-    fn end(&mut self) {
-        if self.cfg.epoch_cycles > 0 && self.m.now >= self.next_epoch {
-            self.push_epoch();
-            self.next_epoch = self.m.now + self.cfg.epoch_cycles;
-        }
     }
 }
 
@@ -1521,16 +1466,6 @@ mod tests {
         let r = run_service(cfg).unwrap();
         assert!(r.failed > 0, "queued tasks must expire against the SLO");
         assert_eq!(r.accounted(), r.submitted);
-    }
-
-    #[test]
-    fn epochs_capture_fabric_traffic() {
-        let mut cfg = quick_cfg(2, 10);
-        cfg.epoch_cycles = 4096;
-        let r = run_service(cfg).unwrap();
-        assert!(!r.epochs.is_empty());
-        let reads: u64 = r.epochs.iter().map(|e| e.fabric.reads).sum();
-        assert!(reads > 0, "epoch deltas must add up to real traffic");
     }
 
     #[test]

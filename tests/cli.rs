@@ -211,6 +211,17 @@ fn run_reports_a_blown_cycle_budget() {
 }
 
 #[test]
+fn banked_campaign_reports_a_summary() {
+    let o = cli("campaign --engine banked --n 128 --faults 8");
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    assert!(
+        stdout(&o).starts_with("banked: 8 injections — "),
+        "{}",
+        stdout(&o)
+    );
+}
+
+#[test]
 fn sweep_runs_interrupts_and_resumes() {
     let clean = temp_dir("clean");
     let o = cli(&format!(

@@ -10,13 +10,13 @@
 //! tests are the only place both loops run side by side on the same input.
 
 use virec::core::CoreConfig;
-use virec::sim::runner::{try_run_single, try_run_slots, RunOptions, RunResult};
+use virec::sim::runner::{build_slots, try_run_single, try_run_slots, RunOptions, RunResult};
 use virec::sim::serve::{default_mix, ServeConfig, ServeFaultPlan};
 use virec::sim::{
     run_service, FaultClass, FaultPlan, FaultSite, ProtectionConfig, RasConfig, SimError,
     TaskService,
 };
-use virec::workloads::{kernels, suite, Layout, Workload, WorkloadCtor};
+use virec::workloads::{kernels, suite, Layout, WorkloadCtor};
 
 const N: u64 = 256;
 
@@ -26,14 +26,6 @@ fn densified(opts: &RunOptions) -> RunOptions {
         dense_loop: true,
         ..opts.clone()
     }
-}
-
-/// One slot per `(core, ctor, n)`, slot `i` built for `Layout::for_core(i)`.
-fn slots(specs: &[(CoreConfig, WorkloadCtor, u64)]) -> Vec<(CoreConfig, Workload)> {
-    let slot = |(i, &(core, ctor, n)): (usize, &(CoreConfig, WorkloadCtor, u64))| {
-        (core, ctor(n, Layout::for_core(i)))
-    };
-    specs.iter().enumerate().map(slot).collect()
 }
 
 /// Field-by-field identity on everything deterministic in a [`RunResult`]
@@ -239,7 +231,7 @@ fn idle_scrubber_wakeups_byte_identical() {
 
 #[test]
 fn system_run_byte_identical() {
-    let slots = slots(
+    let slots = build_slots(
         &[(
             CoreConfig::virec(4, 32),
             kernels::spatter::gather as WorkloadCtor,
@@ -267,8 +259,8 @@ fn system_run_byte_identical() {
 #[test]
 fn serve_run_byte_identical() {
     // A faulty, deadline-bearing service run: arrivals, SLO shedding,
-    // quarantine, failover, epochs, and latency percentiles all ride on
-    // the shared clock the skip loop fast-forwards. The word upsets go
+    // quarantine, failover and latency percentiles all ride on the
+    // shared clock the skip loop fast-forwards. The word upsets go
     // through the fault router's SEC-DED, parity and pass-through branches.
     for protection in [
         ProtectionConfig::secded(),
@@ -288,7 +280,7 @@ fn serve_run_byte_identical() {
         let skip = run(false);
         let dense = run(true);
         // ServeReport has no wall-clock fields: the debug rendering covers
-        // every counter, latency sample, and epoch snapshot.
+        // every counter and latency sample.
         assert_eq!(
             format!("{dense:?}"),
             format!("{skip:?}"),
@@ -501,7 +493,7 @@ fn runner_error_outcomes_byte_identical() {
 fn system_budget_error_byte_identical() {
     let mut core = CoreConfig::virec(4, 32);
     core.max_cycles = 3_000;
-    let slots = slots(&[(core, kernels::spatter::gather as WorkloadCtor, 192); 3]);
+    let slots = build_slots(&[(core, kernels::spatter::gather as WorkloadCtor, 192); 3]);
     let run = |dense_loop: bool| {
         let opts = RunOptions {
             // Far memory keeps every core stalled across the budget cycle.
@@ -525,7 +517,7 @@ fn system_budget_error_byte_identical() {
 #[test]
 fn heterogeneous_mesh_system_byte_identical() {
     use virec::mem::{FabricConfig, FabricTopology};
-    let slots = slots(&[
+    let slots = build_slots(&[
         (CoreConfig::banked(4), kernels::spatter::gather, 192),
         (CoreConfig::virec(8, 40), kernels::spatter::gather, 192),
         (CoreConfig::banked(4), kernels::stream::stream_triad, 192),

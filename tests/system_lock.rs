@@ -8,7 +8,7 @@
 
 use virec::core::{CoreConfig, CoreStats};
 use virec::mem::{CacheStats, FabricConfig, FabricStats, FabricTopology};
-use virec::sim::runner::{try_run_single, try_run_slots, RunOptions, SystemResult};
+use virec::sim::runner::{build_slots, try_run_single, try_run_slots, RunOptions, SystemResult};
 use virec::sim::SimError;
 use virec::workloads::{kernels, Layout, Workload, WorkloadCtor};
 
@@ -389,20 +389,12 @@ const MESH: Pinned = Pinned {
 /// [`budget_error_text`].
 const BUDGET_ERROR: &str = "gather: exceeded 3000 cycles (engine ViReC, 4 threads) [workload=gather engine=ViReC policy=LRC nthreads=4 cycles=3000 instructions=0 ctx_switches=0 rf_misses=5 last_commit_pc=[-,-,-,-]]";
 
-/// One slot per `(core, ctor, n)`, slot `i` built for `Layout::for_core(i)`.
-fn slots(specs: &[(CoreConfig, WorkloadCtor, u64)]) -> Vec<(CoreConfig, Workload)> {
-    let slot = |(i, &(core, ctor, n)): (usize, &(CoreConfig, WorkloadCtor, u64))| {
-        (core, ctor(n, Layout::for_core(i)))
-    };
-    specs.iter().enumerate().map(slot).collect()
-}
-
 /// Figure 11's configuration: `ncores` ViReC cores with `threads` threads
 /// over a 64-register file, each running gather at `n`.
 fn fig11_slots(ncores: usize, threads: usize, n: u64) -> Vec<(CoreConfig, Workload)> {
     let mut core = CoreConfig::virec(threads, 64);
     core.max_cycles = 2_000_000_000;
-    slots(&vec![
+    build_slots(&vec![
         (core, kernels::spatter::gather as WorkloadCtor, n);
         ncores
     ])
@@ -434,7 +426,7 @@ fn heterogeneous_mesh() -> Result<(), SimError> {
         (CoreConfig::banked(4), kernels::stream::stream_triad, 192),
         (CoreConfig::virec(4, 24), kernels::stream::reduction, 192),
     ];
-    let r = try_run_slots(&slots(&specs), &opts)?;
+    let r = try_run_slots(&build_slots(&specs), &opts)?;
     check("mesh", &r, &MESH);
     Ok(())
 }
@@ -452,7 +444,7 @@ fn budget_error_text() {
         },
         ..RunOptions::default()
     };
-    let slots = slots(&[(core, kernels::spatter::gather as WorkloadCtor, 192); 3]);
+    let slots = build_slots(&[(core, kernels::spatter::gather as WorkloadCtor, 192); 3]);
     let err = try_run_slots(&slots, &opts).expect_err("the budget is far too small");
     assert_eq!(err.kind(), "cycle_budget");
     assert_eq!(err.to_string(), BUDGET_ERROR);
@@ -480,7 +472,7 @@ fn one_core_system_is_a_single_run() -> Result<(), SimError> {
                     fabric,
                     ..RunOptions::default()
                 };
-                let sys = try_run_slots(&slots(&[(core, ctor, 256)]), &opts)?;
+                let sys = try_run_slots(&build_slots(&[(core, ctor, 256)]), &opts)?;
                 let single = try_run_single(core, &ctor(256, Layout::for_core(0)), &opts)
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
                 assert_eq!(sys.cycles, single.cycles, "{label}: cycles");
